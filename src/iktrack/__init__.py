@@ -5,7 +5,6 @@ rotation matrices, with joint limits enforced through velocity-space QP
 constraints. Ships per-sample iterative baselines and a benchmark harness for
 accuracy/timing comparisons.
 """
-from ._accel import NUMBA_ENABLED
 from .baselines import (IkResult, InstantaneousConfig, Subsystem, SubsystemReport,
                         decompose_pairwise, solve_pairwise, solve_whole_body)
 from .errors import (DecompositionError, DegenerateMatrix, IkTrackError, NotARotation,
@@ -29,7 +28,7 @@ from .tracker import (GainConfig, SolverState, StepReport, TargetSample, TrackRe
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED", "__version__",
+    "__version__",
     # so3
     "Rotation", "BaumgarteConfig", "skew", "vee", "skew_part", "orientation_residual",
     "baumgarte_step", "baumgarte_integrate", "project_to_so3", "relative_angle",

@@ -1,201 +1,179 @@
-"""Hot numeric kernels: chain forward kinematics, stacked frame Jacobians,
-pose residuals, and drift-corrected rotation integration.
+"""Hot numeric kernels: batched Rodrigues rotations, forward kinematics by
+tree depth, stacked frame Jacobians from a joint-support mask, batched pose
+residuals, and drift-corrected rotation integration.
 
-All kernels take plain float64/int64 arrays so they compile under numba and
-run unchanged as numpy when acceleration is off (see ``_accel``). The 3x3
-arithmetic is written out explicitly to avoid temporary allocations in the
-per-step loop.
+Every kernel is vectorised numpy over whole stacks of links, joints or
+target frames; the only Python-level loop left in a tracking step is the
+forward-kinematics walk over tree depths. The per-model index arrays the
+kernels take are built once by ``KinematicModel``.
 """
+from typing import NamedTuple
+
 import numpy as np
 
-from ._accel import njit
+# S(v) = v[:, _SKEW_IDX] * _SKEW_SIGN is the cross-product matrix of each row v
+_SKEW_IDX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+_SKEW_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+_EYE3 = np.eye(3)
+# entry (i, j) of t a a^T is formed as (t a_lo) a_hi, so the product is exactly symmetric
+_LO = np.minimum.outer(np.arange(3), np.arange(3))
+_HI = np.maximum.outer(np.arange(3), np.arange(3))
 
 
-@njit(cache=True)
+def skew_stack(v):
+    """Cross-product matrices S(v) of the rows of a (k, 3) array, (k, 3, 3)."""
+    return v[:, _SKEW_IDX] * _SKEW_SIGN
+
+
+def rotations_about_axes(axes, angles):
+    """Rodrigues rotation matrices, one per row of unit ``axes`` (k, 3) and
+    entry of ``angles`` (k,): R = cos I + sin S(a) + (1 - cos) a a^T."""
+    c = np.cos(angles)
+    s = np.sin(angles)
+    t = 1.0 - c
+    return ((t[:, None] * axes)[:, _LO] * axes[:, _HI]
+            + skew_stack(s[:, None] * axes) + c[:, None, None] * _EYE3)
+
+
 def rotation_about_axis(axis, angle):
     """Rodrigues rotation matrix about a unit axis."""
-    x, y, z = axis[0], axis[1], axis[2]
-    c = np.cos(angle)
-    s = np.sin(angle)
-    t = 1.0 - c
-    out = np.empty((3, 3))
-    out[0, 0] = c + t * x * x
-    out[0, 1] = t * x * y - s * z
-    out[0, 2] = t * x * z + s * y
-    out[1, 0] = t * x * y + s * z
-    out[1, 1] = c + t * y * y
-    out[1, 2] = t * y * z - s * x
-    out[2, 0] = t * x * z - s * y
-    out[2, 1] = t * y * z + s * x
-    out[2, 2] = c + t * z * z
-    return out
+    axes = np.asarray(axis, dtype=float).reshape(1, 3)
+    return rotations_about_axes(axes, np.full(1, angle, dtype=float))[0]
 
 
-@njit(cache=True)
-def fk_chain(topo, parent, joint_of, origin_p, origin_r, axis, s, base_p, base_r):
-    """World pose of every link.
-
-    ``topo`` orders links parent-before-child. Returns (positions (L,3),
-    rotations (L,3,3)). A link's frame sits on its joint: the origin offset is
-    fixed in the parent, the rotation about ``axis`` acts on the child frame.
+class DepthLayout(NamedTuple):
+    """A tree's links sorted by depth, base first, with what forward
+    kinematics needs of each link below the base (row k is sorted link k + 1).
     """
-    n_links = parent.shape[0]
-    pos = np.empty((n_links, 3))
-    rot = np.empty((n_links, 3, 3))
-    for i in range(n_links):
-        l = topo[i]
-        par = parent[l]
-        if par < 0:
-            pos[l] = base_p
-            rot[l] = base_r
-            continue
-        pos[l] = pos[par] + np.dot(rot[par], origin_p[l])
-        rj = rotation_about_axis(axis[l], s[joint_of[l]])
-        rot[l] = np.dot(rot[par], np.dot(origin_r[l], rj))
-    return pos, rot
+
+    levels: tuple          # (start, stop, parent rows) of each depth >= 1, sorted order
+    joints: np.ndarray     # joint each link carries
+    axes: np.ndarray       # (k, 3) joint axes
+    origin_r: np.ndarray   # (k, 3, 3) fixed rotations of the joint origins
+    origins: np.ndarray    # (k, 4, 4) joint origins in their parents, rotation part zero
+    rank: np.ndarray       # sorted position of every link, by link index
 
 
-@njit(cache=True)
-def stacked_jacobian_kernel(parent, joint_of, axis, pos_idx, ori_idx, pos, rot,
-                            base_pos, n_joints):
-    """Stacked frame Jacobian: linear rows for position targets, then angular
-    rows for orientation targets. Columns ordered (base_lin, base_ang, s_dot).
+def _rows(idx):
+    """``idx`` as a slice when it is one increasing run or one repeated row
+    (broadcast), so the level reads its parents as a view."""
+    first = int(idx[0])
+    if np.array_equal(idx, np.arange(first, first + idx.shape[0])):
+        return slice(first, first + idx.shape[0])
+    if np.all(idx == first):
+        return slice(first, first + 1)
+    return idx
+
+
+def depth_layout(parent, joint_of, axis, origin_r, origin_p, base_idx) -> DepthLayout:
+    """Sort the links breadth first from the base, each depth in its parents'
+    order (per-link arrays indexed by link, ``parent`` -1 at the base); any
+    declaration order is accepted."""
+    rank = np.full(parent.shape[0], -1)
+    rank[base_idx] = 0
+    order = [base_idx]
+    levels = []
+    frontier = np.array([base_idx])
+    while True:
+        kids = np.flatnonzero(np.isin(parent, frontier))
+        if not kids.size:
+            break
+        kids = kids[np.argsort(rank[parent[kids]], kind="stable")]
+        start = len(order)
+        rank[kids] = np.arange(start, start + kids.shape[0])
+        order.extend(kids.tolist())
+        levels.append((start, len(order), _rows(rank[parent[kids]])))
+        frontier = kids
+    below = np.array(order[1:], dtype=np.int64)
+    origins = np.zeros((below.shape[0], 4, 4))
+    origins[:, :3, 3] = origin_p[below]
+    origins[:, 3, 3] = 1.0
+    return DepthLayout(tuple(levels), joint_of[below], axis[below], origin_r[below], origins,
+                       rank)
+
+
+def fk_levels(layout, s, base_p, base_r):
+    """World pose of every link, as (positions (L, 3), rotations (L, 3, 3))
+    indexed by link.
+
+    A link's frame sits on its joint: the origin offset is fixed in the
+    parent, the joint rotation about its axis acts on the child frame. Each
+    depth composes its links' homogeneous transforms onto their parents' in
+    one stacked product.
     """
+    world = np.empty((layout.rank.shape[0], 4, 4))
+    world[0, :3, :3] = base_r
+    world[0, :3, 3] = base_p
+    world[0, 3] = (0.0, 0.0, 0.0, 1.0)
+    local = layout.origins.copy()
+    local[:, :3, :3] = layout.origin_r @ rotations_about_axes(layout.axes, s[layout.joints])
+    for a, b, par in layout.levels:
+        np.matmul(world[par], local[a - 1:b - 1], out=world[a:b])
+    world = world[layout.rank]
+    return np.ascontiguousarray(world[:, :3, 3]), np.ascontiguousarray(world[:, :3, :3])
+
+
+def stacked_jacobian_kernel(pos, rot, base_pos, pos_idx, ori_idx, pos_support,
+                            ori_support, joint_link, joint_axis):
+    """Stacked frame Jacobian: linear rows for the ``pos_idx`` frames, then
+    angular rows for the ``ori_idx`` frames. Columns are ordered (base_lin,
+    base_ang, s_dot). ``*_support[i, j]`` says joint j moves frame i, and
+    ``joint_link[j]`` is the link joint j carries.
+    """
+    n = joint_axis.shape[0]
     n_p = pos_idx.shape[0]
-    n_o = ori_idx.shape[0]
-    jac = np.zeros((3 * (n_p + n_o), n_joints + 6))
-    for i in range(n_p):
-        f = pos_idx[i]
-        r0 = 3 * i
-        dx = pos[f, 0] - base_pos[0]
-        dy = pos[f, 1] - base_pos[1]
-        dz = pos[f, 2] - base_pos[2]
-        jac[r0, 0] = 1.0
-        jac[r0 + 1, 1] = 1.0
-        jac[r0 + 2, 2] = 1.0
-        # -skew(p_frame - p_base)
-        jac[r0, 4] = dz
-        jac[r0, 5] = -dy
-        jac[r0 + 1, 3] = -dz
-        jac[r0 + 1, 5] = dx
-        jac[r0 + 2, 3] = dy
-        jac[r0 + 2, 4] = -dx
-        l = f
-        while parent[l] >= 0:
-            j = joint_of[l]
-            aw = np.dot(rot[l], axis[l])  # axis is invariant under its own rotation
-            rx = pos[f, 0] - pos[l, 0]
-            ry = pos[f, 1] - pos[l, 1]
-            rz = pos[f, 2] - pos[l, 2]
-            jac[r0, 6 + j] = aw[1] * rz - aw[2] * ry
-            jac[r0 + 1, 6 + j] = aw[2] * rx - aw[0] * rz
-            jac[r0 + 2, 6 + j] = aw[0] * ry - aw[1] * rx
-            l = parent[l]
-    for i in range(n_o):
-        f = ori_idx[i]
-        r0 = 3 * (n_p + i)
-        jac[r0, 3] = 1.0
-        jac[r0 + 1, 4] = 1.0
-        jac[r0 + 2, 5] = 1.0
-        l = f
-        while parent[l] >= 0:
-            j = joint_of[l]
-            aw = np.dot(rot[l], axis[l])
-            jac[r0, 6 + j] = aw[0]
-            jac[r0 + 1, 6 + j] = aw[1]
-            jac[r0 + 2, 6 + j] = aw[2]
-            l = parent[l]
-    return jac
+    jac = np.zeros((n_p + ori_idx.shape[0], 3, n + 6))
+    jac[:, :, 3:6] = _EYE3
+    # world joint axes as columns; an axis is invariant under its own joint's rotation
+    axes = (rot[joint_link] @ joint_axis[:, :, None])[:, :, 0].T
+    if n_p:
+        frame_p = pos[pos_idx]
+        lever = frame_p[:, :, None] - pos[joint_link].T
+        # axes x lever, component i = a[i+1] l[i+2] - a[i+2] l[i+1]
+        lin = axes[_NEXT] * lever[:, _PREV] - axes[_PREV] * lever[:, _NEXT]
+        jac[:n_p, :, 6:] = np.where(pos_support[:, None, :], lin, 0.0)
+        jac[:n_p, :, 0:3] = _EYE3
+        jac[:n_p, :, 3:6] = skew_stack(base_pos - frame_p)
+    jac[n_p:, :, 6:] = np.where(ori_support[:, None, :], axes, 0.0)
+    return jac.reshape(-1, n + 6)
 
 
-@njit(cache=True)
 def pose_residual_kernel(pos_idx, ori_idx, pos, rot, target_pos, target_rot):
     """Stacked pose residual: Euclidean position errors, then the
     skew-symmetric part of (R_estimate^T R_target) read off as a vector.
     """
-    n_p = pos_idx.shape[0]
-    n_o = ori_idx.shape[0]
-    out = np.empty(3 * (n_p + n_o))
-    for i in range(n_p):
-        f = pos_idx[i]
-        out[3 * i] = target_pos[i, 0] - pos[f, 0]
-        out[3 * i + 1] = target_pos[i, 1] - pos[f, 1]
-        out[3 * i + 2] = target_pos[i, 2] - pos[f, 2]
-    for i in range(n_o):
-        f = ori_idx[i]
-        r0 = 3 * (n_p + i)
-        # m[a, b] = (R^T T)[a, b]; only the six off-diagonal entries are needed
-        m21 = rot[f, 0, 2] * target_rot[i, 0, 1] + rot[f, 1, 2] * target_rot[i, 1, 1] + rot[f, 2, 2] * target_rot[i, 2, 1]
-        m12 = rot[f, 0, 1] * target_rot[i, 0, 2] + rot[f, 1, 1] * target_rot[i, 1, 2] + rot[f, 2, 1] * target_rot[i, 2, 2]
-        m02 = rot[f, 0, 0] * target_rot[i, 0, 2] + rot[f, 1, 0] * target_rot[i, 1, 2] + rot[f, 2, 0] * target_rot[i, 2, 2]
-        m20 = rot[f, 0, 2] * target_rot[i, 0, 0] + rot[f, 1, 2] * target_rot[i, 1, 0] + rot[f, 2, 2] * target_rot[i, 2, 0]
-        m10 = rot[f, 0, 1] * target_rot[i, 0, 0] + rot[f, 1, 1] * target_rot[i, 1, 0] + rot[f, 2, 1] * target_rot[i, 2, 0]
-        m01 = rot[f, 0, 0] * target_rot[i, 0, 1] + rot[f, 1, 0] * target_rot[i, 1, 1] + rot[f, 2, 0] * target_rot[i, 2, 1]
-        out[r0] = 0.5 * (m21 - m12)
-        out[r0 + 1] = 0.5 * (m02 - m20)
-        out[r0 + 2] = 0.5 * (m10 - m01)
-    return out
+    est = rot[ori_idx]
+    # m[k] = est[k]^T target_rot[k], summed over the shared row index in order
+    m = (est[:, 0, :, None] * target_rot[:, 0, None, :]
+         + est[:, 1, :, None] * target_rot[:, 1, None, :]
+         + est[:, 2, :, None] * target_rot[:, 2, None, :])
+    ori = 0.5 * (m[:, (2, 0, 1), (1, 2, 0)] - m[:, (1, 2, 0), (2, 0, 1)])
+    return np.concatenate([(target_pos - pos[pos_idx]).ravel(), ori.ravel()])
 
 
-@njit(cache=True)
-def _inv3(a):
-    det = (a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-           - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-           + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
-    inv = np.empty((3, 3))
-    inv[0, 0] = (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]) / det
-    inv[0, 1] = (a[0, 2] * a[2, 1] - a[0, 1] * a[2, 2]) / det
-    inv[0, 2] = (a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]) / det
-    inv[1, 0] = (a[1, 2] * a[2, 0] - a[1, 0] * a[2, 2]) / det
-    inv[1, 1] = (a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]) / det
-    inv[1, 2] = (a[0, 2] * a[1, 0] - a[0, 0] * a[1, 2]) / det
-    inv[2, 0] = (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]) / det
-    inv[2, 1] = (a[0, 1] * a[2, 0] - a[0, 0] * a[2, 1]) / det
-    inv[2, 2] = (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]) / det
-    return inv
-
-
-@njit(cache=True)
 def baumgarte_step_kernel(r_prev, omega, rho, dt):
     """One explicit Euler step of R with the orthonormality-restoring term:
     Rdot = R (S(omega) + (rho/2)((R^T R)^-1 - I)).
     """
-    g = np.empty((3, 3))
-    for a in range(3):
-        for b in range(3):
-            g[a, b] = r_prev[0, a] * r_prev[0, b] + r_prev[1, a] * r_prev[1, b] + r_prev[2, a] * r_prev[2, b]
-    ginv = _inv3(g)
+    g = r_prev[0, :, None] * r_prev[0] + r_prev[1, :, None] * r_prev[1] + r_prev[2, :, None] * r_prev[2]
+    # adjugate of g: entry (i, j) = g[j+1, i+1] g[j+2, i+2] - g[j+1, i+2] g[j+2, i+1]
+    adj = g[_NEXT[None, :], _NEXT[:, None]] * g[_PREV[None, :], _PREV[:, None]] \
+        - g[_NEXT[None, :], _PREV[:, None]] * g[_PREV[None, :], _NEXT[:, None]]
+    det = g[0, 0] * adj[0, 0] + g[0, 1] * adj[1, 0] + g[0, 2] * adj[2, 0]
     half_rho = 0.5 * rho
-    m = np.empty((3, 3))
-    m[0, 0] = half_rho * (ginv[0, 0] - 1.0)
-    m[0, 1] = -omega[2] + half_rho * ginv[0, 1]
-    m[0, 2] = omega[1] + half_rho * ginv[0, 2]
-    m[1, 0] = omega[2] + half_rho * ginv[1, 0]
-    m[1, 1] = half_rho * (ginv[1, 1] - 1.0)
-    m[1, 2] = -omega[0] + half_rho * ginv[1, 2]
-    m[2, 0] = -omega[1] + half_rho * ginv[2, 0]
-    m[2, 1] = omega[0] + half_rho * ginv[2, 1]
-    m[2, 2] = half_rho * (ginv[2, 2] - 1.0)
+    m = skew_stack(omega[None])[0] + half_rho * (adj / det - _EYE3)
     return r_prev + dt * np.dot(r_prev, m)
 
 
-@njit(cache=True)
 def baumgarte_path_kernel(r0, omegas, rho, dt):
     """Integrate a whole angular-velocity sequence; returns the final matrix
     and the worst Frobenius orthonormality error seen at any step.
     """
     r = r0.copy()
     max_err = 0.0
-    for k in range(omegas.shape[0]):
-        r = baumgarte_step_kernel(r, omegas[k], rho, dt)
-        err = 0.0
-        for a in range(3):
-            for b in range(3):
-                gab = r[0, a] * r[0, b] + r[1, a] * r[1, b] + r[2, a] * r[2, b]
-                if a == b:
-                    gab -= 1.0
-                err += gab * gab
-        err = np.sqrt(err)
-        if err > max_err:
-            max_err = err
+    for omega in omegas:
+        r = baumgarte_step_kernel(r, omega, rho, dt)
+        max_err = max(max_err, float(np.linalg.norm(r.T @ r - _EYE3)))
     return r, max_err

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import rotation_about_axis
+from ._kernels import rotation_about_axis, rotations_about_axes
 from .errors import DecompositionError
 from .model import Configuration, KinematicModel
 from .qp import ActiveSetSolver, LeastSquaresQP
@@ -197,26 +197,28 @@ def decompose_pairwise(model: KinematicModel) -> list[Subsystem]:
     return subsystems
 
 
-def _relative_rotation(model, sub, s):
-    """Rotation of the tip frame w.r.t. the root frame, plus the per-joint
-    axes expressed in the root frame."""
+def _relative_rotation(origin_r, axis, angles):
+    """Rotation of a subsystem's tip frame w.r.t. its root frame, plus the
+    per-joint axes expressed in the root frame, from the path's joint origin
+    rotations, axes and angles (root side first)."""
+    local = origin_r @ rotations_about_axes(axis, angles)
+    rels = np.empty_like(local)
     rel = np.eye(3)
-    axes = np.zeros((len(sub.path_links), 3))
-    for i, l in enumerate(sub.path_links):
-        jidx = int(model._joint_of[l])
-        rel = rel @ model._origin_r[l] @ rotation_about_axis(model._axis[l], s[jidx])
-        axes[i] = rel @ model._axis[l]
-    return rel, axes
+    for i in range(local.shape[0]):
+        rel = rels[i] = rel @ local[i]
+    return rel, (rels @ axis[:, :, None])[:, :, 0]
 
 
 def _solve_subsystem(model, sub, target_rel, s_init, cfg):
     """Gauss-Newton on the relative rotation error of one subsystem."""
     idx = np.array(sub.joint_indices)
+    links = np.array(sub.path_links)
+    origin_r, axis = model._origin_r[links], model._axis[links]
     s = s_init.copy()
     lam = cfg.lm_lambda0
 
     def error(s_vec):
-        rel, axes = _relative_rotation(model, sub, s_vec)
+        rel, axes = _relative_rotation(origin_r, axis, s_vec[idx])
         m = rel.T @ target_rel
         r = 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
         return r, rel, axes

@@ -65,6 +65,10 @@ def _cmd_solve(args):
     print(f"steps={len(qs)} mnte_median={metrics.mnte_stats.median:.6g} "
           f"rmse_median={metrics.rmse_stats.median:.6g} "
           f"time_median_ms={metrics.time_stats.median * 1e3:.6g}")
+    if qs and not metrics.steady_window().any():
+        print(f"note: all {len(qs)} samples fall inside the "
+              f"{metrics.transient_discard:g} s transient discard, so the medians "
+              f"are undefined; the per-step CSV holds every sample", file=sys.stderr)
     if error is not None:
         print(f"aborted: {error}", file=sys.stderr)
         return SOLVER_ERROR

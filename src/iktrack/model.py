@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import fk_chain, pose_residual_kernel, rotation_about_axis, stacked_jacobian_kernel
+from ._kernels import (depth_layout, fk_levels, pose_residual_kernel, rotation_about_axis,
+                       stacked_jacobian_kernel)
 from .errors import ParseError, UnknownFrame, ValidationError
 from .so3 import Rotation
 
@@ -166,26 +167,25 @@ class KinematicModel:
             self._origin_p[c] = j.origin_xyz
             self._origin_r[c] = rpy_matrix(j.origin_rpy)
             self._axis[c] = j.axis
-        # parents before children
-        order = []
-        depth = {self._link_index[self.base_link]: 0}
-        pending = list(range(n_links))
-        while pending:
-            rest = []
-            for l in pending:
-                p = self._parent[l]
-                if p < 0 or p in depth:
-                    depth[l] = 0 if p < 0 else depth[p] + 1
-                    order.append(l)
-                else:
-                    rest.append(l)
-            pending = rest
-        self._topo = np.array(order, dtype=np.int64)
+        self._joint_link = np.array([self._link_index[j.child] for j in self.joints],
+                                    dtype=np.int64)
+        self._joint_axis = self._axis[self._joint_link]
+        self._base_idx = self._link_index[self.base_link]
+        self._layout = depth_layout(self._parent, self._joint_of, self._axis, self._origin_r,
+                                    self._origin_p, self._base_idx)
+        # support[l, j]: joint j lies on the path from the base to link l
+        self._support = np.zeros((n_links, len(self.joints)), dtype=bool)
+        for l in range(n_links):
+            a = l
+            while self._parent[a] >= 0:
+                self._support[l, self._joint_of[a]] = True
+                a = self._parent[a]
         self._pos_idx = np.array([self._link_index[f] for f in self.position_target_frames],
                                  dtype=np.int64)
         self._ori_idx = np.array([self._link_index[f] for f in self.orientation_target_frames],
                                  dtype=np.int64)
-        self._base_idx = self._link_index[self.base_link]
+        self._pos_support = self._support[self._pos_idx]
+        self._ori_support = self._support[self._ori_idx]
         self._assemble_constraints()
 
     def _assemble_constraints(self):
@@ -245,33 +245,33 @@ class KinematicModel:
 
     def fk_arrays(self, q: "Configuration") -> tuple[np.ndarray, np.ndarray]:
         """World position and rotation of every link (kernel layout)."""
-        return fk_chain(self._topo, self._parent, self._joint_of, self._origin_p,
-                        self._origin_r, self._axis, np.ascontiguousarray(q.s, dtype=float),
-                        np.ascontiguousarray(q.base_pos, dtype=float),
-                        np.ascontiguousarray(q.base_rot.m, dtype=float))
+        return fk_levels(self._layout, np.asarray(q.s, dtype=float), q.base_pos, q.base_rot.m)
 
     def forward_kinematics(self, q: "Configuration", frame: str) -> tuple[np.ndarray, Rotation]:
         idx = self.link_index(frame)
         pos, rot = self.fk_arrays(q)
         return pos[idx].copy(), Rotation.drifting(rot[idx].copy())
 
+    def _jacobian(self, fk, pos_idx, ori_idx, pos_support, ori_support) -> np.ndarray:
+        pos, rot = fk
+        return stacked_jacobian_kernel(pos, rot, pos[self._base_idx], pos_idx, ori_idx,
+                                       pos_support, ori_support, self._joint_link,
+                                       self._joint_axis)
+
     def jacobian(self, q: "Configuration", frame: str) -> np.ndarray:
         """6x(n+6) frame Jacobian; top three rows linear, bottom three angular."""
         idx = np.array([self.link_index(frame)], dtype=np.int64)
-        pos, rot = self.fk_arrays(q)
-        return stacked_jacobian_kernel(self._parent, self._joint_of, self._axis,
-                                       idx, idx, pos, rot, pos[self._base_idx], self.n)
+        support = self._support[idx]
+        return self._jacobian(self.fk_arrays(q), idx, idx, support, support)
 
     def stacked_forward_kinematics(self, q: "Configuration") -> StackedPose:
         """Poses of all declared target frames: positions first, then rotations."""
         pos, rot = self.fk_arrays(q)
-        return StackedPose(pos[self._pos_idx].copy(), rot[self._ori_idx].copy())
+        return StackedPose(pos[self._pos_idx], rot[self._ori_idx])
 
     def stacked_jacobian(self, q: "Configuration", fk=None) -> np.ndarray:
-        pos, rot = fk if fk is not None else self.fk_arrays(q)
-        return stacked_jacobian_kernel(self._parent, self._joint_of, self._axis,
-                                       self._pos_idx, self._ori_idx, pos, rot,
-                                       pos[self._base_idx], self.n)
+        return self._jacobian(fk if fk is not None else self.fk_arrays(q), self._pos_idx,
+                              self._ori_idx, self._pos_support, self._ori_support)
 
     def pose_residual_arrays(self, fk, target_pos, target_rot) -> np.ndarray:
         pos, rot = fk

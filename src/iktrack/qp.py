@@ -184,7 +184,7 @@ class ActiveSetSolver:
         primal_viol = float(np.max(G @ x - g)) if k else 0.0
         if status is QPStatus.SOLVED and primal_viol > tol:
             status = QPStatus.MAX_ITERATIONS
-        active = tuple(int(i) for i in range(k) if g[i] - G[i] @ x <= 10.0 * tol)
+        active = tuple(np.flatnonzero(g - G @ x <= 10.0 * tol).tolist())
         resid = J @ x - target
         objective = 0.5 * float(resid @ resid) + 0.5 * prob.damping * float(x @ x)
         return QPSolution(x=x, objective=objective, active_set=active,

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import baumgarte_path_kernel, baumgarte_step_kernel, rotation_about_axis
+from ._kernels import (baumgarte_path_kernel, baumgarte_step_kernel, rotation_about_axis,
+                       skew_stack)
 from .errors import DegenerateMatrix, NotARotation, NotSkewSymmetric, SingularMatrix
 
 ORTHONORMALITY_TOL = 1e-9
@@ -92,8 +93,7 @@ def _mat(r) -> np.ndarray:
 
 def skew(v) -> np.ndarray:
     """Skew-symmetric matrix S(v) with S(v) u = v x u."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return skew_stack(np.asarray(v, dtype=float).reshape(1, 3))[0]
 
 
 def vee(a, tol: float = 1e-9) -> np.ndarray:

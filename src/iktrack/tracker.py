@@ -15,7 +15,7 @@ import numpy as np
 from .errors import QPInfeasible, SchemaMismatch, StaleSample
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
-from .so3 import BaumgarteConfig, Rotation, baumgarte_step, orthonormality_error
+from .so3 import BaumgarteConfig, Rotation, baumgarte_step
 
 RATE_TOL = 1e-9
 ACTIVE_TOL = 1e-6
@@ -40,9 +40,14 @@ class TargetSample:
             raise SchemaMismatch("lin_vels count differs from positions")
         if self.ang_vels.shape[0] != self.rotations.shape[0]:
             raise SchemaMismatch("ang_vels count differs from rotations")
-        for i, r in enumerate(self.rotations):
-            if orthonormality_error(r) > 1e-8 or np.linalg.det(r) <= 0.0:
-                raise SchemaMismatch(f"rotation target {i} is not a rotation")
+        for name in ("t", "positions", "rotations", "lin_vels", "ang_vels"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise SchemaMismatch(f"{name} holds a non-finite value")
+        r = self.rotations
+        err = np.linalg.norm(np.swapaxes(r, 1, 2) @ r - np.eye(3), axis=(1, 2))
+        bad = np.flatnonzero(~((err <= 1e-8) & (np.linalg.det(r) > 0.0)))
+        if bad.size:
+            raise SchemaMismatch(f"rotation target {bad[0]} is not a rotation")
 
     def velocity_stack(self) -> np.ndarray:
         return np.concatenate([self.lin_vels.ravel(), self.ang_vels.ravel()])
@@ -210,7 +215,10 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     residual_u = sample.velocity_stack() - jac @ nu
     new_q = Configuration(
         base_pos=state.q.base_pos + dt * nu[0:3],
-        base_rot=Rotation.drifting(baumgarte_step(state.q.base_rot, nu[3:6], baumgarte)),
+        # nu carries the base angular velocity in the inertial frame; the
+        # integrator steps R + dt R S(omega), so it takes omega in the base frame
+        base_rot=Rotation.drifting(baumgarte_step(state.q.base_rot,
+                                                  state.q.base_rot.m.T @ nu[3:6], baumgarte)),
         s=state.q.s + dt * nu[6:],
     )
     wall = time.perf_counter() - t_start

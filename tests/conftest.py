@@ -61,6 +61,29 @@ def hinge_model(pos_limits=None, vel_limit=None):
     )
 
 
+def branched_model():
+    """Five joints in two branches with tilted joint origins and oblique axes;
+    links and joints are declared children before parents."""
+    def joint(name, parent, child, axis, xyz, rpy):
+        axis = np.asarray(axis, float)
+        return ik.Joint(name, parent, child, axis=axis / np.linalg.norm(axis),
+                        origin_xyz=np.asarray(xyz, float), origin_rpy=np.asarray(rpy, float))
+
+    return ik.KinematicModel(
+        links=[ik.Link(n) for n in ("hand", "tip_b", "tip_a", "arm", "mid", "root")],
+        joints=[
+            joint("j_hand", "arm", "hand", [1, 0, 0], [0.0, 0.0, -0.3], [0.1, 0.1, 0.1]),
+            joint("j_tip_a", "mid", "tip_a", [1, 1, 0], [0.3, 0.0, 0.1], [0.2, -0.1, 0.4]),
+            joint("j_tip_b", "mid", "tip_b", [0, 0, 1], [0.0, 0.2, 0.0], [0.0, 0.5, 0.0]),
+            joint("j_arm", "root", "arm", [1, -2, 2], [-0.2, 0.1, 0.0], [-0.4, 0.0, 0.25]),
+            joint("j_mid", "root", "mid", [0, 1, 0], [0.1, 0.0, 0.5], [0.3, 0.2, -0.1]),
+        ],
+        base_link="root",
+        position_targets=["tip_a", "root", "hand"],
+        orientation_targets=["hand", "tip_b", "root", "mid"],
+    )
+
+
 def rodrigues(axis, angle):
     """Independent axis-angle rotation for oracles."""
     a = np.asarray(axis, float)

@@ -135,3 +135,18 @@ def test_gen_determinism(model_file, spec_file, tmp_path):
     main(["gen", "--model", model_file, "--spec", spec_file, "--seed", "9", "--out", str(a)])
     main(["gen", "--model", model_file, "--spec", spec_file, "--seed", "9", "--out", str(b)])
     assert a.read_text() == b.read_text()
+
+
+def test_solve_within_transient_discard_says_so(model_file, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "sinusoidal", "duration": 1.0, "dt": 0.01,
+                                "amplitude": 0.2, "seed": 3}))
+    stream = tmp_path / "stream.jsonl"
+    assert main(["gen", "--model", model_file, "--spec", str(spec), "--out", str(stream)]) == 0
+    capsys.readouterr()
+    out_csv = tmp_path / "run.csv"
+    assert main(["solve", "--model", model_file, "--stream", str(stream),
+                 "--method", "dynamical", "--out", str(out_csv)]) == 0
+    assert len(out_csv.read_text().splitlines()) == 101
+    err = capsys.readouterr().err
+    assert "all 100 samples fall inside the 2 s transient discard" in err

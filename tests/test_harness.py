@@ -165,6 +165,19 @@ class TestStreamFiles:
         with pytest.raises(SchemaMismatch):
             loaded[0].check_model(human66)
 
+    def test_non_finite_value_rejected(self, human66, tmp_path):
+        spec = TrajectorySpec(kind="static_pose", duration=0.03, dt=0.01,
+                              amplitude=0.1, seed=10)
+        _, samples = generate_stream(human66, spec)
+        path = tmp_path / "stream.jsonl"
+        save_stream(path, samples)
+        text = path.read_text().splitlines()
+        head, _, tail = text[1].partition('"p": [[')
+        text[1] = head + '"p": [[NaN, ' + tail.partition(",")[2]
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ik.IkTrackError, match="non-finite"):
+            load_stream(path)
+
 
 class TestMetricsSummary:
     def test_transient_discard_windowing(self):
@@ -248,3 +261,23 @@ class TestBenchmark:
         line = table.splitlines()[1].split(",")
         assert line[0] == "dynamical"
         assert int(line[9]) == 5
+
+
+def test_worker_slots_env(monkeypatch):
+    from iktrack.harness import worker_slots
+    monkeypatch.setenv("IKTRACK_THREADS", "4")
+    assert worker_slots() == 4
+    monkeypatch.setenv("IKTRACK_THREADS", "bogus")
+    assert worker_slots() == 1
+
+
+def test_parallel_benchmark_matches_serial(human66, monkeypatch):
+    spec = ik.TrajectorySpec(kind="static_pose", duration=0.1, dt=0.01,
+                             amplitude=0.1, seed=3)
+    args = ([("h66", human66)], [("s", spec)], ["dynamical", "pairwise"])
+    serial, _ = ik.run_benchmark(*args)
+    monkeypatch.setenv("IKTRACK_THREADS", "2")
+    parallel, _ = ik.run_benchmark(*args)
+    for a, b in zip(serial, parallel):
+        assert (a.method, a.model_id) == (b.method, b.model_id)
+        assert np.array_equal(a.metrics.mnte_series, b.metrics.mnte_series)

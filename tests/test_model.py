@@ -7,7 +7,7 @@ import iktrack as ik
 from iktrack import Configuration, Joint, KinematicModel, Link, Rotation, Velocity
 from iktrack.errors import ParseError, UnknownFrame, ValidationError
 
-from conftest import base_only_model, rodrigues, single_joint_model
+from conftest import base_only_model, branched_model, rodrigues, single_joint_model
 
 
 def perturbed(q, nu, h):
@@ -19,24 +19,36 @@ def perturbed(q, nu, h):
     return Configuration(q.base_pos + h * nu[:3], Rotation.drifting(rot), q.s + h * nu[6:])
 
 
-def fd_stacked_jacobian(model, q, h=1e-6):
-    """Central-difference oracle for the stacked Jacobian; angular rows from
-    the world rate dR R^T."""
+def fd_link_jacobians(model, q, h=1e-6):
+    """Central-difference oracle for the 6x(n+6) Jacobian of every link,
+    shaped (links, 6, n+6); angular rows from the world rate dR R^T."""
     dim = model.n + 6
-    n_p = model.n_p
-    p0, r0 = model.stacked_forward_kinematics(q)
-    jac = np.zeros((3 * (n_p + model.n_o), dim))
+    _, r0 = model.fk_arrays(q)
+    jac = np.zeros((len(model.links), 6, dim))
     for col in range(dim):
         e = np.zeros(dim)
         e[col] = 1.0
-        pp, rp = model.stacked_forward_kinematics(perturbed(q, e, h))
-        pm, rm = model.stacked_forward_kinematics(perturbed(q, e, -h))
-        jac[:3 * n_p, col] = ((pp - pm) / (2 * h)).ravel()
-        for j in range(model.n_o):
-            w = (rp[j] - rm[j]) / (2 * h) @ r0[j].T
-            jac[3 * n_p + 3 * j:3 * n_p + 3 * j + 3, col] = [
-                0.5 * (w[2, 1] - w[1, 2]), 0.5 * (w[0, 2] - w[2, 0]), 0.5 * (w[1, 0] - w[0, 1])]
+        pp, rp = model.fk_arrays(perturbed(q, e, h))
+        pm, rm = model.fk_arrays(perturbed(q, e, -h))
+        jac[:, :3, col] = (pp - pm) / (2 * h)
+        w = (rp - rm) / (2 * h) @ np.swapaxes(r0, 1, 2)
+        jac[:, 3:, col] = 0.5 * np.stack([w[:, 2, 1] - w[:, 1, 2], w[:, 0, 2] - w[:, 2, 0],
+                                          w[:, 1, 0] - w[:, 0, 1]], axis=1)
     return jac
+
+
+def fd_stacked_jacobian(model, q, h=1e-6):
+    """Central-difference oracle for the stacked Jacobian."""
+    links = fd_link_jacobians(model, q, h)
+    pos = [model.link_index(f) for f in model.position_target_frames]
+    ori = [model.link_index(f) for f in model.orientation_target_frames]
+    return np.concatenate([links[pos, :3].reshape(-1, model.n + 6),
+                           links[ori, 3:].reshape(-1, model.n + 6)])
+
+
+def random_configuration(model, rng, angle, scale):
+    return Configuration(rng.normal(size=3), Rotation.about_axis(rng.normal(size=3), angle),
+                         rng.normal(scale=scale, size=model.n))
 
 
 class TestForwardKinematics:
@@ -69,27 +81,27 @@ class TestForwardKinematics:
         with pytest.raises(UnknownFrame):
             human66.forward_kinematics(Configuration.zeros(human66), "nope")
 
-    def test_matches_naive_transform_composition(self, human66):
-        # walk the tree by hand with homogeneous transforms
+    def test_matches_naive_transform_composition(self, human66, human48):
+        # walk each tree by hand with homogeneous transforms, for every link
         rng = np.random.default_rng(1)
-        q = Configuration(rng.normal(size=3), Rotation.about_axis(rng.normal(size=3), 1.2),
-                          rng.normal(scale=0.5, size=human66.n))
-        joints_by_child = {j.child: (idx, j) for idx, j in enumerate(human66.joints)}
+        for model in (human66, human48, branched_model()):
+            q = random_configuration(model, rng, 1.2, 0.5)
+            joints_by_child = {j.child: (idx, j) for idx, j in enumerate(model.joints)}
 
-        def naive(frame):
-            if frame == human66.base_link:
-                return q.base_pos.copy(), q.base_rot.m.copy()
-            idx, j = joints_by_child[frame]
-            p_par, r_par = naive(j.parent)
-            p = p_par + r_par @ j.origin_xyz
-            r = r_par @ ik.model.rpy_matrix(j.origin_rpy) @ rodrigues(j.axis, q.s[idx])
-            return p, r
+            def naive(frame):
+                if frame == model.base_link:
+                    return q.base_pos.copy(), q.base_rot.m.copy()
+                idx, j = joints_by_child[frame]
+                p_par, r_par = naive(j.parent)
+                p = p_par + r_par @ j.origin_xyz
+                r = r_par @ ik.model.rpy_matrix(j.origin_rpy) @ rodrigues(j.axis, q.s[idx])
+                return p, r
 
-        for frame in ("head", "right_hand", "left_toe", "t8"):
-            pos, rot = human66.forward_kinematics(q, frame)
-            p_ref, r_ref = naive(frame)
-            assert np.allclose(pos, p_ref, atol=1e-12)
-            assert np.allclose(rot.m, r_ref, atol=1e-12)
+            for link in model.links:
+                pos, rot = model.forward_kinematics(q, link.name)
+                p_ref, r_ref = naive(link.name)
+                assert np.allclose(pos, p_ref, atol=1e-12), (model.n, link.name)
+                assert np.allclose(rot.m, r_ref, atol=1e-12), (model.n, link.name)
 
 
 class TestJacobian:
@@ -108,12 +120,16 @@ class TestJacobian:
         assert np.allclose(jac[:3, 6], [0.0, 1.0, 0.0])
         assert np.allclose(jac[3:, 6], [0.0, 0.0, 1.0])
 
-    def test_matches_finite_differences(self, human66):
+    def test_matches_finite_differences(self, human66, human48):
         rng = np.random.default_rng(2)
-        q = Configuration(rng.normal(size=3), Rotation.about_axis(rng.normal(size=3), 0.9),
-                          rng.normal(scale=0.5, size=human66.n))
-        jac = human66.stacked_jacobian(q)
-        assert np.abs(jac - fd_stacked_jacobian(human66, q)).max() <= 1e-5
+        for model in (human66, human48, branched_model()):
+            q = random_configuration(model, rng, 0.9, 0.5)
+            fd = fd_link_jacobians(model, q)
+            for i, link in enumerate(model.links):
+                err = np.abs(model.jacobian(q, link.name) - fd[i]).max()
+                assert err <= 1e-5, (model.n, link.name, err)
+            jac = model.stacked_jacobian(q)
+            assert np.abs(jac - fd_stacked_jacobian(model, q)).max() <= 1e-5, model.n
 
     def test_velocity_prediction(self, human66):
         # FK of a perturbed configuration moves by delta * J nu up to O(delta^2)
@@ -152,17 +168,22 @@ class TestStackedOperations:
         b = permuted.stacked_forward_kinematics(q)
         assert np.array_equal(a.rotations, b.rotations[::-1])
 
-    def test_blocks_match_per_frame_calls(self, human66):
+    def test_blocks_match_per_frame_calls(self, human66, human48):
         rng = np.random.default_rng(5)
-        q = Configuration(rng.normal(size=3), Rotation.about_axis([0, 1, 0], 0.3),
-                          rng.normal(scale=0.4, size=human66.n))
-        stacked = human66.stacked_forward_kinematics(q)
-        jac = human66.stacked_jacobian(q)
-        for i, frame in enumerate(human66.orientation_target_frames):
-            pos, rot = human66.forward_kinematics(q, frame)
-            assert np.array_equal(stacked.rotations[i], rot.m)
-            rows = slice(3 * human66.n_p + 3 * i, 3 * human66.n_p + 3 * i + 3)
-            assert np.array_equal(jac[rows], human66.jacobian(q, frame)[3:])
+        for model in (human66, human48):
+            q = Configuration(rng.normal(size=3), Rotation.about_axis([0, 1, 0], 0.3),
+                              rng.normal(scale=0.4, size=model.n))
+            stacked = model.stacked_forward_kinematics(q)
+            jac = model.stacked_jacobian(q)
+            for i, frame in enumerate(model.position_target_frames):
+                pos, _ = model.forward_kinematics(q, frame)
+                assert np.array_equal(stacked.positions[i], pos)
+                assert np.array_equal(jac[3 * i:3 * i + 3], model.jacobian(q, frame)[:3])
+            for i, frame in enumerate(model.orientation_target_frames):
+                pos, rot = model.forward_kinematics(q, frame)
+                assert np.array_equal(stacked.rotations[i], rot.m)
+                rows = slice(3 * model.n_p + 3 * i, 3 * model.n_p + 3 * i + 3)
+                assert np.array_equal(jac[rows], model.jacobian(q, frame)[3:])
 
 
 class TestModelValidation:

@@ -52,6 +52,34 @@ class TestPoseResidual:
             pose_residual(human66, Configuration.zeros(human66), sample)
 
 
+class TestTargetSampleValidation:
+    FIELDS = ("positions", "rotations", "lin_vels", "ang_vels")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, human66, field, value):
+        sample = static_sample(human66, Configuration.zeros(human66))
+        arrays = {f: getattr(sample, f).copy() for f in self.FIELDS}
+        arrays[field].flat[1] = value
+        with pytest.raises(SchemaMismatch, match="non-finite"):
+            TargetSample(t=0.0, **arrays)
+
+    def test_non_finite_time_rejected(self, human66):
+        sample = static_sample(human66, Configuration.zeros(human66))
+        with pytest.raises(SchemaMismatch, match="non-finite"):
+            TargetSample(t=np.nan, positions=sample.positions, rotations=sample.rotations,
+                         lin_vels=sample.lin_vels, ang_vels=sample.ang_vels)
+
+    def test_reports_first_bad_rotation(self, human66):
+        sample = static_sample(human66, Configuration.zeros(human66))
+        rotations = sample.rotations.copy()
+        rotations[3] *= 1.01
+        rotations[7] = -rotations[7]
+        with pytest.raises(SchemaMismatch, match="rotation target 3 "):
+            TargetSample(t=0.0, positions=sample.positions, rotations=rotations,
+                         lin_vels=sample.lin_vels, ang_vels=sample.ang_vels)
+
+
 class TestVelocityResidual:
     def test_zero_for_zero_velocities(self, human66):
         q = Configuration.zeros(human66)
@@ -203,6 +231,32 @@ class TestStep:
         state = SolverState.initial(bad, q)
         with pytest.raises(QPInfeasible):
             step(state, static_sample(bad, q), bad, gains, baumgarte, solver)
+
+    def test_tilted_spinning_base_follows_truth(self, human66):
+        # base tilted 1 rad about x, turning at 1 rad/s about world z; exact
+        # pose and velocity targets, tracking starts on the truth
+        tilt = rodrigues([1.0, 0.0, 0.0], 1.0)
+        nu = np.zeros(human66.n + 6)
+        nu[5] = 1.0
+
+        def truth(t):
+            return Configuration(np.zeros(3), Rotation.drifting(rodrigues([0, 0, 1], t) @ tilt),
+                                 np.zeros(human66.n))
+
+        samples = []
+        for k in range(300):
+            q = truth(k * DT)
+            positions, rotations = human66.stacked_forward_kinematics(q)
+            vel = human66.stacked_jacobian(q) @ nu
+            samples.append(TargetSample(t=k * DT, positions=positions, rotations=rotations,
+                                        lin_vels=vel[:3].reshape(-1, 3),
+                                        ang_vels=vel[3:].reshape(-1, 3)))
+        gains, baumgarte, solver = default_setup(human66)
+        result = track(human66, samples, gains, baumgarte, solver, q0=truth(0.0))
+        assert result.completed
+        # the state after the last sample estimates the pose one period later
+        error = ik.relative_angle(result.configurations[-1].base_rot, truth(300 * DT).base_rot)
+        assert np.degrees(error) <= 0.05
 
     def test_report_carries_pre_update_residual(self, human66):
         gains, baumgarte, solver = default_setup(human66)
