@@ -23,7 +23,7 @@ from .so3 import (BaumgarteConfig, Rotation, baumgarte_integrate, baumgarte_step
                   relative_angle, skew, skew_part, vee)
 from .tracker import (GainConfig, SolverState, StepReport, TargetSample, TrackResult,
                       build_limit_constraints, corrected_velocity, initial_configuration,
-                      pose_residual, step, track, velocity_residual)
+                      pose_residual, step, track)
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,7 @@ __all__ = [
     "LeastSquaresQP", "QPSolution", "QPStatus", "ActiveSetSolver", "solve_unconstrained",
     # tracker
     "TargetSample", "GainConfig", "SolverState", "StepReport", "TrackResult",
-    "pose_residual", "velocity_residual", "corrected_velocity", "build_limit_constraints",
+    "pose_residual", "corrected_velocity", "build_limit_constraints",
     "step", "track", "initial_configuration",
     # baselines
     "InstantaneousConfig", "IkResult", "Subsystem", "SubsystemReport",

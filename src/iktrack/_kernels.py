@@ -1,6 +1,7 @@
 """Hot numeric kernels: batched Rodrigues rotations, forward kinematics by
-tree depth, stacked frame Jacobians from a joint-support mask, batched pose
-residuals, and drift-corrected rotation integration.
+tree depth, stacked frame Jacobians from a joint-support mask, batched
+rotation residuals and orthonormality errors, and drift-corrected rotation
+integration.
 
 Every kernel is vectorised numpy over whole stacks of links, joints or
 target frames; the only Python-level loop left in a tracking step is the
@@ -20,6 +21,8 @@ _EYE3 = np.eye(3)
 # entry (i, j) of t a a^T is formed as (t a_lo) a_hi, so the product is exactly symmetric
 _LO = np.minimum.outer(np.arange(3), np.arange(3))
 _HI = np.maximum.outer(np.arange(3), np.arange(3))
+_RES_I = np.array([2, 0, 1, 1, 2, 0])
+_RES_J = np.array([1, 2, 0, 2, 0, 1])
 
 
 def skew_stack(v):
@@ -140,16 +143,25 @@ def stacked_jacobian_kernel(pos, rot, base_pos, pos_idx, ori_idx, pos_support,
     return jac.reshape(-1, n + 6)
 
 
+def rotation_residuals(est, target):
+    """Skew-symmetric part of each est[k]^T target[k] read off as a vector,
+    (k, 3): sin(theta) n for a relative rotation of theta about unit n."""
+    # entries (i, j) of m = est^T target summed over the shared row index in
+    # order: the residual's (2, 1), (0, 2), (1, 0) entries, then their mirrors
+    p = est[:, :, _RES_I] * target[:, :, _RES_J]
+    m = p[:, 0] + p[:, 1] + p[:, 2]
+    return 0.5 * (m[:, :3] - m[:, 3:])
+
+
+def orthonormality_errors(r):
+    """Frobenius norm of r[k]^T r[k] - I for each matrix of a (k, 3, 3) stack."""
+    return np.linalg.norm(np.swapaxes(r, 1, 2) @ r - _EYE3, axis=(1, 2))
+
+
 def pose_residual_kernel(pos_idx, ori_idx, pos, rot, target_pos, target_rot):
-    """Stacked pose residual: Euclidean position errors, then the
-    skew-symmetric part of (R_estimate^T R_target) read off as a vector.
-    """
-    est = rot[ori_idx]
-    # m[k] = est[k]^T target_rot[k], summed over the shared row index in order
-    m = (est[:, 0, :, None] * target_rot[:, 0, None, :]
-         + est[:, 1, :, None] * target_rot[:, 1, None, :]
-         + est[:, 2, :, None] * target_rot[:, 2, None, :])
-    ori = 0.5 * (m[:, (2, 0, 1), (1, 2, 0)] - m[:, (1, 2, 0), (2, 0, 1)])
+    """Stacked pose residual: Euclidean position errors, then the rotation
+    residuals of the orientation frames."""
+    ori = rotation_residuals(rot[ori_idx], target_rot)
     return np.concatenate([(target_pos - pos[pos_idx]).ravel(), ori.ravel()])
 
 
@@ -165,15 +177,3 @@ def baumgarte_step_kernel(r_prev, omega, rho, dt):
     half_rho = 0.5 * rho
     m = skew_stack(omega[None])[0] + half_rho * (adj / det - _EYE3)
     return r_prev + dt * np.dot(r_prev, m)
-
-
-def baumgarte_path_kernel(r0, omegas, rho, dt):
-    """Integrate a whole angular-velocity sequence; returns the final matrix
-    and the worst Frobenius orthonormality error seen at any step.
-    """
-    r = r0.copy()
-    max_err = 0.0
-    for omega in omegas:
-        r = baumgarte_step_kernel(r, omega, rho, dt)
-        max_err = max(max_err, float(np.linalg.norm(r.T @ r - _EYE3)))
-    return r, max_err

@@ -13,7 +13,7 @@ from ._kernels import rotation_about_axis, rotations_about_axes
 from .errors import DecompositionError
 from .model import Configuration, KinematicModel
 from .qp import ActiveSetSolver, LeastSquaresQP
-from .so3 import Rotation, project_to_so3
+from .so3 import Rotation, orientation_residual, project_to_so3
 from .tracker import TargetSample
 
 
@@ -101,14 +101,6 @@ def _apply_update(q, delta):
                          s=q.s + delta[6:])
 
 
-def _clamp_limits(model, s):
-    out = s.copy()
-    for jidx, joint in enumerate(model.joints):
-        if joint.pos_limits is not None:
-            out[jidx] = min(max(out[jidx], joint.pos_limits[0]), joint.pos_limits[1])
-    return out
-
-
 def _project_constraints(model, s, tol=1e-9):
     """Project the joint vector onto A s <= b_q (covers coupled rows)."""
     a, b = model.constraint_matrix, model.config_bounds
@@ -142,7 +134,8 @@ def solve_whole_body(model: KinematicModel, sample: TargetSample, q_init: Config
             lam *= 10.0
             continue
         candidate = _apply_update(q, delta)
-        candidate.s = _project_constraints(model, _clamp_limits(model, candidate.s))
+        candidate.s = _project_constraints(model, np.clip(candidate.s, model._pos_lo,
+                                                          model._pos_hi))
         new_err, new_r, new_fk = _weighted_error(model, candidate, sample, w)
         if new_err < err:
             q, err, r, fk = candidate, new_err, new_r, new_fk
@@ -219,9 +212,7 @@ def _solve_subsystem(model, sub, target_rel, s_init, cfg):
 
     def error(s_vec):
         rel, axes = _relative_rotation(origin_r, axis, s_vec[idx])
-        m = rel.T @ target_rel
-        r = 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-        return r, rel, axes
+        return orientation_residual(rel, target_rel), rel, axes
 
     r, rel, axes = error(s)
     err = float(np.linalg.norm(r))
@@ -233,7 +224,7 @@ def _solve_subsystem(model, sub, target_rel, s_init, cfg):
         delta = np.linalg.solve(h, -jr.T @ r)
         cand = s.copy()
         cand[idx] = s[idx] + delta
-        cand = _clamp_limits(model, cand)
+        cand = np.clip(cand, model._pos_lo, model._pos_hi)
         new_r, new_rel, new_axes = error(cand)
         new_err = float(np.linalg.norm(new_r))
         if new_err < err:

@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +15,7 @@ from .baselines import InstantaneousConfig, solve_pairwise, solve_whole_body
 from .errors import IkTrackError, ParseError, SchemaMismatch, SpecInfeasible
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP
-from .so3 import BaumgarteConfig, Rotation
+from .so3 import BaumgarteConfig, Rotation, project_to_so3
 from .tracker import GainConfig, TargetSample, initial_configuration, track
 
 METHODS = ("dynamical", "whole-body", "pairwise")
@@ -38,13 +36,19 @@ DEFAULT_CONFIG = {
 
 def mnte(model: KinematicModel, q: Configuration, sample: TargetSample) -> float:
     """Mean normalized trace error over the orientation targets: the per-frame
-    term tr(I - R_est^T R_target)/2 equals 1 - cos of the relative angle."""
+    term tr(I - R_est^T R_target)/2 equals 1 - cos of the relative angle.
+
+    The estimate is scored with its base rotation projected onto SO(3): on a
+    drifting base the trace of the raw matrix can exceed 3. A term that reads
+    below 0 by rounding counts as 0.
+    """
     sample.check_model(model)
     if model.n_o == 0:
         return 0.0
+    q = Configuration(q.base_pos, project_to_so3(q.base_rot), q.s)
     _, rotations = model.stacked_forward_kinematics(q)
     traces = np.einsum("kij,kij->k", rotations, sample.rotations)
-    return float(np.mean((3.0 - traces) / 2.0))
+    return float(np.mean(np.maximum((3.0 - traces) / 2.0, 0.0)))
 
 
 def rmse_angvel(model: KinematicModel, q: Configuration, nu: Velocity,
@@ -367,13 +371,6 @@ def _bench_cell(method, model_id, model, trajectory_id, samples, config, transie
                      failures=0 if error is None else 1, error=error)
 
 
-def worker_slots() -> int:
-    try:
-        return max(1, int(os.environ.get("IKTRACK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_benchmark(models, specs, methods, config=None, transient_discard=2.0):
     """Run the full (model x spec x method) grid.
 
@@ -383,21 +380,14 @@ def run_benchmark(models, specs, methods, config=None, transient_discard=2.0):
     """
     merged = dict(DEFAULT_CONFIG)
     merged.update(config or {})
-    cells = []
+    records = []
     for model_id, model in models:
         for spec_id, spec in specs:
             _, samples = generate_stream(model, spec)
             cell_config = dict(merged)
             cell_config.setdefault("dt", spec.dt)
-            for method in methods:
-                cells.append((method, model_id, model, spec_id, samples, cell_config))
-    slots = worker_slots()
-    if slots == 1 or len(cells) <= 1:
-        records = [_bench_cell(*cell, transient_discard) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=slots) as pool:
-            futures = [pool.submit(_bench_cell, *cell, transient_discard) for cell in cells]
-            records = [f.result() for f in futures]
+            records.extend(_bench_cell(method, model_id, model, spec_id, samples, cell_config,
+                                       transient_discard) for method in methods)
     return records, results_csv(records)
 
 

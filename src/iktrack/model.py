@@ -115,7 +115,9 @@ class KinematicModel:
             if j.child == self.base_link:
                 raise ValidationError("base link has a parent", j.name)
             child_of[j.child] = j
-            if abs(np.linalg.norm(j.axis) - 1.0) > AXIS_TOL:
+            if not (np.all(np.isfinite(j.origin_xyz)) and np.all(np.isfinite(j.origin_rpy))):
+                raise ValidationError("non-finite origin", j.name)
+            if not abs(np.linalg.norm(j.axis) - 1.0) <= AXIS_TOL:
                 raise ValidationError("non-unit axis", j.name)
             if j.pos_limits is not None:
                 lo, hi = j.pos_limits
@@ -160,6 +162,9 @@ class KinematicModel:
         self._origin_p = np.zeros((n_links, 3))
         self._origin_r = np.tile(np.eye(3), (n_links, 1, 1))
         self._axis = np.zeros((n_links, 3))
+        # per-joint position limits, infinite where a joint has none
+        self._pos_lo = np.full(self.n, -np.inf)
+        self._pos_hi = np.full(self.n, np.inf)
         for jidx, j in enumerate(self.joints):
             c = self._link_index[j.child]
             self._parent[c] = self._link_index[j.parent]
@@ -167,6 +172,8 @@ class KinematicModel:
             self._origin_p[c] = j.origin_xyz
             self._origin_r[c] = rpy_matrix(j.origin_rpy)
             self._axis[c] = j.axis
+            if j.pos_limits is not None:
+                self._pos_lo[jidx], self._pos_hi[jidx] = j.pos_limits
         self._joint_link = np.array([self._link_index[j.child] for j in self.joints],
                                     dtype=np.int64)
         self._joint_axis = self._axis[self._joint_link]

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (baumgarte_path_kernel, baumgarte_step_kernel, rotation_about_axis,
-                       skew_stack)
+from ._kernels import (baumgarte_step_kernel, orthonormality_errors, rotation_about_axis,
+                       rotation_residuals, skew_stack)
 from .errors import DegenerateMatrix, NotARotation, NotSkewSymmetric, SingularMatrix
 
 ORTHONORMALITY_TOL = 1e-9
@@ -19,8 +19,7 @@ ORTHONORMALITY_TOL = 1e-9
 
 def orthonormality_error(m) -> float:
     """Frobenius norm of m^T m - I."""
-    m = np.asarray(m, dtype=float)
-    return float(np.linalg.norm(m.T @ m - np.eye(3)))
+    return float(orthonormality_errors(np.asarray(m, dtype=float)[None])[0])
 
 
 class Rotation:
@@ -119,8 +118,7 @@ def orientation_residual(estimate, target) -> np.ndarray:
     theta = pi, which is the excluded set of the almost-global convergence
     guarantee.
     """
-    rel = _mat(estimate).T @ _mat(target)
-    return vee(skew_part(rel), tol=np.inf)
+    return rotation_residuals(_mat(estimate)[None], _mat(target)[None])[0]
 
 
 def relative_angle(a, b) -> float:
@@ -150,12 +148,17 @@ def baumgarte_integrate(r0, omegas, cfg: BaumgarteConfig) -> tuple[np.ndarray, f
     Returns the final (drifting) matrix and the worst orthonormality error
     observed at any step.
     """
-    r = _mat(r0)
+    r = _mat(r0).copy()
     omegas = np.ascontiguousarray(omegas, dtype=float)
+    if not np.all(np.isfinite(omegas)):
+        raise ValueError("omega must be finite")
     if abs(np.linalg.det(r)) <= 1e-12:
         raise SingularMatrix("r0^T r0 is not invertible")
-    final, max_err = baumgarte_path_kernel(r, omegas, cfg.rho, cfg.dt)
-    return final, float(max_err)
+    max_err = 0.0
+    for omega in omegas:
+        r = baumgarte_step_kernel(r, omega, cfg.rho, cfg.dt)
+        max_err = max(max_err, orthonormality_error(r))
+    return r, max_err
 
 
 def project_to_so3(a) -> Rotation:

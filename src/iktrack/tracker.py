@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import orthonormality_errors
 from .errors import QPInfeasible, SchemaMismatch, StaleSample
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
@@ -44,8 +45,7 @@ class TargetSample:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise SchemaMismatch(f"{name} holds a non-finite value")
         r = self.rotations
-        err = np.linalg.norm(np.swapaxes(r, 1, 2) @ r - np.eye(3), axis=(1, 2))
-        bad = np.flatnonzero(~((err <= 1e-8) & (np.linalg.det(r) > 0.0)))
+        bad = np.flatnonzero(~((orthonormality_errors(r) <= 1e-8) & (np.linalg.det(r) > 0.0)))
         if bad.size:
             raise SchemaMismatch(f"rotation target {bad[0]} is not a rotation")
 
@@ -100,19 +100,6 @@ class GainConfig:
                    limit_slope=np.full(max(m, 1), float(limit_slope)),
                    vel_bound_default=vel_bound_default, dt=dt)
 
-    @classmethod
-    def unchecked(cls, model: KinematicModel, dt: float, gain: float,
-                  limit_slope: float = 10.0, vel_bound_default: float = 1e3) -> "GainConfig":
-        """Bypass the positivity/stability guard (test fixtures only)."""
-        cfg = object.__new__(cls)
-        dim = 3 * (model.n_p + model.n_o)
-        m = model.constraint_matrix.shape[0]
-        cfg.gain = np.full(dim, float(gain))
-        cfg.limit_slope = np.full(max(m, 1), float(limit_slope))
-        cfg.vel_bound_default = vel_bound_default
-        cfg.dt = dt
-        return cfg
-
 
 @dataclass(eq=False)
 class SolverState:
@@ -158,13 +145,6 @@ def pose_residual(model: KinematicModel, q: Configuration, sample: TargetSample)
     return model.pose_residual_arrays(fk, sample.positions, sample.rotations)
 
 
-def velocity_residual(model: KinematicModel, q: Configuration, nu: Velocity,
-                      sample: TargetSample) -> np.ndarray:
-    """Velocity targets minus the stacked differential kinematics J(q) nu."""
-    sample.check_model(model)
-    return sample.velocity_stack() - model.stacked_jacobian(q) @ nu.stacked()
-
-
 def corrected_velocity(sample: TargetSample, residual: np.ndarray,
                        gains: GainConfig) -> np.ndarray:
     """Velocity targets with elementwise residual feedback added."""
@@ -205,7 +185,7 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     fk = model.fk_arrays(state.q)
     residual = model.pose_residual_arrays(fk, sample.positions, sample.rotations)
     jac = model.stacked_jacobian(state.q, fk=fk)
-    v_star = sample.velocity_stack() + gains.gain * residual
+    v_star = corrected_velocity(sample, residual, gains)
     G, g = build_limit_constraints(model, state.q, gains)
     problem = LeastSquaresQP(jac, v_star, G, g, damping=solver.damping)
     solution = solver.solve(problem, warm_start=state.last_active_set)

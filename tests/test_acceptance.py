@@ -15,7 +15,7 @@ from iktrack import (ActiveSetSolver, BaumgarteConfig, Configuration, GainConfig
                      Rotation, SolverState, TargetSample, TrajectorySpec)
 from iktrack.qp import LeastSquaresQP, QPStatus, solve_unconstrained
 
-from conftest import base_only_model, rodrigues, static_sample
+from conftest import base_only_model, rodrigues, static_sample, unchecked_gains
 from test_model import fd_stacked_jacobian
 from test_qp import enumerate_active_sets, random_feasible_instance
 
@@ -50,7 +50,7 @@ def test_criterion_01_static_pose_convergence(human66):
         assert series[0] > 1e-2  # the experiment starts unconverged
         assert series[100] < 1e-2   # within 1.0 s
         assert series[300] < 1e-4   # within 3.0 s
-        zero_gain = GainConfig.unchecked(human66, dt=DT, gain=0.0)
+        zero_gain = unchecked_gains(human66, dt=DT, gain=0.0)
         series0, _ = track_mnte(human66, samples, zero_gain)
         assert series0.max() - series0.min() <= 1e-9
         assert time.perf_counter() - t_start < 5.0
@@ -62,7 +62,7 @@ def test_criterion_02_gain_stability_boundary():
         rng = np.random.default_rng(17)
 
         def run(gain_dt, steps=50):
-            gains = GainConfig.unchecked(model, dt=DT, gain=gain_dt / DT)
+            gains = unchecked_gains(model, dt=DT, gain=gain_dt / DT)
             state = SolverState.initial(model, Configuration.zeros(model))
             solver = ActiveSetSolver()
             target = rng.normal(size=(1, 3))

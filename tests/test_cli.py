@@ -109,6 +109,18 @@ def test_data_error_exit_code(tmp_path, model_file):
                  "--method", "dynamical", "--out", str(tmp_path / "o.csv")]) == 2
 
 
+def test_non_finite_model_geometry_is_data_error(model_file, spec_file, tmp_path):
+    stream = tmp_path / "stream.jsonl"
+    main(["gen", "--model", model_file, "--spec", spec_file, "--out", str(stream)])
+    with open(model_file) as fh:
+        doc = json.load(fh)
+    doc["joints"][3]["axis"][1] = float("nan")
+    bad = tmp_path / "nan_axis.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve", "--model", str(bad), "--stream", str(stream),
+                 "--method", "dynamical", "--out", str(tmp_path / "o.csv")]) == 2
+
+
 def test_stream_model_mismatch_is_data_error(model_file, tmp_path):
     m = ik.KinematicModel(links=[ik.Link("base")], joints=[], base_link="base",
                           position_targets=["base"])

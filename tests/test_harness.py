@@ -17,6 +17,14 @@ class TestMetrics:
                           rng.normal(scale=0.3, size=human66.n))
         assert mnte(human66, q, static_sample(human66, q)) <= 1e-15
 
+    def test_mnte_not_negative_on_drifting_base(self, human66):
+        rng = np.random.default_rng(4)
+        q = Configuration(rng.normal(size=3), Rotation.about_axis([1, 0, 1], 0.5),
+                          rng.normal(scale=0.3, size=human66.n))
+        sample = static_sample(human66, q)
+        drifted = Configuration(q.base_pos, Rotation.drifting(1.01 * q.base_rot.m), q.s)
+        assert 0.0 <= mnte(human66, drifted, sample) <= 1e-12
+
     def test_mnte_single_frame_values(self):
         m = base_only_model(orientation_target=True)
         q = Configuration.zeros(m)
@@ -261,23 +269,3 @@ class TestBenchmark:
         line = table.splitlines()[1].split(",")
         assert line[0] == "dynamical"
         assert int(line[9]) == 5
-
-
-def test_worker_slots_env(monkeypatch):
-    from iktrack.harness import worker_slots
-    monkeypatch.setenv("IKTRACK_THREADS", "4")
-    assert worker_slots() == 4
-    monkeypatch.setenv("IKTRACK_THREADS", "bogus")
-    assert worker_slots() == 1
-
-
-def test_parallel_benchmark_matches_serial(human66, monkeypatch):
-    spec = ik.TrajectorySpec(kind="static_pose", duration=0.1, dt=0.01,
-                             amplitude=0.1, seed=3)
-    args = ([("h66", human66)], [("s", spec)], ["dynamical", "pairwise"])
-    serial, _ = ik.run_benchmark(*args)
-    monkeypatch.setenv("IKTRACK_THREADS", "2")
-    parallel, _ = ik.run_benchmark(*args)
-    for a, b in zip(serial, parallel):
-        assert (a.method, a.model_id) == (b.method, b.model_id)
-        assert np.array_equal(a.metrics.mnte_series, b.metrics.mnte_series)

@@ -141,6 +141,19 @@ def test_fk_jacobian_residual_match_reference(human66, human48):
                               ref_residual(model, pos, rot, target_pos, target_rot)), model.n
 
 
+def test_orientation_residual_matches_pose_residual_rows(human66, human48):
+    for model, q, _, rng in cases(human66, human48):
+        fk = model.fk_arrays(q)
+        rotations = model.stacked_forward_kinematics(q).rotations
+        target_rot = np.array([ref_rotation(a / np.linalg.norm(a), rng.uniform(-3.0, 3.0))
+                               for a in rng.normal(size=(model.n_o, 3))])
+        stacked = model.pose_residual_arrays(fk, rng.normal(size=(model.n_p, 3)), target_rot)
+        rows = stacked[3 * model.n_p:].reshape(-1, 3)
+        for k in range(model.n_o):
+            assert np.array_equal(ik.orientation_residual(rotations[k], target_rot[k]),
+                                  rows[k]), (model.n, k)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_baumgarte_step_matches_reference(seed):
     rng = np.random.default_rng(seed)

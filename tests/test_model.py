@@ -221,6 +221,16 @@ class TestModelValidation:
                            joints=[Joint("j", "b", "x", axis=[0, 0, 2])],
                            base_link="b")
 
+    @pytest.mark.parametrize("field", ["axis", "xyz", "rpy"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_joint_geometry_rejected(self, field, value):
+        with open("fixtures/human66.json") as fh:
+            doc = json.load(fh)
+        joint = doc["joints"][3]
+        (joint if field == "axis" else joint["origin"])[field][1] = value
+        with pytest.raises(ValidationError, match=joint["name"]):
+            ik.load_model(json.dumps(doc))
+
     def test_inverted_limits_rejected(self):
         with pytest.raises(ValidationError, match="inverted limits"):
             KinematicModel(links=[Link("b"), Link("x")],

@@ -64,3 +64,7 @@ def test_module_globals_are_bound(name):
     with open(module.__file__, encoding="utf-8") as f:
         source = f.read()
     assert unbound_globals(source, module.__file__, vars(module)) == []
+
+
+def test_exports_are_bound():
+    assert [name for name in iktrack.__all__ if not hasattr(iktrack, name)] == []

@@ -171,6 +171,11 @@ class TestBaumgarte:
         assert np.allclose(final, r, atol=1e-15)
         assert abs(max_err - worst) < 1e-12
 
+    def test_integrate_rejects_non_finite_omega(self):
+        omegas = np.array([[np.nan, 0.0, 0.0], [0.1, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            baumgarte_integrate(np.eye(3), omegas, BaumgarteConfig(rho=10.0, dt=0.01))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BaumgarteConfig(rho=0.0)

@@ -3,13 +3,13 @@ import pytest
 
 import iktrack as ik
 from iktrack import (ActiveSetSolver, BaumgarteConfig, Configuration, GainConfig,
-                     Rotation, SolverState, TargetSample, Velocity)
+                     Rotation, SolverState, TargetSample)
 from iktrack.errors import QPInfeasible, SchemaMismatch, StaleSample
 from iktrack.tracker import (build_limit_constraints, corrected_velocity,
-                             initial_configuration, pose_residual, step, track,
-                             velocity_residual)
+                             initial_configuration, pose_residual, step, track)
 
-from conftest import base_only_model, rodrigues, single_joint_model, static_sample
+from conftest import (base_only_model, rodrigues, single_joint_model, static_sample,
+                      unchecked_gains)
 
 DT = 0.01
 
@@ -80,38 +80,9 @@ class TestTargetSampleValidation:
                          lin_vels=sample.lin_vels, ang_vels=sample.ang_vels)
 
 
-class TestVelocityResidual:
-    def test_zero_for_zero_velocities(self, human66):
-        q = Configuration.zeros(human66)
-        sample = static_sample(human66, q)
-        u = velocity_residual(human66, q, Velocity.zeros(human66), sample)
-        assert np.array_equal(u, np.zeros(72))
-
-    def test_synthesized_ground_truth(self, human66):
-        rng = np.random.default_rng(1)
-        q = Configuration(rng.normal(size=3), Rotation.about_axis(rng.normal(size=3), 0.6),
-                          rng.normal(scale=0.3, size=human66.n))
-        nu = Velocity.from_stacked(rng.normal(size=human66.n + 6))
-        positions, rotations = human66.stacked_forward_kinematics(q)
-        vel = human66.stacked_jacobian(q) @ nu.stacked()
-        sample = TargetSample(t=0.0, positions=positions, rotations=rotations,
-                              lin_vels=vel[:3].reshape(-1, 3),
-                              ang_vels=vel[3:].reshape(-1, 3))
-        assert np.abs(velocity_residual(human66, q, nu, sample)).max() <= 1e-10
-
-    def test_base_block(self):
-        m = base_only_model()
-        q = Configuration.zeros(m)
-        sample = TargetSample(t=0.0, positions=[[0.0, 0.0, 0.0]],
-                              rotations=np.zeros((0, 3, 3)),
-                              lin_vels=[[2.0, 0.0, 0.0]], ang_vels=np.zeros((0, 3)))
-        nu = Velocity(np.array([1.0, 0.0, 0.0]), np.zeros(3), np.zeros(0))
-        assert np.allclose(velocity_residual(m, q, nu, sample), [1.0, 0.0, 0.0])
-
-
 class TestCorrectedVelocity:
     def test_zero_gain_limit(self, human66):
-        gains = GainConfig.unchecked(human66, dt=DT, gain=0.0)
+        gains = unchecked_gains(human66, dt=DT, gain=0.0)
         sample = static_sample(human66, Configuration.zeros(human66))
         r = np.ones(72)
         assert np.array_equal(corrected_velocity(sample, r, gains), sample.velocity_stack())
