@@ -5,8 +5,11 @@ integration.
 
 Every kernel is vectorised numpy over whole stacks of links, joints or
 target frames; the only Python-level loop left in a tracking step is the
-forward-kinematics walk over tree depths. The per-model index arrays the
-kernels take are built once by ``KinematicModel``.
+forward-kinematics walk over tree depths. Forward kinematics and the stacked
+Jacobian also take a leading batch axis of independent configurations: a
+tracking step calls them with a batch of one, stream generation and scoring
+with a chunk of samples. The per-model index arrays the kernels take are
+built once by ``KinematicModel``.
 """
 from typing import NamedTuple
 
@@ -18,6 +21,7 @@ _SKEW_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 _EYE3 = np.eye(3)
+_HOMOGENEOUS_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 # entry (i, j) of t a a^T is formed as (t a_lo) a_hi, so the product is exactly symmetric
 _LO = np.minimum.outer(np.arange(3), np.arange(3))
 _HI = np.maximum.outer(np.arange(3), np.arange(3))
@@ -27,23 +31,24 @@ _RES_J = np.array([1, 2, 0, 2, 0, 1])
 
 def skew_stack(v):
     """Cross-product matrices S(v) of the rows of a (k, 3) array, (k, 3, 3)."""
-    return v[:, _SKEW_IDX] * _SKEW_SIGN
+    return v.take(_SKEW_IDX, axis=1) * _SKEW_SIGN
 
 
 def rotations_about_axes(axes, angles):
-    """Rodrigues rotation matrices, one per row of unit ``axes`` (k, 3) and
-    entry of ``angles`` (k,): R = cos I + sin S(a) + (1 - cos) a a^T."""
+    """Rodrigues rotation matrices (B, k, 3, 3), one per unit axis of ``axes``
+    (k, 3) and angle of ``angles`` (B, k): R = cos I + sin S(a) + (1 - cos) a a^T."""
     c = np.cos(angles)
     s = np.sin(angles)
     t = 1.0 - c
-    return ((t[:, None] * axes)[:, _LO] * axes[:, _HI]
-            + skew_stack(s[:, None] * axes) + c[:, None, None] * _EYE3)
+    return ((t[:, :, None] * axes).take(_LO, axis=2) * axes.take(_HI, axis=1)
+            + (s[:, :, None] * axes).take(_SKEW_IDX, axis=2) * _SKEW_SIGN
+            + c[:, :, None, None] * _EYE3)
 
 
 def rotation_about_axis(axis, angle):
     """Rodrigues rotation matrix about a unit axis."""
     axes = np.asarray(axis, dtype=float).reshape(1, 3)
-    return rotations_about_axes(axes, np.full(1, angle, dtype=float))[0]
+    return rotations_about_axes(axes, np.full((1, 1), angle, dtype=float))[0, 0]
 
 
 class DepthLayout(NamedTuple):
@@ -54,8 +59,9 @@ class DepthLayout(NamedTuple):
     levels: tuple          # (start, stop, parent rows) of each depth >= 1, sorted order
     joints: np.ndarray     # joint each link carries
     axes: np.ndarray       # (k, 3) joint axes
-    origin_r: np.ndarray   # (k, 3, 3) fixed rotations of the joint origins
-    origins: np.ndarray    # (k, 4, 4) joint origins in their parents, rotation part zero
+    # the next two have a unit batch axis, so they broadcast over a batch
+    origin_r: np.ndarray   # (k, 1, 3, 3) fixed rotations of the joint origins
+    origins: np.ndarray    # (k, 1, 4, 4) joint origins in their parents, rotation part zero
     rank: np.ndarray       # sorted position of every link, by link index
 
 
@@ -93,54 +99,67 @@ def depth_layout(parent, joint_of, axis, origin_r, origin_p, base_idx) -> DepthL
     origins = np.zeros((below.shape[0], 4, 4))
     origins[:, :3, 3] = origin_p[below]
     origins[:, 3, 3] = 1.0
-    return DepthLayout(tuple(levels), joint_of[below], axis[below], origin_r[below], origins,
-                       rank)
+    return DepthLayout(tuple(levels), joint_of[below], axis[below], origin_r[below, None],
+                       origins[:, None], rank)
 
 
 def fk_levels(layout, s, base_p, base_r):
-    """World pose of every link, as (positions (L, 3), rotations (L, 3, 3))
-    indexed by link.
+    """World pose of every link for a batch of B configurations, given as
+    joint angles ``s`` (B, n), base positions ``base_p`` (B, 3) and base
+    rotations ``base_r`` (B, 3, 3). Returns positions (B, L, 3) and rotations
+    (B, L, 3, 3), indexed by link; a single configuration is a batch of one.
 
     A link's frame sits on its joint: the origin offset is fixed in the
     parent, the joint rotation about its axis acts on the child frame. Each
     depth composes its links' homogeneous transforms onto their parents' in
     one stacked product.
     """
-    world = np.empty((layout.rank.shape[0], 4, 4))
-    world[0, :3, :3] = base_r
-    world[0, :3, 3] = base_p
-    world[0, 3] = (0.0, 0.0, 0.0, 1.0)
-    local = layout.origins.copy()
-    local[:, :3, :3] = layout.origin_r @ rotations_about_axes(layout.axes, s[layout.joints])
+    batch, k = s.shape[0], layout.axes.shape[0]
+    # link-major (link, batch, 4, 4), so a depth's parents and children are
+    # plain slices of the first axis, whatever the batch size
+    world = np.empty((layout.rank.shape[0], batch, 4, 4))
+    world[0, :, :3, :3] = base_r
+    world[0, :, :3, 3] = base_p
+    world[0, :, 3] = _HOMOGENEOUS_ROW
+    local = np.empty((k, batch, 4, 4))
+    local[:] = layout.origins
+    joint_r = rotations_about_axes(layout.axes, s[:, layout.joints])
+    np.matmul(layout.origin_r, joint_r.swapaxes(0, 1), out=local[:, :, :3, :3])
     for a, b, par in layout.levels:
         np.matmul(world[par], local[a - 1:b - 1], out=world[a:b])
-    world = world[layout.rank]
-    return np.ascontiguousarray(world[:, :3, 3]), np.ascontiguousarray(world[:, :3, :3])
+    pos = world[:, :, :3, 3].take(layout.rank, axis=0).swapaxes(0, 1)
+    rot = world[:, :, :3, :3].take(layout.rank, axis=0).swapaxes(0, 1)
+    return np.ascontiguousarray(pos), np.ascontiguousarray(rot)
 
 
 def stacked_jacobian_kernel(pos, rot, base_pos, pos_idx, ori_idx, pos_support,
                             ori_support, joint_link, joint_axis):
-    """Stacked frame Jacobian: linear rows for the ``pos_idx`` frames, then
-    angular rows for the ``ori_idx`` frames. Columns are ordered (base_lin,
-    base_ang, s_dot). ``*_support[i, j]`` says joint j moves frame i, and
-    ``joint_link[j]`` is the link joint j carries.
+    """Stacked frame Jacobians of a batch of B link poses (``pos`` (B, L, 3),
+    ``rot`` (B, L, 3, 3), ``base_pos`` (B, 3)), (B, 3 (n_p + n_o), n + 6):
+    linear rows for the ``pos_idx`` frames, then angular rows for the
+    ``ori_idx`` frames. Columns are ordered (base_lin, base_ang, s_dot).
+    ``*_support[i, j]`` says joint j moves frame i, and ``joint_link[j]`` is
+    the link joint j carries.
     """
+    batch = pos.shape[0]
     n = joint_axis.shape[0]
     n_p = pos_idx.shape[0]
-    jac = np.zeros((n_p + ori_idx.shape[0], 3, n + 6))
-    jac[:, :, 3:6] = _EYE3
+    jac = np.zeros((batch, n_p + ori_idx.shape[0], 3, n + 6))
+    jac[:, :, :, 3:6] = _EYE3
     # world joint axes as columns; an axis is invariant under its own joint's rotation
-    axes = (rot[joint_link] @ joint_axis[:, :, None])[:, :, 0].T
+    axes = np.swapaxes((rot[:, joint_link] @ joint_axis[:, :, None])[:, :, :, 0], 1, 2)
     if n_p:
-        frame_p = pos[pos_idx]
-        lever = frame_p[:, :, None] - pos[joint_link].T
+        frame_p = pos[:, pos_idx]
+        lever = frame_p[:, :, :, None] - np.swapaxes(pos[:, joint_link], 1, 2)[:, None]
         # axes x lever, component i = a[i+1] l[i+2] - a[i+2] l[i+1]
-        lin = axes[_NEXT] * lever[:, _PREV] - axes[_PREV] * lever[:, _NEXT]
-        jac[:n_p, :, 6:] = np.where(pos_support[:, None, :], lin, 0.0)
-        jac[:n_p, :, 0:3] = _EYE3
-        jac[:n_p, :, 3:6] = skew_stack(base_pos - frame_p)
-    jac[n_p:, :, 6:] = np.where(ori_support[:, None, :], axes, 0.0)
-    return jac.reshape(-1, n + 6)
+        lin = (axes[:, None, _NEXT] * lever[:, :, _PREV]
+               - axes[:, None, _PREV] * lever[:, :, _NEXT])
+        np.copyto(jac[:, :n_p, :, 6:], lin, where=pos_support[:, None, :])
+        jac[:, :n_p, :, 0:3] = _EYE3
+        lever_base = (base_pos[:, None] - frame_p).reshape(-1, 3)
+        jac[:, :n_p, :, 3:6] = skew_stack(lever_base).reshape(batch, n_p, 3, 3)
+    np.copyto(jac[:, n_p:, :, 6:], axes[:, None], where=ori_support[:, None, :])
+    return jac.reshape(batch, -1, n + 6)
 
 
 def rotation_residuals(est, target):

@@ -194,7 +194,7 @@ def _relative_rotation(origin_r, axis, angles):
     """Rotation of a subsystem's tip frame w.r.t. its root frame, plus the
     per-joint axes expressed in the root frame, from the path's joint origin
     rotations, axes and angles (root side first)."""
-    local = origin_r @ rotations_about_axes(axis, angles)
+    local = origin_r @ rotations_about_axes(axis, angles[None])[0]
     rels = np.empty_like(local)
     rel = np.eye(3)
     for i in range(local.shape[0]):

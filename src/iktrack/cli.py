@@ -24,7 +24,7 @@ DATA_ERROR = 2
 SOLVER_ERROR = 3
 
 _DATA_ERRORS = (ParseError, ValidationError, SchemaMismatch, SpecInfeasible,
-                FileNotFoundError, KeyError, json.JSONDecodeError)
+                FileNotFoundError, json.JSONDecodeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,6 +79,8 @@ def _cmd_gen(args):
     model = _load_model_file(args.model)
     with open(args.spec) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValidationError("bad spec", "expected an object")
     unknown = set(raw) - {"kind", "duration", "dt", "amplitude", "freq_band",
                           "seed", "noise_std"}
     if unknown:
@@ -97,26 +99,34 @@ def _cmd_gen(args):
     return 0
 
 
+def _bench_grid(cfg):
+    """Models, trajectory specs, methods and solver settings of a bench
+    config document."""
+    try:
+        models = []
+        for entry in cfg["models"]:
+            if "path" in entry:
+                models.append((entry["id"], _load_model_file(entry["path"])))
+            elif "gen_human" in entry:
+                gen = entry["gen_human"]
+                models.append((entry["id"], generate_human_chain(gen["dofs"], gen["seed"])))
+            else:
+                raise ValidationError("bad model entry", entry.get("id", "?"))
+        specs = []
+        for entry in cfg["specs"]:
+            fields = {k: v for k, v in entry.items() if k != "id"}
+            if "freq_band" in fields:
+                fields["freq_band"] = tuple(fields["freq_band"])
+            specs.append((entry["id"], TrajectorySpec(**fields)))
+        return models, specs, cfg.get("methods", list(METHODS)), cfg.get("config", {})
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ValidationError("bad bench config", f"{type(e).__name__}: {e}") from None
+
+
 def _cmd_bench(args):
     with open(args.config) as fh:
         cfg = json.load(fh)
-    models = []
-    for entry in cfg["models"]:
-        if "path" in entry:
-            models.append((entry["id"], _load_model_file(entry["path"])))
-        elif "gen_human" in entry:
-            gen = entry["gen_human"]
-            models.append((entry["id"], generate_human_chain(gen["dofs"], gen["seed"])))
-        else:
-            raise ValidationError("bad model entry", entry.get("id", "?"))
-    specs = []
-    for entry in cfg["specs"]:
-        fields = {k: v for k, v in entry.items() if k != "id"}
-        if "freq_band" in fields:
-            fields["freq_band"] = tuple(fields["freq_band"])
-        specs.append((entry["id"], TrajectorySpec(**fields)))
-    methods = cfg.get("methods", list(METHODS))
-    config = cfg.get("config", {})
+    models, specs, methods, config = _bench_grid(cfg)
     records, table = run_benchmark(models, specs, methods, config)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "results.csv")

@@ -10,12 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import rotation_about_axis
+from ._kernels import rotations_about_axes
 from .baselines import InstantaneousConfig, solve_pairwise, solve_whole_body
 from .errors import IkTrackError, ParseError, SchemaMismatch, SpecInfeasible
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP
-from .so3 import BaumgarteConfig, Rotation, project_to_so3
+from .so3 import BaumgarteConfig, Rotation, project_stack_to_so3
 from .tracker import GainConfig, TargetSample, initial_configuration, track
 
 METHODS = ("dynamical", "whole-body", "pairwise")
@@ -34,6 +34,42 @@ DEFAULT_CONFIG = {
 
 # -- metrics ------------------------------------------------------------------
 
+# samples per batched kinematics pass in stream generation and scoring; the
+# Jacobian batch grows with it, so it bounds their working memory
+CHUNK = 25
+
+
+def _stacked_configurations(qs):
+    """Base positions (B, 3), base rotation matrices (B, 3, 3) and joint
+    angles (B, n) of a sequence of configurations."""
+    return (np.array([q.base_pos for q in qs]), np.array([q.base_rot.m for q in qs]),
+            np.array([q.s for q in qs]))
+
+
+def _mnte_batch(model, qs, samples) -> np.ndarray:
+    for sample in samples:
+        sample.check_model(model)
+    if model.n_o == 0:
+        return np.zeros(len(qs))
+    base_pos, base_rot, s = _stacked_configurations(qs)
+    fk = model.fk_batch(base_pos, project_stack_to_so3(base_rot), s)
+    rotations = model.stacked_poses(fk).rotations
+    traces = np.einsum("bkij,bkij->bk", rotations, np.array([x.rotations for x in samples]))
+    return np.mean(np.maximum((3.0 - traces) / 2.0, 0.0), axis=1)
+
+
+def _rmse_angvel_batch(model, qs, nus, samples) -> np.ndarray:
+    for sample in samples:
+        sample.check_model(model)
+    if model.n_o == 0:
+        return np.zeros(len(qs))
+    jac = model.stacked_jacobians(model.fk_batch(*_stacked_configurations(qs)))
+    vel = (jac @ np.array([nu.stacked() for nu in nus])[:, :, None])[:, :, 0]
+    est = vel[:, 3 * model.n_p:].reshape(len(qs), -1, 3)
+    err = np.array([x.ang_vels for x in samples]) - est
+    return np.sqrt(np.mean(np.sum(err * err, axis=2) / 3.0, axis=1))
+
+
 def mnte(model: KinematicModel, q: Configuration, sample: TargetSample) -> float:
     """Mean normalized trace error over the orientation targets: the per-frame
     term tr(I - R_est^T R_target)/2 equals 1 - cos of the relative angle.
@@ -42,26 +78,14 @@ def mnte(model: KinematicModel, q: Configuration, sample: TargetSample) -> float
     drifting base the trace of the raw matrix can exceed 3. A term that reads
     below 0 by rounding counts as 0.
     """
-    sample.check_model(model)
-    if model.n_o == 0:
-        return 0.0
-    q = Configuration(q.base_pos, project_to_so3(q.base_rot), q.s)
-    _, rotations = model.stacked_forward_kinematics(q)
-    traces = np.einsum("kij,kij->k", rotations, sample.rotations)
-    return float(np.mean(np.maximum((3.0 - traces) / 2.0, 0.0)))
+    return float(_mnte_batch(model, [q], [sample])[0])
 
 
 def rmse_angvel(model: KinematicModel, q: Configuration, nu: Velocity,
                 sample: TargetSample) -> float:
     """Root mean squared angular-velocity error over the orientation targets,
     with the estimate read from the differential kinematics at (q, nu)."""
-    sample.check_model(model)
-    if model.n_o == 0:
-        return 0.0
-    jac = model.stacked_jacobian(q)
-    est = (jac @ nu.stacked())[3 * model.n_p:].reshape(-1, 3)
-    err = sample.ang_vels - est
-    return float(np.sqrt(np.mean(np.sum(err * err, axis=1) / 3.0)))
+    return float(_rmse_angvel_batch(model, [q], [nu], [sample])[0])
 
 
 # -- trajectory specs and synthetic streams -----------------------------------
@@ -130,47 +154,52 @@ def generate_stream(model: KinematicModel, spec: TrajectorySpec):
     rot_amp = 0.5 * min(spec.amplitude, 0.4)
     rot_freq = rng.uniform(spec.freq_band[0], spec.freq_band[1])
     rot_phase = rng.uniform(0.0, 2.0 * np.pi)
-    static = spec.kind == "static_pose"
+    t = np.arange(steps) * spec.dt
+    if spec.kind == "static_pose":
+        s = np.tile(mid + amp[:, 0] * np.sin(phase[:, 0]), (steps, 1))
+        s_dot = np.zeros((steps, model.n))
+        base_pos = np.zeros((steps, 3))
+        base_vel = np.zeros((steps, 3))
+        base_rot = np.tile(np.eye(3), (steps, 1, 1))
+        base_omega = np.zeros((steps, 3))
+    else:
+        arg = 2.0 * np.pi * freq * t[:, None, None] + phase
+        s = mid + np.sum(amp * np.sin(arg), axis=2)
+        s_dot = np.sum(amp * 2.0 * np.pi * freq * np.cos(arg), axis=2)
+        barg = 2.0 * np.pi * base_freq * t[:, None] + base_phase
+        base_pos = base_amp * np.sin(barg)
+        base_vel = base_amp * 2.0 * np.pi * base_freq * np.cos(barg)
+        rarg = 2.0 * np.pi * rot_freq * t + rot_phase
+        base_rot = rotations_about_axes(rot_axis[None], rot_amp * np.sin(rarg)[:, None])[:, 0]
+        base_omega = rot_axis * (rot_amp * 2.0 * np.pi * rot_freq * np.cos(rarg))[:, None]
+    nu = np.concatenate([base_vel, base_omega, s_dot], axis=1)
     noise = spec.noise_std
     truth = []
     samples = []
-    for k in range(steps):
-        t = k * spec.dt
-        if static:
-            s = mid + amp[:, 0] * np.sin(phase[:, 0])
-            s_dot = np.zeros(model.n)
-            base_pos = np.zeros(3)
-            base_vel = np.zeros(3)
-            base_rot = np.eye(3)
-            base_omega = np.zeros(3)
-        else:
-            arg = 2.0 * np.pi * freq * t + phase
-            s = mid + np.sum(amp * np.sin(arg), axis=1)
-            s_dot = np.sum(amp * 2.0 * np.pi * freq * np.cos(arg), axis=1)
-            barg = 2.0 * np.pi * base_freq * t + base_phase
-            base_pos = base_amp * np.sin(barg)
-            base_vel = base_amp * 2.0 * np.pi * base_freq * np.cos(barg)
-            rarg = 2.0 * np.pi * rot_freq * t + rot_phase
-            angle = rot_amp * np.sin(rarg)
-            base_rot = rotation_about_axis(rot_axis, angle)
-            base_omega = rot_axis * (rot_amp * 2.0 * np.pi * rot_freq * np.cos(rarg))
-        q = Configuration(base_pos, Rotation.drifting(base_rot), s)
-        nu = Velocity(base_vel, base_omega, s_dot)
-        positions, rotations = model.stacked_forward_kinematics(q)
-        vel = model.stacked_jacobian(q) @ nu.stacked()
-        lin = vel[:3 * model.n_p].reshape(-1, 3)
-        ang = vel[3 * model.n_p:].reshape(-1, 3)
-        if noise > 0.0:
-            positions = positions + rng.normal(0.0, noise, size=positions.shape)
-            lin = lin + rng.normal(0.0, noise, size=lin.shape)
-            ang = ang + rng.normal(0.0, noise, size=ang.shape)
-            wobble = rng.normal(0.0, noise, size=(model.n_o, 3))
-            rotations = np.array([rotation_about_axis(w / max(np.linalg.norm(w), 1e-30),
-                                                      np.linalg.norm(w)) @ r
-                                  for w, r in zip(wobble, rotations)])
-        truth.append((q, nu))
-        samples.append(TargetSample(t=t, positions=positions, rotations=rotations,
-                                    lin_vels=lin, ang_vels=ang))
+    for lo in range(0, steps, CHUNK):
+        chunk = slice(lo, min(lo + CHUNK, steps))
+        fk = model.fk_batch(base_pos[chunk], base_rot[chunk], s[chunk])
+        pose = model.stacked_poses(fk)
+        vel = (model.stacked_jacobians(fk) @ nu[chunk, :, None])[:, :, 0]
+        lin = vel[:, :3 * model.n_p].reshape(vel.shape[0], -1, 3)
+        ang = vel[:, 3 * model.n_p:].reshape(vel.shape[0], -1, 3)
+        for i, k in enumerate(range(chunk.start, chunk.stop)):
+            positions, rotations = pose.positions[i], pose.rotations[i]
+            lin_k, ang_k = lin[i], ang[i]
+            if noise > 0.0:
+                positions = positions + rng.normal(0.0, noise, size=positions.shape)
+                lin_k = lin_k + rng.normal(0.0, noise, size=lin_k.shape)
+                ang_k = ang_k + rng.normal(0.0, noise, size=ang_k.shape)
+                wobble = rng.normal(0.0, noise, size=(model.n_o, 3))
+                # row norms as dot products, the way np.linalg.norm forms a
+                # vector's norm; a sum of squares can differ in the last bit
+                angles = np.sqrt((wobble[:, None] @ wobble[:, :, None])[:, 0, 0])
+                axes = wobble / np.maximum(angles, 1e-30)[:, None]
+                rotations = rotations_about_axes(axes, angles[None])[0] @ rotations
+            truth.append((Configuration(base_pos[k], Rotation.drifting(base_rot[k]), s[k]),
+                          Velocity(base_vel[k], base_omega[k], s_dot[k])))
+            samples.append(TargetSample(t=float(t[k]), positions=positions, rotations=rotations,
+                                        lin_vels=lin_k, ang_vels=ang_k))
     return truth, samples
 
 
@@ -181,11 +210,11 @@ def save_stream(path, samples):
     with open(path, "w") as fh:
         for sample in samples:
             record = {
-                "t": sample.t,
-                "p": [list(map(float, row)) for row in sample.positions],
-                "R": [[float(v) for v in rot.ravel()] for rot in sample.rotations],
-                "v": [list(map(float, row)) for row in sample.lin_vels],
-                "w": [list(map(float, row)) for row in sample.ang_vels],
+                "t": float(sample.t),
+                "p": sample.positions.tolist(),
+                "R": sample.rotations.reshape(-1, 9).tolist(),
+                "v": sample.lin_vels.tolist(),
+                "w": sample.ang_vels.tolist(),
             }
             fh.write(json.dumps(record) + "\n")
 
@@ -352,9 +381,15 @@ class RunRecord:
 
 
 def summarize_run(model, samples, qs, nus, times, transient_discard=2.0) -> MetricsSummary:
+    """Per-step metrics of a run: ``qs[i]`` and ``nus[i]`` are scored against
+    ``samples[i]``, in chunks of ``CHUNK`` steps."""
     count = len(qs)
-    mnte_series = np.array([mnte(model, qs[i], samples[i]) for i in range(count)])
-    rmse_series = np.array([rmse_angvel(model, qs[i], nus[i], samples[i]) for i in range(count)])
+    mnte_series = np.zeros(count)
+    rmse_series = np.zeros(count)
+    for lo in range(0, count, CHUNK):
+        chunk = slice(lo, min(lo + CHUNK, count))
+        mnte_series[chunk] = _mnte_batch(model, qs[chunk], samples[chunk])
+        rmse_series[chunk] = _rmse_angvel_batch(model, qs[chunk], nus[chunk], samples[chunk])
     ts = np.array([samples[i].t for i in range(count)])
     return MetricsSummary(ts, mnte_series, rmse_series, np.asarray(times, dtype=float),
                           transient_discard=transient_discard)

@@ -250,18 +250,26 @@ class KinematicModel:
 
     # -- kinematics ---------------------------------------------------------
 
+    def fk_batch(self, base_pos, base_rot, s) -> tuple[np.ndarray, np.ndarray]:
+        """World positions (B, L, 3) and rotations (B, L, 3, 3) of every link
+        for B configurations given as stacked arrays: base positions (B, 3),
+        base rotation matrices (B, 3, 3) and joint angles (B, n)."""
+        return fk_levels(self._layout, s, base_pos, base_rot)
+
     def fk_arrays(self, q: "Configuration") -> tuple[np.ndarray, np.ndarray]:
         """World position and rotation of every link (kernel layout)."""
-        return fk_levels(self._layout, np.asarray(q.s, dtype=float), q.base_pos, q.base_rot.m)
+        pos, rot = self.fk_batch(q.base_pos[None], q.base_rot.m[None],
+                                 np.asarray(q.s, dtype=float)[None])
+        return pos[0], rot[0]
 
     def forward_kinematics(self, q: "Configuration", frame: str) -> tuple[np.ndarray, Rotation]:
         idx = self.link_index(frame)
         pos, rot = self.fk_arrays(q)
         return pos[idx].copy(), Rotation.drifting(rot[idx].copy())
 
-    def _jacobian(self, fk, pos_idx, ori_idx, pos_support, ori_support) -> np.ndarray:
+    def _jacobians(self, fk, pos_idx, ori_idx, pos_support, ori_support) -> np.ndarray:
         pos, rot = fk
-        return stacked_jacobian_kernel(pos, rot, pos[self._base_idx], pos_idx, ori_idx,
+        return stacked_jacobian_kernel(pos, rot, pos[:, self._base_idx], pos_idx, ori_idx,
                                        pos_support, ori_support, self._joint_link,
                                        self._joint_axis)
 
@@ -269,16 +277,29 @@ class KinematicModel:
         """6x(n+6) frame Jacobian; top three rows linear, bottom three angular."""
         idx = np.array([self.link_index(frame)], dtype=np.int64)
         support = self._support[idx]
-        return self._jacobian(self.fk_arrays(q), idx, idx, support, support)
+        pos, rot = self.fk_arrays(q)
+        return self._jacobians((pos[None], rot[None]), idx, idx, support, support)[0]
+
+    def stacked_poses(self, fk) -> StackedPose:
+        """Target-frame poses, positions first, from a batch of link poses as
+        ``fk_batch`` returns them: positions (B, n_p, 3), rotations (B, n_o, 3, 3)."""
+        pos, rot = fk
+        return StackedPose(pos[:, self._pos_idx], rot[:, self._ori_idx])
 
     def stacked_forward_kinematics(self, q: "Configuration") -> StackedPose:
         """Poses of all declared target frames: positions first, then rotations."""
         pos, rot = self.fk_arrays(q)
         return StackedPose(pos[self._pos_idx], rot[self._ori_idx])
 
+    def stacked_jacobians(self, fk) -> np.ndarray:
+        """Stacked Jacobians (B, 3 (n_p + n_o), n + 6) from a batch of link
+        poses as ``fk_batch`` returns them."""
+        return self._jacobians(fk, self._pos_idx, self._ori_idx, self._pos_support,
+                               self._ori_support)
+
     def stacked_jacobian(self, q: "Configuration", fk=None) -> np.ndarray:
-        return self._jacobian(fk if fk is not None else self.fk_arrays(q), self._pos_idx,
-                              self._ori_idx, self._pos_support, self._ori_support)
+        pos, rot = fk if fk is not None else self.fk_arrays(q)
+        return self.stacked_jacobians((pos[None], rot[None]))[0]
 
     def pose_residual_arrays(self, fk, target_pos, target_rot) -> np.ndarray:
         pos, rot = fk
@@ -385,16 +406,86 @@ def _reject_unknown(obj, allowed, where):
         raise ValidationError("unknown key", f"{where}: {sorted(extra)[0]}")
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _typed(value, kind, where, what):
+    """``value`` when it is an instance of ``kind``; otherwise a
+    ValidationError saying the entry at ``where`` should be ``what``."""
+    if not isinstance(value, kind):
+        raise ValidationError("bad type", f"{where}: expected {what}, got {value!r:.40}")
+    return value
+
+
+def _required(obj, key, kind, where, what):
+    if key not in obj:
+        raise ValidationError("missing key", f"{where}: {key}")
+    return _typed(obj[key], kind, f"{where} {key}", what)
+
+
+def _numbers(value, size, where):
+    """A JSON array of ``size`` numbers as a float array."""
+    if not (isinstance(value, list) and len(value) == size and all(map(_is_number, value))):
+        raise ValidationError("bad type", f"{where}: expected {size} numbers, got {value!r:.40}")
+    return np.array(value, dtype=float)
+
+
+def _strings(value, where):
+    _typed(value, list, where, "an array of names")
+    for v in value:
+        _typed(v, str, where, "an array of names")
+    return value
+
+
 def _bound(value, where):
     if value is None or value == "unbounded":
         return np.inf
-    if isinstance(value, (int, float)):
+    if _is_number(value) and not np.isnan(value):
         return float(value)
     raise ValidationError("bad bound", f"{where}: {value!r}")
 
 
+def _load_joint(entry, index):
+    where = f"joint {index}"
+    _typed(entry, dict, where, "an object")
+    name = _required(entry, "name", str, where, "a string")
+    where = f"joint {name}"
+    _reject_unknown(entry, _JOINT_KEYS, where)
+    origin = _typed(entry.get("origin", {}), dict, f"{where} origin", "an object")
+    _reject_unknown(origin, _ORIGIN_KEYS, f"{where} origin")
+    limits = entry.get("pos_limits")
+    vel = entry.get("vel_limit")
+    if vel is not None and not _is_number(vel):
+        raise ValidationError("bad type", f"{where} vel_limit: expected a number, got {vel!r:.40}")
+    return Joint(
+        name=name,
+        parent=_required(entry, "parent", str, where, "a link name"),
+        child=_required(entry, "child", str, where, "a link name"),
+        axis=_numbers(_required(entry, "axis", list, where, "3 numbers"), 3, f"{where} axis"),
+        origin_xyz=_numbers(origin.get("xyz", [0.0, 0.0, 0.0]), 3, f"{where} origin xyz"),
+        origin_rpy=_numbers(origin.get("rpy", [0.0, 0.0, 0.0]), 3, f"{where} origin rpy"),
+        pos_limits=(tuple(_numbers(limits, 2, f"{where} pos_limits").tolist())
+                    if limits is not None else None),
+        vel_limit=float(vel) if vel is not None else None,
+    )
+
+
+def _load_constraints(block, n):
+    _typed(block, dict, "constraints", "an object")
+    _reject_unknown(block, _CONSTRAINT_KEYS, "constraints")
+    rows = _required(block, "A", list, "constraints", "an array of rows")
+    bounds = {key: [_bound(v, key) for v in _required(block, key, list, "constraints",
+                                                     "an array of bounds")]
+              for key in ("b_q", "b_nu")}
+    a = np.array([_numbers(row, n, f"constraints A row {i}") for i, row in enumerate(rows)])
+    return ExtraConstraints(a=a.reshape(len(rows), n), b_q=np.array(bounds["b_q"]),
+                            b_nu=np.array(bounds["b_nu"]))
+
+
 def load_model(text: str) -> KinematicModel:
-    """Parse and validate a JSON model document."""
+    """Parse and validate a JSON model document. A malformed document raises
+    ``ParseError`` or ``ValidationError``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -403,45 +494,23 @@ def load_model(text: str) -> KinematicModel:
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     _reject_unknown(doc, _TOP_KEYS, "document")
-    for key in ("base_link", "links", "joints"):
-        if key not in doc:
-            raise ValidationError("missing key", key)
     links = []
-    for entry in doc["links"]:
-        _reject_unknown(entry, _LINK_KEYS, f"link {entry.get('name', '?')}")
-        links.append(Link(entry["name"], bool(entry.get("dummy", False))))
-    joints = []
-    for entry in doc["joints"]:
-        _reject_unknown(entry, _JOINT_KEYS, f"joint {entry.get('name', '?')}")
-        origin = entry.get("origin", {})
-        _reject_unknown(origin, _ORIGIN_KEYS, f"joint {entry.get('name', '?')} origin")
-        limits = entry.get("pos_limits")
-        joints.append(Joint(
-            name=entry["name"],
-            parent=entry["parent"],
-            child=entry["child"],
-            axis=np.asarray(entry["axis"], dtype=float),
-            origin_xyz=np.asarray(origin.get("xyz", [0.0, 0.0, 0.0]), dtype=float),
-            origin_rpy=np.asarray(origin.get("rpy", [0.0, 0.0, 0.0]), dtype=float),
-            pos_limits=(float(limits[0]), float(limits[1])) if limits is not None else None,
-            vel_limit=float(entry["vel_limit"]) if entry.get("vel_limit") is not None else None,
-        ))
-    extra = None
-    if "constraints" in doc:
-        block = doc["constraints"]
-        _reject_unknown(block, _CONSTRAINT_KEYS, "constraints")
-        extra = ExtraConstraints(
-            a=np.asarray(block["A"], dtype=float).reshape(len(block["A"]), -1),
-            b_q=np.array([_bound(v, "b_q") for v in block["b_q"]]),
-            b_nu=np.array([_bound(v, "b_nu") for v in block["b_nu"]]),
-        )
+    for i, entry in enumerate(_required(doc, "links", list, "document", "an array")):
+        _typed(entry, dict, f"link {i}", "an object")
+        _reject_unknown(entry, _LINK_KEYS, f"link {entry.get('name', i)}")
+        name = _required(entry, "name", str, f"link {i}", "a string")
+        links.append(Link(name, _typed(entry.get("dummy", False), bool, f"link {name} dummy",
+                                       "true or false")))
+    joints = [_load_joint(entry, i)
+              for i, entry in enumerate(_required(doc, "joints", list, "document", "an array"))]
     return KinematicModel(
         links=links,
         joints=joints,
-        base_link=doc["base_link"],
-        position_targets=doc.get("position_targets", []),
-        orientation_targets=doc.get("orientation_targets", []),
-        extra_constraints=extra,
+        base_link=_required(doc, "base_link", str, "document", "a link name"),
+        position_targets=_strings(doc.get("position_targets", []), "position_targets"),
+        orientation_targets=_strings(doc.get("orientation_targets", []), "orientation_targets"),
+        extra_constraints=(_load_constraints(doc["constraints"], len(joints))
+                           if "constraints" in doc else None),
     )
 
 

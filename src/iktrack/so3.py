@@ -22,6 +22,19 @@ def orthonormality_error(m) -> float:
     return float(orthonormality_errors(np.asarray(m, dtype=float)[None])[0])
 
 
+def _require_rotations(m):
+    """Raise ``NotARotation`` unless every matrix of the (k, 3, 3) stack has
+    orthonormality error within ``ORTHONORMALITY_TOL`` and a positive
+    determinant."""
+    err = orthonormality_errors(m)
+    worst = int(np.argmax(err))
+    if err[worst] > ORTHONORMALITY_TOL:
+        raise NotARotation(
+            f"orthonormality error {err[worst]:.3e} exceeds {ORTHONORMALITY_TOL:.0e}")
+    if np.any(np.linalg.det(m) <= 0.0):
+        raise NotARotation("determinant is not positive")
+
+
 class Rotation:
     """A validated 3x3 rotation matrix.
 
@@ -37,11 +50,7 @@ class Rotation:
         m = np.ascontiguousarray(m, dtype=float)
         if m.shape != (3, 3):
             raise NotARotation(f"expected 3x3 matrix, got shape {m.shape}")
-        err = orthonormality_error(m)
-        if err > ORTHONORMALITY_TOL:
-            raise NotARotation(f"orthonormality error {err:.3e} exceeds {ORTHONORMALITY_TOL:.0e}")
-        if np.linalg.det(m) <= 0.0:
-            raise NotARotation("determinant is not positive")
+        _require_rotations(m[None])
         self.m = m
 
     @classmethod
@@ -167,11 +176,18 @@ def project_to_so3(a) -> Rotation:
     Diagnostics and final-output sanitation only; the integration loop relies
     on the drift-correction term instead.
     """
-    a = _mat(a)
+    return Rotation.drifting(project_stack_to_so3(_mat(a)[None])[0])
+
+
+def project_stack_to_so3(a) -> np.ndarray:
+    """``project_to_so3`` of each matrix of a (k, 3, 3) stack, as a (k, 3, 3)
+    array of validated rotations."""
     u, sing, vt = np.linalg.svd(a)
-    if sing[-1] <= 1e-12 or np.linalg.det(a) <= 0.0:
+    if np.any(sing[:, -1] <= 1e-12) or np.any(np.linalg.det(a) <= 0.0):
         raise DegenerateMatrix("matrix is singular or reflects")
     r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return Rotation(r)
+    flip = np.linalg.det(r) < 0.0
+    if np.any(flip):
+        r[flip] = u[flip] @ np.diag([1.0, 1.0, -1.0]) @ vt[flip]
+    _require_rotations(r)
+    return r

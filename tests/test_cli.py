@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -162,3 +163,88 @@ def test_solve_within_transient_discard_says_so(model_file, tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == 101
     err = capsys.readouterr().err
     assert "all 100 samples fall inside the 2 s transient discard" in err
+
+
+def small_model_document():
+    """Three joints below a floating base, with a dummy link, limits, a
+    velocity limit and a coupling row: every field a model file can hold."""
+    return {
+        "base_link": "b",
+        "links": [{"name": "b"}, {"name": "m", "dummy": True}, {"name": "x"}, {"name": "y"}],
+        "joints": [
+            {"name": "j1", "parent": "b", "child": "m", "axis": [0.0, 0.0, 1.0],
+             "origin": {"xyz": [0.0, 0.0, 0.1], "rpy": [0.0, 0.0, 0.0]},
+             "pos_limits": [-1.0, 1.0], "vel_limit": 5.0},
+            {"name": "j2", "parent": "m", "child": "x", "axis": [1.0, 0.0, 0.0],
+             "origin": {"xyz": [0.2, 0.0, 0.0], "rpy": [0.0, 0.1, 0.0]}},
+            {"name": "j3", "parent": "b", "child": "y", "axis": [0.0, 1.0, 0.0],
+             "pos_limits": [-0.5, 0.5]},
+        ],
+        "position_targets": ["b"],
+        "orientation_targets": ["b", "x", "y"],
+        "constraints": {"A": [[1.0, 1.0, 0.0]], "b_q": [0.9], "b_nu": [None]},
+    }
+
+
+def _slots(doc):
+    """Every (container, key) slot of a JSON document, depth first."""
+    for key in (list(doc) if isinstance(doc, dict) else range(len(doc))):
+        yield doc, key
+        if isinstance(doc[key], (dict, list)):
+            yield from _slots(doc[key])
+
+
+_REPLACEMENTS = ("a", 5, 1.5, True, None, [], {}, [1.0], float("nan"), float("inf"))
+
+
+def _mutate(doc, rng):
+    """One random edit: delete a key or entry, change a value's type, or
+    shorten an array."""
+    doc = copy.deepcopy(doc)
+    slots = list(_slots(doc))
+    op = rng.integers(3)
+    if op == 2:
+        slots = [(c, k) for c, k in slots if isinstance(c[k], list) and c[k]] or slots
+    container, key = slots[rng.integers(len(slots))]
+    if op == 0:
+        del container[key]
+    elif op == 1:
+        container[key] = copy.deepcopy(_REPLACEMENTS[rng.integers(len(_REPLACEMENTS))])
+    elif isinstance(container[key], list) and container[key]:
+        container[key].pop()
+    else:
+        del container[key]
+    return doc
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fuzzed_model_documents_are_data_errors(seed, tmp_path):
+    base = small_model_document()
+    model = ik.load_model(json.dumps(base))
+    stream = tmp_path / "stream.jsonl"
+    sample = ik.TargetSample(t=0.0, positions=np.zeros((1, 3)),
+                             rotations=np.tile(np.eye(3), (3, 1, 1)),
+                             lin_vels=np.zeros((1, 3)), ang_vels=np.zeros((3, 3)))
+    sample.check_model(model)
+    ik.save_stream(stream, [sample])
+    path = tmp_path / "model.json"
+    rng = np.random.default_rng(seed)
+    rejected = 0
+    for _ in range(60):
+        text = json.dumps(_mutate(base, rng))
+        try:
+            ik.load_model(text)
+        except ik.IkTrackError:
+            rejected += 1
+            path.write_text(text)
+            assert main(["solve", "--model", str(path), "--stream", str(stream),
+                         "--method", "dynamical", "--out", str(tmp_path / "o.csv")]) == 2, text
+        except Exception as e:
+            pytest.fail(f"{type(e).__name__}: {e} from {text}")
+    assert rejected >= 20
+
+
+def test_bench_config_without_specs_is_data_error(model_file, tmp_path):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"models": [{"id": "h66", "path": model_file}]}))
+    assert main(["bench", "--config", str(config), "--out", str(tmp_path / "r")]) == 2

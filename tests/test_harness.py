@@ -1,13 +1,18 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 import iktrack as ik
 from iktrack import (Configuration, MetricsSummary, Rotation, TargetSample,
                      TrajectorySpec, Velocity, generate_stream, load_stream, mnte,
-                     results_csv, rmse_angvel, run_benchmark, save_stream)
-from iktrack.errors import ParseError, SchemaMismatch, SpecInfeasible
+                     project_to_so3, results_csv, rmse_angvel, run_benchmark, run_method,
+                     save_stream, summarize_run)
+from iktrack.errors import DegenerateMatrix, ParseError, SchemaMismatch, SpecInfeasible
+from iktrack.harness import CHUNK
 
-from conftest import base_only_model, rodrigues, static_sample
+from conftest import base_only_model, branched_model, rodrigues, static_sample
 
 
 class TestMetrics:
@@ -135,7 +140,111 @@ class TestGenerateStream:
             assert ik.orthonormality_error(rot) <= 1e-9
 
 
+def pipeline_model(name, request):
+    return branched_model() if name == "branched" else request.getfixturevalue(name)
+
+
+def per_sample_scores(model, q, nu, sample):
+    """mnte and rmse_angvel of one step from single-configuration kinematics:
+    the estimate's polar-projected rotations against the targets, and the
+    angular rows of J(q) nu against the angular-velocity targets."""
+    projected = Configuration(q.base_pos, project_to_so3(q.base_rot), q.s)
+    rotations = model.stacked_forward_kinematics(projected).rotations
+    traces = np.einsum("kij,kij->k", rotations, sample.rotations)
+    score = float(np.mean(np.maximum((3.0 - traces) / 2.0, 0.0)))
+    est = (model.stacked_jacobian(q) @ nu.stacked())[3 * model.n_p:].reshape(-1, 3)
+    err = sample.ang_vels - est
+    return score, float(np.sqrt(np.mean(np.sum(err * err, axis=1) / 3.0)))
+
+
+# sha256 prefixes of the stream files the per-sample generator wrote for
+# random_smooth, amplitude 0.3, noise_std 0.01, seed 21 (numpy 2.4, x86-64);
+# the chunked generator draws the noise in the same order
+NOISY_DIGESTS = {
+    ("human66", 1): "7143b0dc25ae4f5a", ("human66", CHUNK): "1b119fe9eb16df5f",
+    ("human66", CHUNK + 1): "f62371b8bffd6b10",
+    ("human48", 1): "c3fcf43661b04ca8", ("human48", CHUNK): "82d5d26ee2f0de1e",
+    ("human48", CHUNK + 1): "aa99f6398f4e8883",
+    ("branched", 1): "d851fd55066826f1", ("branched", CHUNK): "360cf21e40b31149",
+    ("branched", CHUNK + 1): "72cc9b536fc7930f",
+}
+
+
+@pytest.mark.parametrize("name", ["human66", "human48", "branched"])
+@pytest.mark.parametrize("length", [1, CHUNK, CHUNK + 1])
+class TestChunkedPipeline:
+    """Stream generation and scoring run in chunks over time; each sample must
+    equal, bit for bit, what single-configuration kinematics give."""
+
+    @pytest.mark.parametrize("kind", ["static_pose", "sinusoidal", "random_smooth"])
+    def test_stream_equals_per_sample_kinematics(self, name, length, kind, request):
+        model = pipeline_model(name, request)
+        spec = TrajectorySpec(kind=kind, duration=0.01 * length, dt=0.01, amplitude=0.3,
+                              seed=13)
+        truth, samples = generate_stream(model, spec)
+        assert len(samples) == len(truth) == length
+        for k, ((q, nu), sample) in enumerate(zip(truth, samples)):
+            positions, rotations = model.stacked_forward_kinematics(q)
+            assert type(sample.t) is float and sample.t == k * 0.01
+            assert np.array_equal(sample.positions, positions)
+            assert np.array_equal(sample.rotations, rotations)
+            velocities = model.stacked_jacobian(q) @ nu.stacked()
+            assert np.array_equal(sample.velocity_stack(), velocities)
+
+    def test_noisy_stream_file_is_pinned(self, name, length, request, tmp_path):
+        model = pipeline_model(name, request)
+        spec = TrajectorySpec(kind="random_smooth", duration=0.01 * length, dt=0.01,
+                              amplitude=0.3, seed=21, noise_std=0.01)
+        path = tmp_path / "noisy.jsonl"
+        save_stream(path, generate_stream(model, spec)[1])
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == NOISY_DIGESTS[name, length]
+
+    def test_summary_equals_per_sample_scores(self, name, length, request):
+        model = pipeline_model(name, request)
+        spec = TrajectorySpec(kind="random_smooth", duration=0.01 * length, dt=0.01,
+                              amplitude=0.3, seed=15)
+        _, samples = generate_stream(model, spec)
+        qs, nus, times, _ = run_method("dynamical", model, samples)
+        # a drifting base: scaled and sheared off SO(3), as the integrator may leave it
+        rng = np.random.default_rng(length)
+        drifting = [Configuration(q.base_pos, Rotation.drifting(
+            q.base_rot.m @ (1.01 * np.eye(3) + 0.003 * rng.normal(size=(3, 3)))), q.s)
+            for q in qs]
+        for run in (qs, drifting):
+            summary = summarize_run(model, samples, run, nus, times)
+            for i, (q, nu, sample) in enumerate(zip(run, nus, samples)):
+                expected = per_sample_scores(model, q, nu, sample)
+                assert (summary.mnte_series[i], summary.rmse_series[i]) == expected
+                assert (mnte(model, q, sample), rmse_angvel(model, q, nu, sample)) == expected
+
+
+def test_summary_rejects_a_reflecting_base_inside_a_chunk(human66):
+    spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01, amplitude=0.1, seed=3)
+    truth, samples = generate_stream(human66, spec)
+    qs = [q for q, _ in truth]
+    nus = [nu for _, nu in truth]
+    qs[2] = Configuration(qs[2].base_pos, Rotation.drifting(np.diag([1.0, 1.0, -1.0])),
+                          qs[2].s)
+    with pytest.raises(DegenerateMatrix):
+        summarize_run(human66, samples, qs, nus, np.zeros(len(qs)))
+
+
 class TestStreamFiles:
+    def test_bytes_equal_a_per_element_writer(self, human66, tmp_path):
+        spec = TrajectorySpec(kind="random_smooth", duration=0.3, dt=0.01, amplitude=0.3,
+                              seed=14, noise_std=0.01)
+        _, samples = generate_stream(human66, spec)
+        path = tmp_path / "stream.jsonl"
+        save_stream(path, samples)
+        expected = "".join(json.dumps({
+            "t": float(x.t),
+            "p": [[float(v) for v in row] for row in x.positions],
+            "R": [[float(v) for v in rot.ravel()] for rot in x.rotations],
+            "v": [[float(v) for v in row] for row in x.lin_vels],
+            "w": [[float(v) for v in row] for row in x.ang_vels],
+        }) + "\n" for x in samples)
+        assert path.read_bytes() == expected.encode()
+
     def test_lossless_roundtrip(self, human66, tmp_path):
         spec = TrajectorySpec(kind="random_smooth", duration=0.05, dt=0.01,
                               amplitude=0.3, seed=9)

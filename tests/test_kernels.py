@@ -116,7 +116,7 @@ def test_rotation_matches_reference():
     axes = rng.normal(size=(200, 3))
     axes /= np.linalg.norm(axes, axis=1)[:, None]
     angles = rng.uniform(-4.0, 4.0, size=200)
-    batched = _kernels.rotations_about_axes(axes, angles)
+    batched = _kernels.rotations_about_axes(axes, angles[None])[0]
     for a, t, r in zip(axes, angles, batched):
         assert np.array_equal(r, ref_rotation(a, t))
         assert np.array_equal(_kernels.rotation_about_axis(a, t), r)
@@ -139,6 +139,26 @@ def test_fk_jacobian_residual_match_reference(human66, human48):
                                for a in rng.normal(size=(model.n_o, 3))])
         assert np.array_equal(model.pose_residual_arrays((pos, rot), target_pos, target_rot),
                               ref_residual(model, pos, rot, target_pos, target_rot)), model.n
+
+
+def test_batched_fk_and_jacobian_match_single_calls(human66, human48):
+    """A batch is a stack of independent configurations: each row of a batched
+    call equals the single-configuration call, bit for bit."""
+    by_model = {}
+    for model, q, _, _ in cases(human66, human48):
+        by_model.setdefault(model, []).append(q)
+    for model, qs in by_model.items():
+        fk = model.fk_batch(np.array([q.base_pos for q in qs]),
+                            np.array([q.base_rot.m for q in qs]), np.array([q.s for q in qs]))
+        jac = model.stacked_jacobians(fk)
+        poses = model.stacked_poses(fk)
+        for i, q in enumerate(qs):
+            pos, rot = model.fk_arrays(q)
+            assert np.array_equal(fk[0][i], pos) and np.array_equal(fk[1][i], rot), model.n
+            assert np.array_equal(jac[i], model.stacked_jacobian(q)), model.n
+            stacked = model.stacked_forward_kinematics(q)
+            assert np.array_equal(poses.positions[i], stacked.positions), model.n
+            assert np.array_equal(poses.rotations[i], stacked.rotations), model.n
 
 
 def test_orientation_residual_matches_pose_residual_rows(human66, human48):

@@ -231,6 +231,32 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match=joint["name"]):
             ik.load_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc.update(links="ab"),
+        lambda doc: doc["joints"][3].pop("parent"),
+        lambda doc: doc.update(joints=5),
+        lambda doc: doc["joints"][3].update(axis="xyz"),
+        lambda doc: doc["joints"][3]["origin"].update(xyz=[0.0, 0.1]),
+        lambda doc: doc["joints"][3].update(pos_limits=[1.0]),
+        lambda doc: doc["joints"][3].update(pos_limits="a"),
+        lambda doc: doc["joints"][3].update(vel_limit="a"),
+        lambda doc: doc["joints"][3].update(name=["l5_z"]),
+        lambda doc: doc["constraints"].pop("b_nu"),
+        lambda doc: doc["constraints"].update(A=[]),
+        lambda doc: doc["constraints"]["b_q"].__setitem__(0, float("nan")),
+        lambda doc: doc.update(base_link=["pelvis"]),
+        lambda doc: doc.update(orientation_targets="pelvis"),
+    ], ids=["links-string", "joint-without-parent", "joints-number", "axis-string",
+            "xyz-two-entries", "pos-limits-one-entry", "pos-limits-string",
+            "vel-limit-string", "joint-name-list", "constraints-without-b-nu",
+            "constraints-no-rows", "b-q-nan", "base-link-list", "targets-string"])
+    def test_malformed_document_rejected(self, mutate):
+        with open("fixtures/human48.json") as fh:
+            doc = json.load(fh)
+        mutate(doc)
+        with pytest.raises(ValidationError):
+            ik.load_model(json.dumps(doc))
+
     def test_inverted_limits_rejected(self):
         with pytest.raises(ValidationError, match="inverted limits"):
             KinematicModel(links=[Link("b"), Link("x")],
