@@ -1,7 +1,7 @@
-"""Hot numeric kernels: batched Rodrigues rotations, forward kinematics by
-tree depth, stacked frame Jacobians from a joint-support mask, batched
-rotation residuals and orthonormality errors, and drift-corrected rotation
-integration.
+"""Hot numeric kernels: batched Rodrigues rotations and rotation-vector
+exponentials, forward kinematics by tree depth, stacked frame Jacobians from
+a joint-support mask, batched rotation residuals and orthonormality errors,
+and drift-corrected rotation integration.
 
 Every kernel is vectorised numpy over whole stacks of links, joints or
 target frames; the only Python-level loop left in a tracking step is the
@@ -43,6 +43,15 @@ def rotations_about_axes(axes, angles):
     return ((t[:, :, None] * axes).take(_LO, axis=2) * axes.take(_HI, axis=1)
             + (s[:, :, None] * axes).take(_SKEW_IDX, axis=2) * _SKEW_SIGN
             + c[:, :, None, None] * _EYE3)
+
+
+def rotation_vectors(v):
+    """Rotation matrices (k, 3, 3) of the rotation vectors ``v`` (k, 3): a
+    turn by |v| about v / |v|, the identity for a zero vector."""
+    # norms as dot products, the way np.linalg.norm forms a vector's norm; a
+    # sum of squares can differ in the last bit
+    angles = np.sqrt((v[:, None] @ v[:, :, None])[:, 0, 0])
+    return rotations_about_axes(v / np.maximum(angles, 1e-30)[:, None], angles[None])[0]
 
 
 def rotation_about_axis(axis, angle):

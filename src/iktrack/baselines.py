@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import rotation_about_axis, rotations_about_axes
+from ._kernels import rotation_vectors, rotations_about_axes
 from .errors import DecompositionError
 from .model import Configuration, KinematicModel
 from .qp import ActiveSetSolver, LeastSquaresQP
@@ -19,30 +19,21 @@ from .tracker import TargetSample
 
 @dataclass(eq=False)
 class InstantaneousConfig:
-    """Residual weights, stopping threshold on the weighted pose error,
-    iteration cap, and the initial damping of the iterative scheme."""
+    """Stopping threshold on the pose error norm, iteration cap, and the
+    initial damping of the iterative scheme."""
 
-    weights: float | np.ndarray = 1.0
     stop_tol: float = 1e-4
     max_iters: int = 30
     lm_lambda0: float = 1e-3
 
     def __post_init__(self):
-        if np.any(np.asarray(self.weights) <= 0.0):
-            raise ValueError("weights must be positive")
         if not self.stop_tol > 0.0:
             raise ValueError("stop_tol must be positive")
 
     def weight_vector(self, model: KinematicModel) -> np.ndarray:
-        dim = 3 * (model.n_p + model.n_o)
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim == 0:
-            return np.full(dim, float(w))
-        if w.shape == (model.n_p + model.n_o,):
-            return np.repeat(w, 3)
-        if w.shape == (dim,):
-            return w
-        raise ValueError(f"weights must be scalar, per-target, or length {dim}")
+        """Per-component weights of the stacked residual: all ones, since the
+        pose error is the plain residual norm."""
+        return np.ones(3 * (model.n_p + model.n_o))
 
 
 @dataclass(eq=False)
@@ -71,40 +62,44 @@ class SubsystemReport:
     converged: bool
 
 
-def _weighted_error(model, q, sample, w):
-    fk = model.fk_arrays(q)
-    r = model.pose_residual_arrays(fk, sample.positions, sample.rotations)
-    return float(np.linalg.norm(w * r)), r, fk
+def _damped_gauss_newton(x, evaluate, jacobian, update, cfg):
+    """Levenberg-Marquardt on a residual from the iterate ``x``.
+
+    ``evaluate(x)`` gives the residual and whatever ``jacobian(x, state)``
+    reuses to form the residual's Jacobian w.r.t. the step; ``update(x,
+    delta)`` takes the step. A step is kept only when it lowers the residual
+    norm. Returns the iterate, its residual norm and the iteration count.
+    """
+    r, state = evaluate(x)
+    err = float(np.linalg.norm(r))
+    lam = cfg.lm_lambda0
+    iterations = 0
+    while err > cfg.stop_tol and iterations < cfg.max_iters:
+        iterations += 1
+        jr = jacobian(x, state)
+        h = jr.T @ jr + lam * np.eye(jr.shape[1])
+        try:
+            delta = np.linalg.solve(h, -jr.T @ r)
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+            continue
+        candidate = update(x, delta)
+        new_r, new_state = evaluate(candidate)
+        new_err = float(np.linalg.norm(new_r))
+        if new_err < err:
+            x, r, state, err = candidate, new_r, new_state, new_err
+            lam = max(lam / 3.0, 1e-12)
+        else:
+            lam *= 10.0
+            if lam > 1e10:
+                break
+    return x, err, iterations
 
 
-def _residual_jacobian(model, q, fk, w):
-    """Gauss-Newton Jacobian of the weighted residual w.r.t. the local update
-    (base position step, world rotation step, joint steps)."""
-    jac = model.stacked_jacobian(q, fk=fk)
-    out = -jac.copy()
-    _, rot = fk
-    for i, frame in enumerate(model.orientation_target_frames):
-        rows = slice(3 * model.n_p + 3 * i, 3 * model.n_p + 3 * i + 3)
-        # rotation error lives in the estimated frame: pull the world rows back
-        out[rows] = -(rot[model.link_index(frame)].T @ jac[rows])
-    return w[:, None] * out
-
-
-def _apply_update(q, delta):
-    dtheta = delta[3:6]
-    angle = np.linalg.norm(dtheta)
-    rot = q.base_rot.m
-    if angle > 0.0:
-        rot = rotation_about_axis(dtheta / angle, angle) @ rot
-    return Configuration(q.base_pos + delta[0:3],
-                         base_rot=Rotation.drifting(rot),
-                         s=q.s + delta[6:])
-
-
-def _project_constraints(model, s, tol=1e-9):
+def _project_constraints(model, s):
     """Project the joint vector onto A s <= b_q (covers coupled rows)."""
     a, b = model.constraint_matrix, model.config_bounds
-    if a.shape[0] == 0 or np.max(a @ s - b) <= tol:
+    if a.shape[0] == 0 or np.max(a @ s - b) <= 1e-9:
         return s
     solver = ActiveSetSolver(damping=0.0)
     finite = np.isfinite(b)
@@ -116,34 +111,31 @@ def solve_whole_body(model: KinematicModel, sample: TargetSample, q_init: Config
                      cfg: InstantaneousConfig) -> IkResult:
     """Damped Gauss-Newton on the full stacked residual, joint bounds enforced
     by projection at every iterate. Accepted iterates never increase the
-    weighted pose error.
+    pose error.
     """
     sample.check_model(model)
-    w = cfg.weight_vector(model)
-    q = q_init
-    err, r, fk = _weighted_error(model, q, sample, w)
-    lam = cfg.lm_lambda0
-    iterations = 0
-    while err > cfg.stop_tol and iterations < cfg.max_iters:
-        iterations += 1
-        jr = _residual_jacobian(model, q, fk, w)
-        h = jr.T @ jr + lam * np.eye(jr.shape[1])
-        try:
-            delta = np.linalg.solve(h, -jr.T @ (w * r))
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        candidate = _apply_update(q, delta)
-        candidate.s = _project_constraints(model, np.clip(candidate.s, model._pos_lo,
-                                                          model._pos_hi))
-        new_err, new_r, new_fk = _weighted_error(model, candidate, sample, w)
-        if new_err < err:
-            q, err, r, fk = candidate, new_err, new_r, new_fk
-            lam = max(lam / 3.0, 1e-12)
-        else:
-            lam *= 10.0
-            if lam > 1e10:
-                break
+    rows, cols = 3 * model.n_p, model.n + 6
+
+    def evaluate(q):
+        fk = model.fk_arrays(q)
+        return model.pose_residual_arrays(fk, sample.positions, sample.rotations), fk
+
+    def jacobian(q, fk):
+        # w.r.t. the step (base position, world rotation, joints); rotation
+        # errors live in the estimated frames, so their world rows are pulled back
+        jac = model.stacked_jacobian(q, fk=fk)
+        out = -jac
+        ori = jac[rows:].reshape(model.n_o, 3, cols)
+        out[rows:] = -(np.swapaxes(fk[1][model._ori_idx], 1, 2) @ ori).reshape(-1, cols)
+        return out
+
+    def update(q, delta):
+        rot = rotation_vectors(delta[None, 3:6])[0] @ q.base_rot.m
+        s = np.clip(q.s + delta[6:], model._pos_lo, model._pos_hi)
+        return Configuration(q.base_pos + delta[0:3], Rotation.drifting(rot),
+                             _project_constraints(model, s))
+
+    q, err, iterations = _damped_gauss_newton(q_init, evaluate, jacobian, update, cfg)
     q = Configuration(q.base_pos, project_to_so3(q.base_rot.m), q.s)
     return IkResult(q=q, iterations=iterations, pose_error=err,
                     converged=err <= cfg.stop_tol)
@@ -168,17 +160,11 @@ def decompose_pairwise(model: KinematicModel) -> list[Subsystem]:
     for frame in model.orientation_target_frames:
         if frame == model.base_link:
             continue
-        path = []
-        l = model.link_index(frame)
-        while True:
-            path.append(l)
-            p = int(model._parent[l])
-            if p < 0:
-                raise DecompositionError(f"no ancestor target above {frame!r}")
-            if link_names[p] in targets:
-                root = link_names[p]
-                break
-            l = p
+        # climb to the nearest target above; the base is one, so the climb ends
+        path = [model.link_index(frame)]
+        while link_names[model._parent[path[-1]]] not in targets:
+            path.append(int(model._parent[path[-1]]))
+        root = link_names[model._parent[path[-1]]]
         path.reverse()
         joint_indices = tuple(int(model._joint_of[l]) for l in path)
         assigned.update(joint_indices)
@@ -203,39 +189,27 @@ def _relative_rotation(origin_r, axis, angles):
 
 
 def _solve_subsystem(model, sub, target_rel, s_init, cfg):
-    """Gauss-Newton on the relative rotation error of one subsystem."""
+    """Gauss-Newton on the relative rotation error of one subsystem, over its
+    own joints; returns their angles and a report."""
     idx = np.array(sub.joint_indices)
     links = np.array(sub.path_links)
     origin_r, axis = model._origin_r[links], model._axis[links]
-    s = s_init.copy()
-    lam = cfg.lm_lambda0
+    lo, hi = model._pos_lo[idx], model._pos_hi[idx]
 
-    def error(s_vec):
-        rel, axes = _relative_rotation(origin_r, axis, s_vec[idx])
-        return orientation_residual(rel, target_rel), rel, axes
+    def evaluate(s):
+        rel, axes = _relative_rotation(origin_r, axis, s)
+        return orientation_residual(rel, target_rel), (rel, axes)
 
-    r, rel, axes = error(s)
-    err = float(np.linalg.norm(r))
-    iterations = 0
-    while err > cfg.stop_tol and iterations < cfg.max_iters:
-        iterations += 1
-        jr = -(rel.T @ axes.T)  # 3 x n_sub
-        h = jr.T @ jr + lam * np.eye(len(idx))
-        delta = np.linalg.solve(h, -jr.T @ r)
-        cand = s.copy()
-        cand[idx] = s[idx] + delta
-        cand = np.clip(cand, model._pos_lo, model._pos_hi)
-        new_r, new_rel, new_axes = error(cand)
-        new_err = float(np.linalg.norm(new_r))
-        if new_err < err:
-            s, r, rel, axes, err = cand, new_r, new_rel, new_axes, new_err
-            lam = max(lam / 3.0, 1e-12)
-        else:
-            lam *= 10.0
-            if lam > 1e10:
-                break
-    return s[idx], SubsystemReport(tip_frame=sub.tip_frame, iterations=iterations,
-                                   residual_norm=err, converged=err <= cfg.stop_tol)
+    def jacobian(s, state):
+        rel, axes = state
+        return -(rel.T @ axes.T)  # 3 x n_sub
+
+    def update(s, delta):
+        return np.clip(s + delta, lo, hi)
+
+    s, err, iterations = _damped_gauss_newton(s_init[idx], evaluate, jacobian, update, cfg)
+    return s, SubsystemReport(tip_frame=sub.tip_frame, iterations=iterations,
+                              residual_norm=err, converged=err <= cfg.stop_tol)
 
 
 def solve_pairwise(model: KinematicModel, sample: TargetSample, q_init: Configuration,

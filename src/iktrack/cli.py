@@ -44,11 +44,16 @@ def _cmd_solve(args):
     samples = load_stream(args.stream)
     if not samples:
         raise ParseError(f"{args.stream}: empty stream")
-    samples[0].check_model(model)
-    if len(samples) > 1:
-        spacing = samples[1].t - samples[0].t
-        if abs(spacing - args.dt) > 1e-9:
-            raise SchemaMismatch(f"stream spacing {spacing} differs from --dt {args.dt}")
+    for i, sample in enumerate(samples):
+        try:
+            sample.check_model(model)
+        except SchemaMismatch as e:
+            raise SchemaMismatch(f"sample {i}: {e}") from None
+    spacing = np.diff([sample.t for sample in samples])
+    bad = np.flatnonzero(np.abs(spacing - args.dt) > 1e-9)
+    if bad.size:
+        raise SchemaMismatch(f"samples {bad[0]} and {bad[0] + 1} are spaced "
+                             f"{spacing[bad[0]]!r}, not --dt {args.dt}")
     config = dict(DEFAULT_CONFIG)
     config.update({"gain": args.gain, "limit_slope": args.gain_limit,
                    "rho": args.rho, "dt": args.dt})

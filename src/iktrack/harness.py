@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import rotations_about_axes
-from .baselines import InstantaneousConfig, solve_pairwise, solve_whole_body
+from ._kernels import rotation_vectors, rotations_about_axes
+from .baselines import (InstantaneousConfig, decompose_pairwise, solve_pairwise,
+                        solve_whole_body)
 from .errors import IkTrackError, ParseError, SchemaMismatch, SpecInfeasible
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP
@@ -191,11 +192,7 @@ def generate_stream(model: KinematicModel, spec: TrajectorySpec):
                 lin_k = lin_k + rng.normal(0.0, noise, size=lin_k.shape)
                 ang_k = ang_k + rng.normal(0.0, noise, size=ang_k.shape)
                 wobble = rng.normal(0.0, noise, size=(model.n_o, 3))
-                # row norms as dot products, the way np.linalg.norm forms a
-                # vector's norm; a sum of squares can differ in the last bit
-                angles = np.sqrt((wobble[:, None] @ wobble[:, :, None])[:, 0, 0])
-                axes = wobble / np.maximum(angles, 1e-30)[:, None]
-                rotations = rotations_about_axes(axes, angles[None])[0] @ rotations
+                rotations = rotation_vectors(wobble) @ rotations
             truth.append((Configuration(base_pos[k], Rotation.drifting(base_rot[k]), s[k]),
                           Velocity(base_vel[k], base_omega[k], s_dot[k])))
             samples.append(TargetSample(t=float(t[k]), positions=positions, rotations=rotations,
@@ -219,7 +216,21 @@ def save_stream(path, samples):
             fh.write(json.dumps(record) + "\n")
 
 
+def _float_array(value):
+    """A JSON array of numbers as a float array: a string, null or all-boolean
+    array is a TypeError, an integer past the float range an OverflowError."""
+    a = np.asarray(value)
+    if a.dtype.kind == "O" and all(type(x) in (int, float) for x in a.flat):
+        a = a.astype(float)  # integers past int64
+    if a.dtype.kind not in "iuf":
+        raise TypeError(f"expected numbers, got {value!r:.40}")
+    return a.astype(float)
+
+
 def load_stream(path):
+    """Target samples of a stream file, one JSON record per line. A malformed
+    line raises ``ParseError``; a non-finite value or a rotation that is not
+    one raises ``SchemaMismatch``."""
     samples = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -227,15 +238,17 @@ def load_stream(path):
                 continue
             try:
                 record = json.loads(line)
-                rotations = np.asarray(record["R"], dtype=float).reshape(-1, 3, 3)
-                sample = TargetSample(t=float(record["t"]),
-                                      positions=record["p"],
-                                      rotations=rotations,
-                                      lin_vels=record["v"],
-                                      ang_vels=record["w"])
+                t = record["t"]
+                if type(t) not in (int, float):
+                    raise TypeError(f"t must be a number, got {t!r:.40}")
+                sample = TargetSample(t=float(t),
+                                      positions=_float_array(record["p"]),
+                                      rotations=_float_array(record["R"]).reshape(-1, 3, 3),
+                                      lin_vels=_float_array(record["v"]),
+                                      ang_vels=_float_array(record["w"]))
             except SchemaMismatch:
                 raise
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
                 raise ParseError(f"line {lineno}: {e}", line=lineno) from None
             samples.append(sample)
     return samples
@@ -278,7 +291,7 @@ def _run_instantaneous(model, samples, config, solve_fn):
     q = initial_configuration(model, samples[0])
     for sample in samples:
         t0 = time.perf_counter()
-        q = solve_fn(model, sample, q, cfg)
+        q = solve_fn(sample, q, cfg)
         nu = _velocity_stage(model, q, sample, solver)
         times.append(time.perf_counter() - t0)
         qs.append(q)
@@ -287,15 +300,15 @@ def _run_instantaneous(model, samples, config, solve_fn):
 
 
 def run_whole_body(model, samples, config):
-    def solve_fn(model, sample, q, cfg):
-        return solve_whole_body(model, sample, q, cfg).q
-
-    return _run_instantaneous(model, samples, config, solve_fn)
+    return _run_instantaneous(model, samples, config,
+                              lambda sample, q, cfg: solve_whole_body(model, sample, q, cfg).q)
 
 
 def run_pairwise(model, samples, config):
-    def solve_fn(model, sample, q, cfg):
-        return solve_pairwise(model, sample, q, cfg)[0]
+    subsystems = decompose_pairwise(model)
+
+    def solve_fn(sample, q, cfg):
+        return solve_pairwise(model, sample, q, cfg, subsystems=subsystems)[0]
 
     return _run_instantaneous(model, samples, config, solve_fn)
 

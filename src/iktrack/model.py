@@ -10,6 +10,7 @@ inertial frame.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -196,34 +197,23 @@ class KinematicModel:
         self._assemble_constraints()
 
     def _assemble_constraints(self):
-        n = self.n
-        rows, b_q, b_nu = [], [], []
-        for jidx, j in enumerate(self.joints):
-            if j.pos_limits is None and j.vel_limit is None:
-                continue
-            lo, hi = j.pos_limits if j.pos_limits is not None else (-np.inf, np.inf)
-            vel = j.vel_limit if j.vel_limit is not None else np.inf
-            up = np.zeros(n)
-            up[jidx] = 1.0
-            rows.append(up)
-            b_q.append(hi)
-            b_nu.append(vel)
-            rows.append(-up)
-            b_q.append(-lo)
-            b_nu.append(vel)
-        if self.extra_constraints is not None:
-            for i in range(self.extra_constraints.a.shape[0]):
-                rows.append(self.extra_constraints.a[i])
-                b_q.append(self.extra_constraints.b_q[i])
-                b_nu.append(self.extra_constraints.b_nu[i])
-        if rows:
-            self.constraint_matrix = np.array(rows)
-            self.config_bounds = np.array(b_q)
-            self.vel_bounds = np.array(b_nu)
-        else:
-            self.constraint_matrix = np.zeros((0, n))
-            self.config_bounds = np.zeros(0)
-            self.vel_bounds = np.zeros(0)
+        """A s <= b_q and A s_dot <= b_nu: an upper then a lower row for each
+        joint with a position or velocity limit, then the extra rows."""
+        limited = [(jidx, j.pos_limits or (-np.inf, np.inf),
+                    np.inf if j.vel_limit is None else j.vel_limit)
+                   for jidx, j in enumerate(self.joints)
+                   if j.pos_limits is not None or j.vel_limit is not None]
+        up = np.eye(self.n)[[jidx for jidx, _, _ in limited]]
+        rows = np.stack([up, -up], axis=1).reshape(2 * len(limited), self.n)
+        b_q = [b for _, (lo, hi), _ in limited for b in (hi, -lo)]
+        b_nu = [vel for _, _, vel in limited for _ in range(2)]
+        ec = self.extra_constraints
+        if ec is not None:
+            rows = np.vstack([rows, ec.a])
+            b_q, b_nu = [*b_q, *ec.b_q], [*b_nu, *ec.b_nu]
+        self.constraint_matrix = rows
+        self.config_bounds = np.array(b_q, dtype=float)
+        self.vel_bounds = np.array(b_nu, dtype=float)
 
     # -- basic queries ------------------------------------------------------
 
@@ -407,7 +397,12 @@ def _reject_unknown(obj, allowed, where):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that converts to a float: a float, or an integer (not a
+    boolean) within the float range."""
+    if isinstance(value, float):
+        return True
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _typed(value, kind, where, what):
@@ -491,6 +486,8 @@ def load_model(text: str) -> KinematicModel:
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}",
                          line=e.lineno, column=e.colno) from None
+    except (RecursionError, ValueError) as e:  # nested too deeply; too many digits
+        raise ParseError(str(e)) from None
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     _reject_unknown(doc, _TOP_KEYS, "document")

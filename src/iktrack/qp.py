@@ -98,13 +98,13 @@ def _kkt_solve(h, mat, rhs_top, rhs_bot):
 
 
 class ActiveSetSolver:
-    """Dual active-set solver; one instance per thread (instances are cheap to
-    re-create, there is no shared mutable state between calls)."""
+    """Dual active-set solver with feasibility and multiplier tolerance
+    ``tol`` and an iteration cap of 10 (d + k) for d unknowns and k rows.
+    ``damping`` is the Hessian damping its callers put into their problems."""
 
-    def __init__(self, tol: float = 1e-8, max_iter: int | None = None,
-                 damping: float = 1e-6):
-        self.tol = tol
-        self.max_iter = max_iter
+    tol = 1e-8
+
+    def __init__(self, damping: float = 1e-6):
         self.damping = damping
 
     def solve(self, prob: LeastSquaresQP, warm_start=()) -> QPSolution:
@@ -112,7 +112,7 @@ class ActiveSetSolver:
         d = J.shape[1]
         k = G.shape[0]
         tol = self.tol
-        max_iter = self.max_iter if self.max_iter is not None else 10 * (d + k)
+        max_iter = 10 * (d + k)
         h = J.T @ J
         if prob.damping > 0.0:
             h = h + prob.damping * np.eye(d)

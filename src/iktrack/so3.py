@@ -25,13 +25,13 @@ def orthonormality_error(m) -> float:
 def _require_rotations(m):
     """Raise ``NotARotation`` unless every matrix of the (k, 3, 3) stack has
     orthonormality error within ``ORTHONORMALITY_TOL`` and a positive
-    determinant."""
+    determinant. Both tests are negated, so NaN or Inf entries fail them."""
     err = orthonormality_errors(m)
     worst = int(np.argmax(err))
-    if err[worst] > ORTHONORMALITY_TOL:
+    if not err[worst] <= ORTHONORMALITY_TOL:
         raise NotARotation(
             f"orthonormality error {err[worst]:.3e} exceeds {ORTHONORMALITY_TOL:.0e}")
-    if np.any(np.linalg.det(m) <= 0.0):
+    if not np.all(np.linalg.det(m) > 0.0):
         raise NotARotation("determinant is not positive")
 
 

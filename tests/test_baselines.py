@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,59 @@ class TestPairwise:
                                 InstantaneousConfig(max_iters=50))
         viol = human48.constraint_matrix @ out.s - human48.config_bounds
         assert np.max(viol) <= 1e-9
+
+
+# sha256 prefixes of the configurations each solver chained over a 0.2 s
+# random_smooth stream (amplitude 0.3, seed 17), and the iteration counts per
+# sample, recorded with the two-loop solvers these replaced (numpy 2.4, x86-64)
+PINNED = {
+    ("human66", "whole-body"): ("f4ef82b9c89ae782", [3] + [2] * 19),
+    ("human48", "whole-body"): ("e62c9a047b71e511", [3] + [2] * 19),
+    ("human66", "pairwise"): ("04137c8edc9e00b7", [44, 23, 23, 23, 23] + [22] * 15),
+    ("human48", "pairwise"): ("d649f9e0745f4586",
+                              [40, 22, 22, 22, 21, 22, 22, 21] + [22] * 12),
+}
+
+
+def chained_solves(model, method):
+    spec = ik.TrajectorySpec(kind="random_smooth", duration=0.2, dt=0.01, amplitude=0.3,
+                             seed=17)
+    _, samples = ik.generate_stream(model, spec)
+    cfg = InstantaneousConfig()
+    q = ik.initial_configuration(model, samples[0])
+    digest = hashlib.sha256()
+    iterations = []
+    for sample in samples:
+        if method == "whole-body":
+            result = solve_whole_body(model, sample, q, cfg)
+            q, count = result.q, result.iterations
+        else:
+            q, reports = solve_pairwise(model, sample, q, cfg)
+            count = sum(r.iterations for r in reports)
+        for part in (q.base_pos, q.base_rot.m, q.s):
+            digest.update(np.ascontiguousarray(part, dtype=float).tobytes())
+        iterations.append(count)
+    return digest.hexdigest()[:16], iterations
+
+
+@pytest.mark.parametrize("name", ["human66", "human48"])
+@pytest.mark.parametrize("method", ["whole-body", "pairwise"])
+def test_chained_solves_are_pinned(name, method, request):
+    assert chained_solves(request.getfixturevalue(name), method) == PINNED[name, method]
+
+
+def test_whole_body_without_orientation_targets():
+    # position targets only: the residual and its Jacobian have no rotation rows
+    m = ik.KinematicModel(
+        links=[ik.Link("base"), ik.Link("upper"), ik.Link("tip")],
+        joints=[ik.Joint("shoulder", "base", "upper", axis=[0, 0, 1], origin_xyz=[0.1, 0, 0]),
+                ik.Joint("elbow", "upper", "tip", axis=[0, 1, 0], origin_xyz=[0.5, 0, 0])],
+        base_link="base", position_targets=["base", "tip"])
+    truth = Configuration(np.array([0.1, -0.2, 0.3]), Rotation.about_axis([0, 0, 1], 0.2),
+                          np.array([0.4, -0.3]))
+    sample = static_sample(m, truth)
+    assert m.n_o == 0 and sample.rotations.shape == (0, 3, 3)
+    result = solve_whole_body(m, sample, Configuration.zeros(m),
+                              InstantaneousConfig(stop_tol=1e-10, max_iters=100))
+    assert result.converged
+    assert np.linalg.norm(ik.pose_residual(m, result.q, sample)) <= 1e-10

@@ -142,6 +142,30 @@ def test_dt_mismatch_is_data_error(model_file, spec_file, tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 2
 
 
+def _drop_orientation_target(record):
+    record["R"].pop()
+    record["w"].pop()
+
+
+def _shift_time(record):
+    record["t"] += 0.005
+
+
+@pytest.mark.parametrize("method", ["dynamical", "whole-body", "pairwise"])
+@pytest.mark.parametrize("defect", [_drop_orientation_target, _shift_time])
+def test_defect_past_the_first_sample_is_data_error(model_file, spec_file, tmp_path, method,
+                                                    defect):
+    stream = tmp_path / "stream.jsonl"
+    main(["gen", "--model", model_file, "--spec", spec_file, "--out", str(stream)])
+    records = [json.loads(line) for line in stream.read_text().splitlines()]
+    defect(records[10])
+    stream.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--model", model_file, "--stream", str(stream),
+                 "--method", method, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_gen_determinism(model_file, spec_file, tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
@@ -195,14 +219,18 @@ def _slots(doc):
 
 
 _REPLACEMENTS = ("a", 5, 1.5, True, None, [], {}, [1.0], float("nan"), float("inf"))
+HUGE = 10 ** 400  # an integer past the float range
+DEEP = "[" * 5000 + "]" * 5000  # deeper than the recursion limit
+_DEEP_MARK = "__nested_5000_deep__"
 
 
 def _mutate(doc, rng):
-    """One random edit: delete a key or entry, change a value's type, or
-    shorten an array."""
+    """One random edit: delete a key or entry, change a value's type, shorten
+    an array, put in an oversized integer, or nest deeply (write the result
+    with ``_dumps``)."""
     doc = copy.deepcopy(doc)
     slots = list(_slots(doc))
-    op = rng.integers(3)
+    op = rng.integers(5)
     if op == 2:
         slots = [(c, k) for c, k in slots if isinstance(c[k], list) and c[k]] or slots
     container, key = slots[rng.integers(len(slots))]
@@ -210,11 +238,21 @@ def _mutate(doc, rng):
         del container[key]
     elif op == 1:
         container[key] = copy.deepcopy(_REPLACEMENTS[rng.integers(len(_REPLACEMENTS))])
+    elif op == 3:
+        container[key] = HUGE
+    elif op == 4:
+        container[key] = _DEEP_MARK
     elif isinstance(container[key], list) and container[key]:
         container[key].pop()
     else:
         del container[key]
     return doc
+
+
+def _dumps(doc):
+    """JSON text of a document; a deep-nesting mark becomes the nested array,
+    which ``json.dumps`` itself cannot write."""
+    return json.dumps(doc).replace(json.dumps(_DEEP_MARK), DEEP)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -231,7 +269,7 @@ def test_fuzzed_model_documents_are_data_errors(seed, tmp_path):
     rng = np.random.default_rng(seed)
     rejected = 0
     for _ in range(60):
-        text = json.dumps(_mutate(base, rng))
+        text = _dumps(_mutate(base, rng))
         try:
             ik.load_model(text)
         except ik.IkTrackError:
@@ -248,3 +286,87 @@ def test_bench_config_without_specs_is_data_error(model_file, tmp_path):
     config = tmp_path / "bench.json"
     config.write_text(json.dumps({"models": [{"id": "h66", "path": model_file}]}))
     assert main(["bench", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+
+
+def _solve(model, stream, tmp_path, method="dynamical"):
+    return main(["solve", "--model", str(model), "--stream", str(stream), "--method", method,
+                 "--out", str(tmp_path / "o.csv")])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fuzzed_stream_lines_are_data_errors(seed, tmp_path):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(small_model_document()))
+    model = ik.load_model(model_path.read_text())
+    spec = ik.TrajectorySpec(kind="sinusoidal", duration=0.03, dt=0.01, amplitude=0.2,
+                             seed=seed)
+    clean = tmp_path / "clean.jsonl"
+    ik.save_stream(clean, ik.generate_stream(model, spec)[1])
+    records = [json.loads(line) for line in clean.read_text().splitlines()]
+    stream = tmp_path / "stream.jsonl"
+    rng = np.random.default_rng(seed)
+    rejected = 0
+    for _ in range(60):
+        lines = [json.dumps(r) for r in records]
+        k = rng.integers(len(lines))
+        lines[k] = _dumps(_mutate(records[k], rng))
+        stream.write_text("\n".join(lines) + "\n")
+        try:
+            ik.load_stream(stream)
+        except ik.IkTrackError:
+            rejected += 1
+            assert _solve(model_path, stream, tmp_path) == 2, lines[k][:200]
+        except Exception as e:
+            pytest.fail(f"{type(e).__name__}: {e} from {lines[k][:200]}")
+        else:
+            assert _solve(model_path, stream, tmp_path) in (0, 2), lines[k][:200]
+    assert rejected >= 20
+
+
+def _case_id(value):
+    """Short test ids for the oversized integer and the nesting mark."""
+    if isinstance(value, int) and value == HUGE:
+        return "huge"
+    if value == _DEEP_MARK:
+        return "deep"
+    return None
+
+
+def _set_path(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("path", [("joints", 0, "axis", 0), ("joints", 0, "vel_limit"),
+                                  ("constraints", "b_q", 0), ("joints",)])
+@pytest.mark.parametrize("value", [HUGE, _DEEP_MARK], ids=_case_id)
+def test_oversized_number_or_deep_nesting_in_model_is_parse_or_validation_error(
+        path, value, tmp_path):
+    doc = small_model_document()
+    _set_path(doc, path, value)
+    text = _dumps(doc)
+    with pytest.raises((ik.errors.ParseError, ik.errors.ValidationError)):
+        ik.load_model(text)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(text)
+    assert _solve(model_path, tmp_path / "unread.jsonl", tmp_path) == 2
+
+
+@pytest.mark.parametrize("path, value", [
+    *[(path, value) for path in [("t",), ("p", 0, 1), ("R", 2, 4), ("w",)]
+      for value in (HUGE, _DEEP_MARK, "0.5")],
+    (("t",), True), (("w",), True), (("v", 0), [True, False, True])], ids=_case_id)
+def test_bad_stream_values_are_parse_errors(path, value, tmp_path):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(small_model_document()))
+    model = ik.load_model(model_path.read_text())
+    spec = ik.TrajectorySpec(kind="static_pose", duration=0.03, dt=0.01, amplitude=0.2)
+    stream = tmp_path / "stream.jsonl"
+    ik.save_stream(stream, ik.generate_stream(model, spec)[1])
+    records = [json.loads(line) for line in stream.read_text().splitlines()]
+    _set_path(records[1], path, value)
+    stream.write_text("".join(_dumps(r) + "\n" for r in records))
+    with pytest.raises(ik.errors.ParseError):
+        ik.load_stream(stream)
+    assert _solve(model_path, stream, tmp_path) == 2

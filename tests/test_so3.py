@@ -86,6 +86,17 @@ class TestRotationType:
         with pytest.raises(NotARotation):
             Rotation(np.diag([1.0, 1.0, -1.0]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rejects_non_finite(self, value):
+        one_entry = np.eye(3)
+        one_entry[0, 0] = value
+        for m in (np.full((3, 3), value), one_entry):
+            with pytest.raises(NotARotation):
+                Rotation(m)
+            with pytest.raises(NotARotation):
+                ik.Configuration(np.zeros(3), m, np.zeros(2))
+
     def test_drifting_skips_check(self):
         r = Rotation.drifting(1.1 * np.eye(3))
         assert r.orthonormality_error() > 0.1
