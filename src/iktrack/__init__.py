@@ -7,8 +7,8 @@ accuracy/timing comparisons.
 """
 from .baselines import (IkResult, InstantaneousConfig, Subsystem, SubsystemReport,
                         decompose_pairwise, solve_pairwise, solve_whole_body)
-from .errors import (DecompositionError, DegenerateMatrix, IkTrackError, NotARotation,
-                     NotSkewSymmetric, ParseError, QPInfeasible, RankDeficient,
+from .errors import (DecompositionError, DegenerateMatrix, IkTrackError, NonFiniteSolution,
+                     NotARotation, NotSkewSymmetric, ParseError, QPInfeasible, RankDeficient,
                      SchemaMismatch, SingularMatrix, SpecInfeasible, StaleSample,
                      UnknownFrame, ValidationError)
 from .harness import (MetricsSummary, RunRecord, SeriesStats, TrajectorySpec,
@@ -52,6 +52,6 @@ __all__ = [
     # errors
     "IkTrackError", "NotARotation", "NotSkewSymmetric", "SingularMatrix",
     "DegenerateMatrix", "UnknownFrame", "ParseError", "ValidationError",
-    "RankDeficient", "QPInfeasible", "StaleSample", "SchemaMismatch",
+    "RankDeficient", "QPInfeasible", "NonFiniteSolution", "StaleSample", "SchemaMismatch",
     "SpecInfeasible", "DecompositionError",
 ]

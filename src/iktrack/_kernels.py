@@ -196,12 +196,29 @@ def pose_residual_kernel(pos_idx, ori_idx, pos, rot, target_pos, target_rot):
 def baumgarte_step_kernel(r_prev, omega, rho, dt):
     """One explicit Euler step of R with the orthonormality-restoring term:
     Rdot = R (S(omega) + (rho/2)((R^T R)^-1 - I)).
+
+    The Gram matrix g = R^T R, its adjugate and its determinant are formed
+    on scalars; g and its adjugate are symmetric, so each off-diagonal entry
+    is formed once.
     """
-    g = r_prev[0, :, None] * r_prev[0] + r_prev[1, :, None] * r_prev[1] + r_prev[2, :, None] * r_prev[2]
-    # adjugate of g: entry (i, j) = g[j+1, i+1] g[j+2, i+2] - g[j+1, i+2] g[j+2, i+1]
-    adj = g[_NEXT[None, :], _NEXT[:, None]] * g[_PREV[None, :], _PREV[:, None]] \
-        - g[_NEXT[None, :], _PREV[:, None]] * g[_PREV[None, :], _NEXT[:, None]]
-    det = g[0, 0] * adj[0, 0] + g[0, 1] * adj[1, 0] + g[0, 2] * adj[2, 0]
-    half_rho = 0.5 * rho
-    m = skew_stack(omega[None])[0] + half_rho * (adj / det - _EYE3)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r_prev.tolist()
+    w0, w1, w2 = omega.tolist()
+    g00 = r00 * r00 + r10 * r10 + r20 * r20
+    g01 = r00 * r01 + r10 * r11 + r20 * r21
+    g02 = r00 * r02 + r10 * r12 + r20 * r22
+    g11 = r01 * r01 + r11 * r11 + r21 * r21
+    g12 = r01 * r02 + r11 * r12 + r21 * r22
+    g22 = r02 * r02 + r12 * r12 + r22 * r22
+    # adjugate entry (i, j) = g[j+1, i+1] g[j+2, i+2] - g[j+1, i+2] g[j+2, i+1]
+    a00 = g11 * g22 - g12 * g12
+    a01 = g12 * g02 - g22 * g01
+    a02 = g01 * g12 - g02 * g11
+    a11 = g22 * g00 - g02 * g02
+    a12 = g02 * g01 - g00 * g12
+    a22 = g00 * g11 - g01 * g01
+    det = g00 * a00 - g01 * (g01 * g22 - g12 * g02) + g02 * a02
+    h = 0.5 * rho
+    m = np.array([[h * (a00 / det - 1.0), h * (a01 / det) - w2, h * (a02 / det) + w1],
+                  [h * (a01 / det) + w2, h * (a11 / det - 1.0), h * (a12 / det) - w0],
+                  [h * (a02 / det) - w1, h * (a12 / det) + w0, h * (a22 / det - 1.0)]])
     return r_prev + dt * np.dot(r_prev, m)

@@ -50,6 +50,10 @@ class QPInfeasible(IkTrackError):
     """QP constraints admit no solution."""
 
 
+class NonFiniteSolution(IkTrackError):
+    """A solve overflowed to a non-finite result on finite input."""
+
+
 class StaleSample(IkTrackError):
     """Sample timestamp violates the fixed-rate contract."""
 

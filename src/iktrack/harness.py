@@ -227,6 +227,16 @@ def _float_array(value):
     return a.astype(float)
 
 
+def _reject_booleans(value):
+    """Raise TypeError if a nested JSON array holds ``true`` or ``false``,
+    which numpy would promote to 1 or 0 among numbers."""
+    if type(value) is bool:
+        raise TypeError("expected numbers, got a boolean")
+    if type(value) is list:
+        for item in value:
+            _reject_booleans(item)
+
+
 def load_stream(path):
     """Target samples of a stream file, one JSON record per line. A malformed
     line raises ``ParseError``; a non-finite value or a rotation that is not
@@ -241,6 +251,11 @@ def load_stream(path):
                 t = record["t"]
                 if type(t) not in (int, float):
                     raise TypeError(f"t must be a number, got {t!r:.40}")
+                # only a line with a "u" (true) or an "a" (false) can hold a
+                # boolean; a one-letter search is far cheaper than a word search
+                if "u" in line or "a" in line:
+                    for key in ("p", "R", "v", "w"):
+                        _reject_booleans(record[key])
                 sample = TargetSample(t=float(t),
                                       positions=_float_array(record["p"]),
                                       rotations=_float_array(record["R"]).reshape(-1, 3, 3),

@@ -214,6 +214,22 @@ class KinematicModel:
         self.constraint_matrix = rows
         self.config_bounds = np.array(b_q, dtype=float)
         self.vel_bounds = np.array(b_nu, dtype=float)
+        self._limit_rows = None   # (stand-in, G, bounds) of the last ``limit_rows`` call
+
+    def limit_rows(self, vel_bound_default: float) -> tuple[np.ndarray, np.ndarray]:
+        """The constraint rows over the stacked velocity (base linear, base
+        angular, joints), G = [0 | A], and their velocity bounds with
+        ``vel_bound_default`` standing in for unbounded ones. Built once per
+        stand-in value and returned read-only."""
+        cached = self._limit_rows
+        if cached is None or cached[0] != vel_bound_default:
+            a = self.constraint_matrix
+            G = np.zeros((a.shape[0], self.n + 6))
+            G[:, 6:] = a
+            b_nu = np.where(np.isinf(self.vel_bounds), vel_bound_default, self.vel_bounds)
+            G.flags.writeable = b_nu.flags.writeable = False
+            cached = self._limit_rows = (vel_bound_default, G, b_nu)
+        return cached[1], cached[2]
 
     # -- basic queries ------------------------------------------------------
 
@@ -248,8 +264,7 @@ class KinematicModel:
 
     def fk_arrays(self, q: "Configuration") -> tuple[np.ndarray, np.ndarray]:
         """World position and rotation of every link (kernel layout)."""
-        pos, rot = self.fk_batch(q.base_pos[None], q.base_rot.m[None],
-                                 np.asarray(q.s, dtype=float)[None])
+        pos, rot = self.fk_batch(q.base_pos[None], q.base_rot.m[None], q.s[None])
         return pos[0], rot[0]
 
     def forward_kinematics(self, q: "Configuration", frame: str) -> tuple[np.ndarray, Rotation]:
@@ -372,7 +387,6 @@ class Velocity:
 
     @classmethod
     def from_stacked(cls, nu) -> "Velocity":
-        nu = np.asarray(nu, dtype=float)
         return cls(nu[0:3], nu[3:6], nu[6:])
 
     @classmethod

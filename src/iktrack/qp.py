@@ -110,13 +110,30 @@ class ActiveSetSolver:
     def solve(self, prob: LeastSquaresQP, warm_start=()) -> QPSolution:
         J, target, G, g = prob.J, prob.target, prob.G, prob.g
         d = J.shape[1]
+        h = J.T @ J
+        if prob.damping > 0.0:
+            h.flat[::d + 1] += prob.damping
+        c = J.T @ target
+        if G.shape[0] == 0:
+            # no rows: the damped normal-equation solution is the optimum, and
+            # a warm start has nothing to keep
+            x = np.linalg.solve(h, c)
+            active, iterations, status = (), 1, QPStatus.SOLVED
+        else:
+            x, active, iterations, status = self._active_set(h, c, G, g, warm_start)
+        resid = J @ x - target
+        objective = 0.5 * float(resid @ resid) + 0.5 * prob.damping * float(x @ x)
+        return QPSolution(x=x, objective=objective, active_set=active,
+                          iterations=iterations, status=status)
+
+    def _active_set(self, h, c, G, g, warm_start):
+        """Dual active-set iterations for k >= 1 rows from the unconstrained
+        minimum h^-1 c; returns x, the active rows, the iteration count and
+        the status."""
+        d = h.shape[0]
         k = G.shape[0]
         tol = self.tol
         max_iter = 10 * (d + k)
-        h = J.T @ J
-        if prob.damping > 0.0:
-            h = h + prob.damping * np.eye(d)
-        c = J.T @ target
         work: list[int] = []
         mu: list[float] = []
         # warm start: keep the previous active set where its multipliers stay
@@ -139,9 +156,6 @@ class ActiveSetSolver:
         status = QPStatus.MAX_ITERATIONS
         while iterations < max_iter:
             iterations += 1
-            if k == 0:
-                status = QPStatus.SOLVED
-                break
             viol = G @ x - g
             p = int(np.argmax(viol))
             if viol[p] <= tol:
@@ -181,11 +195,7 @@ class ActiveSetSolver:
             if infeasible:
                 status = QPStatus.INFEASIBLE
                 break
-        primal_viol = float(np.max(G @ x - g)) if k else 0.0
-        if status is QPStatus.SOLVED and primal_viol > tol:
+        if status is QPStatus.SOLVED and float(np.max(G @ x - g)) > tol:
             status = QPStatus.MAX_ITERATIONS
         active = tuple(np.flatnonzero(g - G @ x <= 10.0 * tol).tolist())
-        resid = J @ x - target
-        objective = 0.5 * float(resid @ resid) + 0.5 * prob.damping * float(x @ x)
-        return QPSolution(x=x, objective=objective, active_set=active,
-                          iterations=iterations, status=status)
+        return x, active, iterations, status

@@ -136,6 +136,13 @@ def relative_angle(a, b) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
+def _singular(r) -> bool:
+    """|det r| <= 1e-12 for a 3x3 matrix, by cofactor expansion along the
+    first row (False for NaN entries, as for ``np.linalg.det``)."""
+    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+    return abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) <= 1e-12
+
+
 def baumgarte_step(r_prev, omega, cfg: BaumgarteConfig) -> np.ndarray:
     """Integrate angular velocity over one step, returning a drifting matrix.
 
@@ -144,9 +151,9 @@ def baumgarte_step(r_prev, omega, cfg: BaumgarteConfig) -> np.ndarray:
     """
     r = _mat(r_prev)
     omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega)):
+    if not np.isfinite(omega).all():
         raise ValueError("omega must be finite")
-    if abs(np.linalg.det(r)) <= 1e-12:
+    if _singular(r):
         raise SingularMatrix("r_prev^T r_prev is not invertible")
     return baumgarte_step_kernel(r, omega, cfg.rho, cfg.dt)
 
@@ -159,9 +166,9 @@ def baumgarte_integrate(r0, omegas, cfg: BaumgarteConfig) -> tuple[np.ndarray, f
     """
     r = _mat(r0).copy()
     omegas = np.ascontiguousarray(omegas, dtype=float)
-    if not np.all(np.isfinite(omegas)):
+    if not np.isfinite(omegas).all():
         raise ValueError("omega must be finite")
-    if abs(np.linalg.det(r)) <= 1e-12:
+    if _singular(r):
         raise SingularMatrix("r0^T r0 is not invertible")
     max_err = 0.0
     for omega in omegas:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import orthonormality_errors
-from .errors import QPInfeasible, SchemaMismatch, StaleSample
+from .errors import IkTrackError, NonFiniteSolution, QPInfeasible, SchemaMismatch, StaleSample
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
 from .so3 import BaumgarteConfig, Rotation, baumgarte_step
@@ -119,7 +119,9 @@ class SolverState:
 
 @dataclass(eq=False)
 class StepReport:
-    """Pre-update diagnostics for one step; feeds the tracking metrics."""
+    """Pre-update diagnostics for one step: the pose residual r, the velocity
+    residual u = v - J nu, the QP's status, the step's wall time and which
+    limit rows ended active."""
 
     residual_r: np.ndarray
     residual_u: np.ndarray
@@ -146,9 +148,12 @@ def pose_residual(model: KinematicModel, q: Configuration, sample: TargetSample)
 
 
 def corrected_velocity(sample: TargetSample, residual: np.ndarray,
-                       gains: GainConfig) -> np.ndarray:
-    """Velocity targets with elementwise residual feedback added."""
-    return sample.velocity_stack() + gains.gain * residual
+                       gains: GainConfig, velocity: np.ndarray | None = None) -> np.ndarray:
+    """Velocity targets with elementwise residual feedback added; ``velocity``
+    is ``sample.velocity_stack()`` when the caller already holds it."""
+    if velocity is None:
+        velocity = sample.velocity_stack()
+    return velocity + gains.gain * residual
 
 
 def build_limit_constraints(model: KinematicModel, q: Configuration,
@@ -156,16 +161,13 @@ def build_limit_constraints(model: KinematicModel, q: Configuration,
     """Velocity-space constraints G nu <= g realizing the configuration
     limits: the admissible joint velocity shrinks through a tanh profile as a
     row approaches its configuration bound, reaching zero at the bound and
-    turning negative past it.
+    turning negative past it. G depends on the model alone and is returned
+    read-only.
     """
-    a = model.constraint_matrix
-    m, n = a.shape
-    G = np.zeros((m, n + 6))
-    if m == 0:
+    G, b_nu = model.limit_rows(gains.vel_bound_default)
+    if G.shape[0] == 0:
         return G, np.zeros(0)
-    G[:, 6:] = a
-    b_nu = np.where(np.isinf(model.vel_bounds), gains.vel_bound_default, model.vel_bounds)
-    margin = model.config_bounds - a @ q.s
+    margin = model.config_bounds - model.constraint_matrix @ q.s
     g = np.tanh(gains.limit_slope * margin) * b_nu
     return G, g
 
@@ -185,14 +187,18 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     fk = model.fk_arrays(state.q)
     residual = model.pose_residual_arrays(fk, sample.positions, sample.rotations)
     jac = model.stacked_jacobian(state.q, fk=fk)
-    v_star = corrected_velocity(sample, residual, gains)
+    velocity = sample.velocity_stack()
+    v_star = corrected_velocity(sample, residual, gains, velocity)
     G, g = build_limit_constraints(model, state.q, gains)
     problem = LeastSquaresQP(jac, v_star, G, g, damping=solver.damping)
     solution = solver.solve(problem, warm_start=state.last_active_set)
     if solution.status is QPStatus.INFEASIBLE:
         raise QPInfeasible(f"step {state.step_index}: constraints are inconsistent")
     nu = solution.x
-    residual_u = sample.velocity_stack() - jac @ nu
+    if not np.isfinite(nu).all():
+        raise NonFiniteSolution(f"step {state.step_index}: the QP returned a non-finite "
+                                "velocity; the targets overflow float arithmetic")
+    residual_u = velocity - jac @ nu
     new_q = Configuration(
         base_pos=state.q.base_pos + dt * nu[0:3],
         # nu carries the base angular velocity in the inertial frame; the
@@ -232,19 +238,19 @@ def track(model: KinematicModel, stream, gains: GainConfig,
           q0: Configuration | None = None) -> TrackResult:
     """Fold ``step`` over a fixed-rate sample stream.
 
-    Every sample is consumed exactly once; the first failure aborts and the
-    partial results are returned with the error recorded.
+    Every sample is consumed exactly once; the first ``IkTrackError`` aborts
+    and the partial results are returned with the error recorded.
     """
     result = TrackResult([], [], [])
     solver = solver if solver is not None else ActiveSetSolver()
     state = None
     for sample in stream:
-        if state is None:
-            start = q0 if q0 is not None else initial_configuration(model, sample)
-            state = SolverState.initial(model, start)
         try:
+            if state is None:
+                start = q0 if q0 is not None else initial_configuration(model, sample)
+                state = SolverState.initial(model, start)
             state, report = step(state, sample, model, gains, baumgarte, solver)
-        except (QPInfeasible, StaleSample, SchemaMismatch) as e:
+        except IkTrackError as e:
             result.error = str(e)
             break
         result.configurations.append(state.q)

@@ -356,7 +356,10 @@ def test_oversized_number_or_deep_nesting_in_model_is_parse_or_validation_error(
 @pytest.mark.parametrize("path, value", [
     *[(path, value) for path in [("t",), ("p", 0, 1), ("R", 2, 4), ("w",)]
       for value in (HUGE, _DEEP_MARK, "0.5")],
-    (("t",), True), (("w",), True), (("v", 0), [True, False, True])], ids=_case_id)
+    (("t",), True), (("w",), True), (("v", 0), [True, False, True]),
+    # a boolean among numbers, which numpy reads as 1 or 0
+    (("p", 0, 1), True), (("R", 2, 4), False), (("v", 0, 2), True), (("w", 1, 0), False)],
+    ids=_case_id)
 def test_bad_stream_values_are_parse_errors(path, value, tmp_path):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(small_model_document()))
@@ -370,3 +373,16 @@ def test_bad_stream_values_are_parse_errors(path, value, tmp_path):
     with pytest.raises(ik.errors.ParseError):
         ik.load_stream(stream)
     assert _solve(model_path, stream, tmp_path) == 2
+
+
+def test_huge_finite_target_aborts_as_solver_failure(model_file, spec_file, tmp_path, capsys):
+    # a finite angular-velocity target the QP cannot solve in float range
+    stream = tmp_path / "stream.jsonl"
+    assert main(["gen", "--model", model_file, "--spec", spec_file, "--out", str(stream)]) == 0
+    records = [json.loads(line) for line in stream.read_text().splitlines()]
+    records[5]["w"][0][0] = 1e200
+    stream.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with np.errstate(all="ignore"):
+        code = _solve(model_file, stream, tmp_path)
+    assert code == 3
+    assert "aborted: " in capsys.readouterr().err

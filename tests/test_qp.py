@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -182,3 +183,60 @@ class TestProperties:
             assert np.array_equal(a.x, b.x)
             assert a.active_set == b.active_set
             assert a.iterations == b.iterations
+
+
+def normal_equation_solution(J, target, damping):
+    """The damped normal-equation solution and its objective, formed as the
+    active-set loop formed them for a problem without rows."""
+    d = J.shape[1]
+    h = J.T @ J
+    if damping > 0.0:
+        h = h + damping * np.eye(d)
+    x = np.linalg.solve(h, J.T @ target)
+    resid = J @ x - target
+    return x, 0.5 * float(resid @ resid) + 0.5 * damping * float(x @ x)
+
+
+def rowless_problems(rng, count):
+    for _ in range(count):
+        d = int(rng.integers(1, 12))
+        J = rng.normal(size=(d + int(rng.integers(0, 5)), d))
+        target = rng.normal(size=J.shape[0])
+        for damping in (0.0, 1e-6, 0.3):
+            if rng.random() < 0.5:
+                yield LeastSquaresQP(J, target, damping=damping)
+            else:
+                yield LeastSquaresQP(J, target, np.zeros((0, d)), np.zeros(0), damping=damping)
+
+
+# sha256 prefix of x, objective, active set, iterations and status over the
+# rowless problems of seed 5, each solved cold and with three stale warm
+# starts, recorded with the active-set loop that handled k == 0 before the
+# direct path (numpy 2.4, x86-64)
+PINNED_ROWLESS = "8ad9883428760729"
+STALE_WARM_STARTS = ((), (0,), (3, 1, 7), (-1,))
+
+
+class TestRowlessFastPath:
+    def test_matches_normal_equations(self):
+        solver = ActiveSetSolver()
+        for prob in rowless_problems(np.random.default_rng(18), 60):
+            x, objective = normal_equation_solution(prob.J, prob.target, prob.damping)
+            for warm in STALE_WARM_STARTS:
+                sol = solver.solve(prob, warm_start=warm)
+                assert np.array_equal(sol.x, x)
+                assert sol.objective == objective
+                assert sol.active_set == ()
+                assert sol.iterations == 1
+                assert sol.status is QPStatus.SOLVED
+
+    def test_outputs_are_pinned(self):
+        solver = ActiveSetSolver()
+        digest = hashlib.sha256()
+        for prob in rowless_problems(np.random.default_rng(5), 100):
+            for warm in STALE_WARM_STARTS:
+                sol = solver.solve(prob, warm_start=warm)
+                digest.update(sol.x.tobytes())
+                digest.update(repr((sol.objective, sol.active_set, sol.iterations,
+                                    sol.status.value)).encode())
+        assert digest.hexdigest()[:16] == PINNED_ROWLESS

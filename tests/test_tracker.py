@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import iktrack as ik
 from iktrack import (ActiveSetSolver, BaumgarteConfig, Configuration, GainConfig,
-                     Rotation, SolverState, TargetSample)
+                     Rotation, SolverState, TargetSample, tracker)
 from iktrack.errors import QPInfeasible, SchemaMismatch, StaleSample
 from iktrack.tracker import (build_limit_constraints, corrected_velocity,
                              initial_configuration, pose_residual, step, track)
@@ -140,6 +142,17 @@ class TestLimitConstraints:
         # its configuration bound
         assert abs(g[-1] - 123.0 * np.tanh(10.0 * 0.9)) <= 1e-9
 
+    def test_rows_built_once_per_model_and_read_only(self, human48):
+        q = Configuration.zeros(human48)
+        G, g = build_limit_constraints(human48, q, GainConfig.build(human48, dt=DT))
+        G2, _ = build_limit_constraints(human48, q, GainConfig.build(human48, dt=DT))
+        assert G2 is G and not G.flags.writeable
+        # another stand-in bound rebuilds the rows; going back gives the first bounds
+        other = GainConfig.build(human48, dt=DT, vel_bound_default=5.0)
+        _, g_other = build_limit_constraints(human48, q, other)
+        _, g_again = build_limit_constraints(human48, q, GainConfig.build(human48, dt=DT))
+        assert not np.array_equal(g_other, g) and np.array_equal(g_again, g)
+
     def test_empty_for_unconstrained_model(self, human66):
         gains = GainConfig.build(human66, dt=DT)
         G, g = build_limit_constraints(human66, Configuration.zeros(human66), gains)
@@ -270,6 +283,41 @@ class TestTrack:
         assert len(result) == 5
         assert "t=99" in result.error
 
+    def test_huge_finite_velocity_target_is_recorded(self, human66):
+        # a finite target past what the QP can solve in float range
+        spec = ik.TrajectorySpec(kind="sinusoidal", duration=0.3, dt=DT, amplitude=0.2, seed=3)
+        _, samples = ik.generate_stream(human66, spec)
+        samples[5] = with_fields(samples[5], ang_vels=np.full((human66.n_o, 3), 1e200))
+        gains, baumgarte, _ = default_setup(human66)
+        with np.errstate(all="ignore"):
+            result = track(human66, samples, gains, baumgarte)
+        assert not result.completed
+        assert 5 <= len(result) < len(samples)
+        assert "non-finite velocity" in result.error
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", ["human66", "human48"])
+    def test_fuzzed_streams_only_record_typed_errors(self, name, seed, human66, request):
+        """One defect per stream: a wrong target count, a timestamp off the
+        rate or a huge finite value. ``track`` records an ``IkTrackError`` and
+        lets nothing else out; a count or spacing defect aborts where it sits."""
+        model = request.getfixturevalue(name)
+        spec = ik.TrajectorySpec(kind="random_smooth", duration=0.3, dt=DT, amplitude=1.0,
+                                 freq_band=(0.3, 1.0), seed=seed)
+        _, clean = ik.generate_stream(human66, spec)
+        gains, baumgarte, _ = default_setup(model)
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            samples, k, kind = defective_stream(clean, rng)
+            with np.errstate(all="ignore"):
+                result = track(model, samples, gains, baumgarte)
+            if kind == "count":
+                assert len(result) == k and "targets" in result.error
+            elif kind == "spacing":
+                assert len(result) == max(k, 1) and "dt=" in result.error
+            else:
+                assert len(result) >= k
+
     def test_continuity_under_velocity_bounds(self, human48):
         # per-step joint motion is capped by dt times the velocity bound
         spec = ik.TrajectorySpec(kind="random_smooth", duration=2.0, dt=DT,
@@ -295,6 +343,61 @@ class TestTrack:
         assert np.array_equal(q0.s, np.zeros(human66.n))
 
 
+def with_fields(sample, **fields):
+    """A copy of ``sample`` with some fields replaced."""
+    base = dict(t=sample.t, positions=sample.positions, rotations=sample.rotations,
+                lin_vels=sample.lin_vels, ang_vels=sample.ang_vels)
+    base.update(fields)
+    return TargetSample(**base)
+
+
+def defective_stream(samples, rng):
+    """A copy of ``samples`` with one random defect at sample k; returns the
+    stream, k and the kind of defect."""
+    samples = list(samples)
+    k = int(rng.integers(len(samples)))
+    x = samples[k]
+    kind = ["count", "spacing", "huge"][int(rng.integers(3))]
+    if kind == "count" and rng.random() < 0.5:
+        fields = dict(positions=x.positions[:-1], lin_vels=x.lin_vels[:-1])
+    elif kind == "count":
+        fields = dict(rotations=np.concatenate([x.rotations, np.eye(3)[None]]),
+                      ang_vels=np.concatenate([x.ang_vels, np.zeros((1, 3))]))
+    elif kind == "spacing":
+        fields = dict(t=x.t + rng.choice([-1.0, 1.0]) * rng.uniform(1e-6, 2.0 * DT))
+    else:
+        field = str(rng.choice(["positions", "lin_vels", "ang_vels"]))
+        value = getattr(x, field).copy()
+        huge = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(20, 307)
+        value.flat[rng.integers(value.size)] = huge
+        fields = {field: value}
+    samples[k] = with_fields(x, **fields)
+    return samples, k, kind
+
+
+# sha256 prefixes of the configurations and velocities ``track`` returned over
+# a 0.5 s random_smooth stream of the 66-DoF chain (amplitude 1.0, seed 23),
+# recorded before the row-free QP path and the scalar Baumgarte kernel (numpy
+# 2.4, x86-64); the 48-DoF chain has limit rows active on 38 of the 50 steps
+PINNED_TRACK = {"human66": "664750e30a7d5aa2", "human48": "0a58e4d76874163c"}
+
+
+@pytest.mark.parametrize("name", ["human66", "human48"])
+def test_tracked_outputs_are_pinned(name, human66, request):
+    model = request.getfixturevalue(name)
+    spec = ik.TrajectorySpec(kind="random_smooth", duration=0.5, dt=DT, amplitude=1.0,
+                             freq_band=(0.3, 1.0), seed=23)
+    _, samples = ik.generate_stream(human66, spec)
+    gains, baumgarte, _ = default_setup(model)
+    result = track(model, samples, gains, baumgarte)
+    assert result.completed and len(result) == 50
+    digest = hashlib.sha256()
+    for q, nu in zip(result.configurations, result.velocities):
+        for part in (q.base_pos, q.base_rot.m, q.s, nu.stacked()):
+            digest.update(np.ascontiguousarray(part, dtype=float).tobytes())
+    assert digest.hexdigest()[:16] == PINNED_TRACK[name]
+
+
 class TestConstantCost:
     def test_one_jacobian_and_one_qp_per_step(self, human66, monkeypatch):
         calls = {"jac": 0, "qp": 0}
@@ -318,6 +421,38 @@ class TestConstantCost:
             state, _ = step(state, static_sample(human66, q, t=k * DT), human66,
                             gains, baumgarte, solver)
         assert calls == {"jac": 5, "qp": 5}
+
+    @pytest.mark.parametrize("name", ["human66", "human48"])
+    def test_one_call_per_stage_per_step(self, name, human66, request, monkeypatch):
+        """Each stage runs once per step, through the name a per-stage tracer
+        patches: three model methods, two tracker globals and the solver."""
+        model = request.getfixturevalue(name)
+        calls = {}
+
+        def counting(owner, attr):
+            original = getattr(owner, attr)
+            calls[attr] = 0
+
+            def counted(*args, **kwargs):
+                calls[attr] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        for attr in ("fk_arrays", "pose_residual_arrays", "stacked_jacobian"):
+            counting(ik.KinematicModel, attr)
+        counting(tracker, "build_limit_constraints")
+        counting(tracker, "baumgarte_step")
+        counting(ActiveSetSolver, "solve")
+        spec = ik.TrajectorySpec(kind="random_smooth", duration=0.2, dt=DT, amplitude=1.0,
+                                 freq_band=(0.3, 1.0), seed=4)
+        _, samples = ik.generate_stream(human66, spec)
+        calls.update(dict.fromkeys(calls, 0))
+        gains, baumgarte, solver = default_setup(model)
+        state = SolverState.initial(model, initial_configuration(model, samples[0]))
+        for sample in samples:
+            state, _ = step(state, sample, model, gains, baumgarte, solver)
+        assert calls == dict.fromkeys(calls, len(samples))
 
     @pytest.mark.xfail(reason="wall-clock CV is dominated by scheduler preemption "
                               "spikes on shared machines; the robust spread "

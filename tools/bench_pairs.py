@@ -1,0 +1,152 @@
+"""Run ``perfbench/run.py`` in alternating parent/change pairs and summarise.
+
+Usage (from any directory):
+
+    python3 tools/bench_pairs.py --parent <checkout> --change <checkout> \\
+        --pairs 10 --first-seed 101 --seconds 8 --trace 0 --out BENCH_10.json
+
+Each checkout is a full tree with its own ``perfbench/`` and ``src/``; the
+benchmark runs unchanged in it, one process at a time. Pair i uses seed
+``first-seed + i`` on every workload; even pairs run the parent first, odd
+pairs the change first, so both sides share the machine's slow and fast
+phases. The output file is rewritten after every run, so an interrupted
+session keeps what it measured; an existing output file is extended, so
+untraced and traced batches can share one file. For each workload (traced
+runs apart) and metric the script prints the median and quartiles of both
+sides and the number of pairs the change wins (lower or higher as
+``BENCHMARK.json`` declares the metric).
+"""
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+
+import numpy as np
+
+WORKLOADS = ("h66-run", "h48-limits", "h66-wholebody")
+
+
+def _parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="workload to run (repeatable; default all three)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--description", default="")
+    return parser.parse_args(argv)
+
+
+def _git_head(path):
+    try:
+        return subprocess.run(["git", "-C", path, "rev-parse", "--short", "HEAD"],
+                              capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def _directions(checkout):
+    """Metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
+        declared = json.load(fh)
+    return {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+
+
+def run_once(checkout, workload, seed, seconds, trace):
+    """One benchmark run; returns its JSON result (the last line of its
+    standard output)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", repr(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def summarise(runs, directions):
+    """Per workload and metric, traced runs apart: both sides' median and
+    quartiles over the pairs, and the pairs the change wins."""
+    summary = {}
+    for workload, trace in dict.fromkeys((r["workload"], r["trace"]) for r in runs):
+        by_seed = {}
+        for r in runs:
+            if (r["workload"], r["trace"]) == (workload, trace):
+                by_seed.setdefault(r["seed"], {})[r["side"]] = r["output"]
+        pairs = [(s, v) for s, v in sorted(by_seed.items()) if len(v) == 2]
+        entry = {"seeds": [s for s, _ in pairs]}
+        metrics = pairs[0][1]["parent"]["metrics"] if pairs else {}
+        for name in metrics:
+            parent = np.array([v["parent"]["metrics"][name]["value"] for _, v in pairs])
+            change = np.array([v["change"]["metrics"][name]["value"] for _, v in pairs])
+            higher = directions.get(name, "lower") == "higher"
+            wins = int(np.sum(change > parent if higher else change < parent))
+            entry[name] = {"parent_median": float(np.median(parent)),
+                           "parent_q25": float(np.percentile(parent, 25)),
+                           "parent_q75": float(np.percentile(parent, 75)),
+                           "change_median": float(np.median(change)),
+                           "change_q25": float(np.percentile(change, 25)),
+                           "change_q75": float(np.percentile(change, 75)),
+                           "change_wins": wins, "pairs": len(pairs)}
+        summary[f"{workload} traced" if trace else workload] = entry
+    return summary
+
+
+def report(summary):
+    for workload, entry in summary.items():
+        print(f"{workload}: {len(entry['seeds'])} pairs, seeds {entry['seeds']}")
+        for name, s in entry.items():
+            if name == "seeds":
+                continue
+            print(f"  {name:34s} parent {s['parent_median']:.6g} "
+                  f"[{s['parent_q25']:.6g}, {s['parent_q75']:.6g}]  "
+                  f"change {s['change_median']:.6g} "
+                  f"[{s['change_q25']:.6g}, {s['change_q75']:.6g}]  "
+                  f"wins {s['change_wins']}/{s['pairs']}")
+
+
+def main(argv=None):
+    args = _parse_args(argv)
+    workloads = args.workload or list(WORKLOADS)
+    directions = _directions(args.change)
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            doc = json.load(fh)
+    else:
+        doc = {"description": args.description,
+               "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
+                          "--seconds <seconds> --trace <trace>",
+               "parent": _git_head(args.parent), "change": _git_head(args.change),
+               "machine": f"{platform.machine()} {platform.system()}, {os.cpu_count()} CPUs, "
+                          f"Python {platform.python_version()}, numpy {np.__version__}",
+               "summary": {}, "runs": []}
+    order = len(doc["runs"])
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for workload in workloads:
+            for side in sides:
+                checkout = args.parent if side == "parent" else args.change
+                output = run_once(checkout, workload, seed, args.seconds, args.trace)
+                doc["runs"].append({"side": side, "workload": workload, "seed": seed,
+                                    "trace": args.trace, "seconds": args.seconds,
+                                    "order": order, "output": output})
+                order += 1
+                print(f"pair {i} {workload} {side}: correct={output['correct']} "
+                      f"failed={output['failed']}", file=sys.stderr)
+                doc["summary"] = summarise(doc["runs"], directions)
+                with open(args.out, "w") as fh:
+                    json.dump(doc, fh, indent=1)
+    report(doc["summary"])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
