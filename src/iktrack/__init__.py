@@ -21,7 +21,8 @@ from .qp import ActiveSetSolver, LeastSquaresQP, QPSolution, QPStatus, solve_unc
 from .so3 import (BaumgarteConfig, Rotation, baumgarte_integrate, baumgarte_step,
                   orientation_residual, orthonormality_error, project_to_so3,
                   relative_angle, skew, skew_part, vee)
-from .tracker import (GainConfig, SolverState, StepReport, TargetSample, TrackResult,
+from .tracker import (GainConfig, SolverState, StepReport, TargetSample, TargetStream,
+                      TrackResult,
                       build_limit_constraints, corrected_velocity, initial_configuration,
                       pose_residual, step, track)
 
@@ -39,7 +40,7 @@ __all__ = [
     # qp
     "LeastSquaresQP", "QPSolution", "QPStatus", "ActiveSetSolver", "solve_unconstrained",
     # tracker
-    "TargetSample", "GainConfig", "SolverState", "StepReport", "TrackResult",
+    "TargetSample", "TargetStream", "GainConfig", "SolverState", "StepReport", "TrackResult",
     "pose_residual", "corrected_velocity", "build_limit_constraints",
     "step", "track", "initial_configuration",
     # baselines

@@ -44,16 +44,8 @@ def _cmd_solve(args):
     samples = load_stream(args.stream)
     if not samples:
         raise ParseError(f"{args.stream}: empty stream")
-    for i, sample in enumerate(samples):
-        try:
-            sample.check_model(model)
-        except SchemaMismatch as e:
-            raise SchemaMismatch(f"sample {i}: {e}") from None
-    spacing = np.diff([sample.t for sample in samples])
-    bad = np.flatnonzero(np.abs(spacing - args.dt) > 1e-9)
-    if bad.size:
-        raise SchemaMismatch(f"samples {bad[0]} and {bad[0] + 1} are spaced "
-                             f"{spacing[bad[0]]!r}, not --dt {args.dt}")
+    samples.check_model(model)
+    samples.check_spacing(args.dt)
     config = dict(DEFAULT_CONFIG)
     config.update({"gain": args.gain, "limit_slope": args.gain_limit,
                    "rho": args.rho, "dt": args.dt})

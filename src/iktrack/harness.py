@@ -17,7 +17,8 @@ from .errors import IkTrackError, ParseError, SchemaMismatch, SpecInfeasible
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP
 from .so3 import BaumgarteConfig, Rotation, project_stack_to_so3
-from .tracker import GainConfig, TargetSample, initial_configuration, track
+from .tracker import (GainConfig, TargetSample, TargetStream, _check_counts,
+                      initial_configuration, track)
 
 METHODS = ("dynamical", "whole-body", "pairwise")
 
@@ -47,27 +48,26 @@ def _stacked_configurations(qs):
             np.array([q.s for q in qs]))
 
 
-def _mnte_batch(model, qs, samples) -> np.ndarray:
-    for sample in samples:
-        sample.check_model(model)
+def _mnte_batch(model, qs, target_rot) -> np.ndarray:
+    """mnte of configurations against orientation targets (B, n_o, 3, 3)."""
     if model.n_o == 0:
         return np.zeros(len(qs))
     base_pos, base_rot, s = _stacked_configurations(qs)
     fk = model.fk_batch(base_pos, project_stack_to_so3(base_rot), s)
     rotations = model.stacked_poses(fk).rotations
-    traces = np.einsum("bkij,bkij->bk", rotations, np.array([x.rotations for x in samples]))
+    traces = np.einsum("bkij,bkij->bk", rotations, target_rot)
     return np.mean(np.maximum((3.0 - traces) / 2.0, 0.0), axis=1)
 
 
-def _rmse_angvel_batch(model, qs, nus, samples) -> np.ndarray:
-    for sample in samples:
-        sample.check_model(model)
+def _rmse_angvel_batch(model, qs, nus, target_angvel) -> np.ndarray:
+    """rmse_angvel of configurations and velocities against angular-velocity
+    targets (B, n_o, 3)."""
     if model.n_o == 0:
         return np.zeros(len(qs))
     jac = model.stacked_jacobians(model.fk_batch(*_stacked_configurations(qs)))
     vel = (jac @ np.array([nu.stacked() for nu in nus])[:, :, None])[:, :, 0]
     est = vel[:, 3 * model.n_p:].reshape(len(qs), -1, 3)
-    err = np.array([x.ang_vels for x in samples]) - est
+    err = target_angvel - est
     return np.sqrt(np.mean(np.sum(err * err, axis=2) / 3.0, axis=1))
 
 
@@ -79,14 +79,16 @@ def mnte(model: KinematicModel, q: Configuration, sample: TargetSample) -> float
     drifting base the trace of the raw matrix can exceed 3. A term that reads
     below 0 by rounding counts as 0.
     """
-    return float(_mnte_batch(model, [q], [sample])[0])
+    sample.check_model(model)
+    return float(_mnte_batch(model, [q], sample.rotations[None])[0])
 
 
 def rmse_angvel(model: KinematicModel, q: Configuration, nu: Velocity,
                 sample: TargetSample) -> float:
     """Root mean squared angular-velocity error over the orientation targets,
     with the estimate read from the differential kinematics at (q, nu)."""
-    return float(_rmse_angvel_batch(model, [q], [nu], [sample])[0])
+    sample.check_model(model)
+    return float(_rmse_angvel_batch(model, [q], [nu], sample.ang_vels[None])[0])
 
 
 # -- trajectory specs and synthetic streams -----------------------------------
@@ -136,7 +138,8 @@ def _joint_waves(model, spec, rng):
 
 
 def generate_stream(model: KinematicModel, spec: TrajectorySpec):
-    """Ground-truth (Configuration, Velocity) sequence plus the target samples.
+    """Ground-truth (Configuration, Velocity) list plus the target stream, a
+    ``TargetStream``.
 
     Joint trajectories are band-limited sums of sinusoids around the limit
     midpoints; the base follows a smooth curve and a single-axis orientation
@@ -174,30 +177,30 @@ def generate_stream(model: KinematicModel, spec: TrajectorySpec):
         base_rot = rotations_about_axes(rot_axis[None], rot_amp * np.sin(rarg)[:, None])[:, 0]
         base_omega = rot_axis * (rot_amp * 2.0 * np.pi * rot_freq * np.cos(rarg))[:, None]
     nu = np.concatenate([base_vel, base_omega, s_dot], axis=1)
-    noise = spec.noise_std
-    truth = []
-    samples = []
+    positions = np.empty((steps, model.n_p, 3))
+    rotations = np.empty((steps, model.n_o, 3, 3))
+    lin = np.empty((steps, model.n_p, 3))
+    ang = np.empty((steps, model.n_o, 3))
     for lo in range(0, steps, CHUNK):
         chunk = slice(lo, min(lo + CHUNK, steps))
         fk = model.fk_batch(base_pos[chunk], base_rot[chunk], s[chunk])
-        pose = model.stacked_poses(fk)
+        positions[chunk], rotations[chunk] = model.stacked_poses(fk)
         vel = (model.stacked_jacobians(fk) @ nu[chunk, :, None])[:, :, 0]
-        lin = vel[:, :3 * model.n_p].reshape(vel.shape[0], -1, 3)
-        ang = vel[:, 3 * model.n_p:].reshape(vel.shape[0], -1, 3)
-        for i, k in enumerate(range(chunk.start, chunk.stop)):
-            positions, rotations = pose.positions[i], pose.rotations[i]
-            lin_k, ang_k = lin[i], ang[i]
-            if noise > 0.0:
-                positions = positions + rng.normal(0.0, noise, size=positions.shape)
-                lin_k = lin_k + rng.normal(0.0, noise, size=lin_k.shape)
-                ang_k = ang_k + rng.normal(0.0, noise, size=ang_k.shape)
-                wobble = rng.normal(0.0, noise, size=(model.n_o, 3))
-                rotations = rotation_vectors(wobble) @ rotations
-            truth.append((Configuration(base_pos[k], Rotation.drifting(base_rot[k]), s[k]),
-                          Velocity(base_vel[k], base_omega[k], s_dot[k])))
-            samples.append(TargetSample(t=float(t[k]), positions=positions, rotations=rotations,
-                                        lin_vels=lin_k, ang_vels=ang_k))
-    return truth, samples
+        lin[chunk] = vel[:, :3 * model.n_p].reshape(lin[chunk].shape)
+        ang[chunk] = vel[:, 3 * model.n_p:].reshape(ang[chunk].shape)
+    if spec.noise_std > 0.0:
+        # drawn at once in the order of a draw per sample: the position,
+        # linear- and angular-velocity noise, then the rotation wobble
+        sizes = [3 * model.n_p, 3 * model.n_p, 3 * model.n_o, 3 * model.n_o]
+        draws = rng.normal(0.0, spec.noise_std, size=(steps, sum(sizes)))
+        dp, dv, dw, wobble = np.split(draws, np.cumsum(sizes[:-1]), axis=1)
+        positions = positions + dp.reshape(positions.shape)
+        lin = lin + dv.reshape(lin.shape)
+        ang = ang + dw.reshape(ang.shape)
+        rotations = rotation_vectors(wobble.reshape(-1, 3)).reshape(rotations.shape) @ rotations
+    truth = [(Configuration(base_pos[k], Rotation.drifting(base_rot[k]), s[k]),
+              Velocity(base_vel[k], base_omega[k], s_dot[k])) for k in range(steps)]
+    return truth, TargetStream(t, positions, rotations, lin, ang)
 
 
 # -- stream files --------------------------------------------------------------
@@ -224,7 +227,7 @@ def _float_array(value):
         a = a.astype(float)  # integers past int64
     if a.dtype.kind not in "iuf":
         raise TypeError(f"expected numbers, got {value!r:.40}")
-    return a.astype(float)
+    return a if a.dtype == np.float64 else a.astype(float)
 
 
 def _reject_booleans(value):
@@ -237,11 +240,14 @@ def _reject_booleans(value):
             _reject_booleans(item)
 
 
-def load_stream(path):
-    """Target samples of a stream file, one JSON record per line. A malformed
-    line raises ``ParseError``; a non-finite value or a rotation that is not
-    one raises ``SchemaMismatch``."""
-    samples = []
+def load_stream(path) -> TargetStream:
+    """The ``TargetStream`` of a stream file, one JSON record per line. A
+    malformed line raises ``ParseError``; target counts that differ between
+    lines, a non-finite value or a rotation that is not one raise
+    ``SchemaMismatch``. Lines are parsed one by one and the values checked
+    once, for the whole stream."""
+    columns = ([], [], [], [], [])
+    first = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -256,17 +262,24 @@ def load_stream(path):
                 if "u" in line or "a" in line:
                     for key in ("p", "R", "v", "w"):
                         _reject_booleans(record[key])
-                sample = TargetSample(t=float(t),
-                                      positions=_float_array(record["p"]),
-                                      rotations=_float_array(record["R"]).reshape(-1, 3, 3),
-                                      lin_vels=_float_array(record["v"]),
-                                      ang_vels=_float_array(record["w"]))
-            except SchemaMismatch:
-                raise
+                t = float(t)
+                p = _float_array(record["p"])
+                rot = _float_array(record["R"]).reshape(-1, 3, 3)
+                v, w = _float_array(record["v"]), _float_array(record["w"])
+                row = (t, p.reshape(-1, 3), rot, v.reshape(-1, 3), w.reshape(-1, 3))
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
                 raise ParseError(f"line {lineno}: {e}", line=lineno) from None
-            samples.append(sample)
-    return samples
+            _check_counts(*row[1:])
+            counts = (len(row[1]), len(row[2]))
+            if first is None:
+                first = (lineno, counts)
+            elif counts != first[1]:
+                raise SchemaMismatch(
+                    f"line {lineno}: {counts[0]} position / {counts[1]} orientation "
+                    f"targets, line {first[0]} has {first[1][0]} / {first[1][1]}")
+            for column, value in zip(columns, row):
+                column.append(value)
+    return TargetStream(*columns)
 
 
 # -- per-method runners ----------------------------------------------------------
@@ -411,16 +424,19 @@ class RunRecord:
 def summarize_run(model, samples, qs, nus, times, transient_discard=2.0) -> MetricsSummary:
     """Per-step metrics of a run: ``qs[i]`` and ``nus[i]`` are scored against
     ``samples[i]``, in chunks of ``CHUNK`` steps."""
+    stream = TargetStream.of(samples)
     count = len(qs)
+    if count:
+        stream.check_model(model)
     mnte_series = np.zeros(count)
     rmse_series = np.zeros(count)
     for lo in range(0, count, CHUNK):
         chunk = slice(lo, min(lo + CHUNK, count))
-        mnte_series[chunk] = _mnte_batch(model, qs[chunk], samples[chunk])
-        rmse_series[chunk] = _rmse_angvel_batch(model, qs[chunk], nus[chunk], samples[chunk])
-    ts = np.array([samples[i].t for i in range(count)])
-    return MetricsSummary(ts, mnte_series, rmse_series, np.asarray(times, dtype=float),
-                          transient_discard=transient_discard)
+        mnte_series[chunk] = _mnte_batch(model, qs[chunk], stream.rotations[chunk])
+        rmse_series[chunk] = _rmse_angvel_batch(model, qs[chunk], nus[chunk],
+                                                stream.ang_vels[chunk])
+    return MetricsSummary(stream.t[:count], mnte_series, rmse_series,
+                          np.asarray(times, dtype=float), transient_discard=transient_discard)
 
 
 def _bench_cell(method, model_id, model, trajectory_id, samples, config, transient_discard):

@@ -8,6 +8,7 @@ instead of iterating to convergence per sample.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,52 @@ RATE_TOL = 1e-9
 ACTIVE_TOL = 1e-6
 
 
+_FIELDS = ("t", "positions", "rotations", "lin_vels", "ang_vels")
+
+
+def _check_counts(positions, rotations, lin_vels, ang_vels):
+    if lin_vels.shape != positions.shape:
+        raise SchemaMismatch("lin_vels count differs from positions")
+    if ang_vels.shape[:-1] != rotations.shape[:-2]:
+        raise SchemaMismatch("ang_vels count differs from rotations")
+
+
+def _check_values(t, positions, rotations, lin_vels, ang_vels):
+    """Raise ``SchemaMismatch`` for the first sample, along the leading time
+    axis, that holds a non-finite value or a rotation target that is not a
+    rotation; the message names the field or the target, not the sample."""
+    count = t.shape[0]
+    if count == 0:
+        return
+    finite = [np.isfinite(a).reshape(count, -1).all(axis=1)
+              for a in (t, positions, rotations, lin_vels, ang_vels)]
+    r = rotations.reshape(-1, 3, 3)
+    with np.errstate(invalid="ignore"):  # a non-finite rotation is reported as such
+        is_rotation = (orthonormality_errors(r) <= 1e-8) & (np.linalg.det(r) > 0.0)
+    is_rotation = is_rotation.reshape(count, -1)
+    good = np.logical_and.reduce(finite) & is_rotation.all(axis=1)
+    if good.all():
+        return
+    k = int(np.argmin(good))
+    for name, ok in zip(_FIELDS, finite):
+        if not ok[k]:
+            raise SchemaMismatch(f"{name} holds a non-finite value")
+    raise SchemaMismatch(f"rotation target {int(np.argmin(is_rotation[k]))} is not a rotation")
+
+
+def _count_message(n_p, n_o, model):
+    return (f"sample has {n_p} position / {n_o} orientation targets, model declares "
+            f"{model.n_p} / {model.n_o}")
+
+
 @dataclass(eq=False)
 class TargetSample:
-    """Timestamped pose and velocity targets for all declared frames."""
+    """Timestamped pose and velocity targets for all declared frames.
+
+    Construction checks the sample as a ``TargetStream`` of one. A row of a
+    ``TargetStream`` is a ``TargetSample`` whose arrays are read-only views
+    into the stream's arrays.
+    """
 
     t: float
     positions: np.ndarray   # (n_p, 3)
@@ -37,27 +81,107 @@ class TargetSample:
         self.rotations = np.ascontiguousarray(self.rotations, dtype=float).reshape(-1, 3, 3)
         self.lin_vels = np.asarray(self.lin_vels, dtype=float).reshape(-1, 3)
         self.ang_vels = np.asarray(self.ang_vels, dtype=float).reshape(-1, 3)
-        if self.lin_vels.shape != self.positions.shape:
-            raise SchemaMismatch("lin_vels count differs from positions")
-        if self.ang_vels.shape[0] != self.rotations.shape[0]:
-            raise SchemaMismatch("ang_vels count differs from rotations")
-        for name in ("t", "positions", "rotations", "lin_vels", "ang_vels"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise SchemaMismatch(f"{name} holds a non-finite value")
-        r = self.rotations
-        bad = np.flatnonzero(~((orthonormality_errors(r) <= 1e-8) & (np.linalg.det(r) > 0.0)))
-        if bad.size:
-            raise SchemaMismatch(f"rotation target {bad[0]} is not a rotation")
+        _check_counts(self.positions, self.rotations, self.lin_vels, self.ang_vels)
+        _check_values(np.atleast_1d(self.t), self.positions[None], self.rotations[None],
+                      self.lin_vels[None], self.ang_vels[None])
 
     def velocity_stack(self) -> np.ndarray:
         return np.concatenate([self.lin_vels.ravel(), self.ang_vels.ravel()])
 
     def check_model(self, model: KinematicModel):
         if self.positions.shape[0] != model.n_p or self.rotations.shape[0] != model.n_o:
-            raise SchemaMismatch(
-                f"sample has {self.positions.shape[0]} position / "
-                f"{self.rotations.shape[0]} orientation targets, model declares "
-                f"{model.n_p} / {model.n_o}")
+            raise SchemaMismatch(_count_message(self.positions.shape[0],
+                                                self.rotations.shape[0], model))
+
+
+def _row(t, positions, rotations, lin_vels, ang_vels) -> TargetSample:
+    """A sample over arrays a ``TargetStream`` has already checked."""
+    row = object.__new__(TargetSample)
+    row.t, row.positions, row.rotations, row.lin_vels, row.ang_vels = (
+        t, positions, rotations, lin_vels, ang_vels)
+    return row
+
+
+class TargetStream(Sequence):
+    """The targets of a whole stream as arrays over time: ``t`` (T,),
+    ``positions`` (T, n_p, 3), ``rotations`` (T, n_o, 3, 3), ``lin_vels``
+    (T, n_p, 3) and ``ang_vels`` (T, n_o, 3).
+
+    Construction copies the arrays, checks them in one pass with the checks
+    and messages of ``TargetSample`` (a bad value raises the message of the
+    first bad sample) and makes them read-only. The stream is a sequence of
+    ``TargetSample`` rows: an index gives a row that views the arrays, a
+    slice a stream that does.
+    """
+
+    __slots__ = _FIELDS
+
+    def __init__(self, t, positions, rotations, lin_vels, ang_vels):
+        t = np.array(t, dtype=float).reshape(-1)
+        count = t.shape[0]
+        arrays = [t]
+        for name, value, tail in (("positions", positions, (3,)),
+                                  ("rotations", rotations, (3, 3)),
+                                  ("lin_vels", lin_vels, (3,)),
+                                  ("ang_vels", ang_vels, (3,))):
+            a = np.array(value, dtype=float)
+            if (a.shape[0] if a.ndim else 0) != count:
+                raise SchemaMismatch(f"{name} and t differ in length")
+            arrays.append(a.reshape((count, -1) + tail) if count else
+                          a.reshape((0, 0) + tail))
+        _check_counts(*arrays[1:])
+        _check_values(*arrays)
+        for name, a in zip(_FIELDS, arrays):
+            a.flags.writeable = False
+            setattr(self, name, a)
+
+    @classmethod
+    def of(cls, samples) -> "TargetStream":
+        """The stream of a sequence of samples; a ``TargetStream`` is returned
+        as it is."""
+        if isinstance(samples, TargetStream):
+            return samples
+        samples = list(samples)
+        if len({(x.positions.shape, x.rotations.shape) for x in samples}) > 1:
+            raise SchemaMismatch("target counts differ between samples")
+        return cls(*([getattr(x, name) for x in samples] for name in _FIELDS))
+
+    def __len__(self) -> int:
+        return self.t.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            view = object.__new__(TargetStream)
+            for name in _FIELDS:
+                setattr(view, name, getattr(self, name)[index])
+            return view
+        return _row(float(self.t[index]), self.positions[index], self.rotations[index],
+                    self.lin_vels[index], self.ang_vels[index])
+
+    def __iter__(self):
+        for k, t in enumerate(self.t.tolist()):
+            yield _row(t, self.positions[k], self.rotations[k], self.lin_vels[k],
+                       self.ang_vels[k])
+
+    def __repr__(self) -> str:
+        return (f"TargetStream({len(self)} samples, {self.positions.shape[1]} position / "
+                f"{self.rotations.shape[1]} orientation targets)")
+
+    def check_model(self, model: KinematicModel):
+        """Raise ``SchemaMismatch``, naming sample 0, when the stream's target
+        counts differ from the model's."""
+        n_p, n_o = self.positions.shape[1], self.rotations.shape[1]
+        if len(self) and (n_p != model.n_p or n_o != model.n_o):
+            raise SchemaMismatch(f"sample 0: {_count_message(n_p, n_o, model)}")
+
+    def check_spacing(self, dt: float):
+        """Raise ``SchemaMismatch``, naming the first pair, when consecutive
+        timestamps are not ``dt`` apart."""
+        spacing = np.diff(self.t)
+        bad = np.flatnonzero(np.abs(spacing - dt) > 1e-9)
+        if bad.size:
+            raise SchemaMismatch(f"samples {bad[0]} and {bad[0] + 1} are spaced "
+                                 f"{spacing[bad[0]]!r}, not dt {dt}")
 
 
 @dataclass(eq=False)

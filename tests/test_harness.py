@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 
@@ -294,6 +295,58 @@ class TestStreamFiles:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(ik.IkTrackError, match="non-finite"):
             load_stream(path)
+
+
+_BAD_NUMBERS = ("0.5", None, True, False, 10 ** 400 - 1, float("nan"))
+
+
+def defective_lines(records, rng):
+    """Lines of a stream file with one defect on a random line: a string, a
+    null, a boolean, a 400-digit integer or NaN in place of one number of
+    ``p``, ``R``, ``v`` or ``w``; a rotation scaled off SO(3) or reflected;
+    or a blank line."""
+    records = copy.deepcopy(records)
+    k = int(rng.integers(len(records)))
+    kind = int(rng.integers(len(_BAD_NUMBERS) + 2))
+    if kind < len(_BAD_NUMBERS):
+        rows = records[k][["p", "R", "v", "w"][rng.integers(4)]]
+        row = rows[rng.integers(len(rows))]
+        row[rng.integers(len(row))] = _BAD_NUMBERS[kind]
+    elif kind == len(_BAD_NUMBERS):
+        rot = records[k]["R"][rng.integers(len(records[k]["R"]))]
+        rot[:] = [(1.01, -1.0)[rng.integers(2)] * x for x in rot]
+    lines = [json.dumps(r) for r in records]
+    if kind == len(_BAD_NUMBERS) + 1:
+        lines.insert(k, " ")
+    return lines
+
+
+# sha256 prefixes of the outcomes ("<type> line=<n>: <message>" or "ok") of
+# load_stream on 30 defective stream files per seed, recorded before streams
+# were checked as a whole
+STREAM_ERROR_DIGESTS = {0: "0605fdadc57a1930", 1: "bc647af6ed44caf3", 2: "58421f717aa76fc5"}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stream_errors_match_the_per_sample_loader(seed, tmp_path):
+    spec = TrajectorySpec(kind="random_smooth", duration=0.04, dt=0.01, amplitude=0.3,
+                          seed=seed)
+    clean = tmp_path / "clean.jsonl"
+    save_stream(clean, generate_stream(branched_model(), spec)[1])
+    records = [json.loads(line) for line in clean.read_text().splitlines()]
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "stream.jsonl"
+    outcomes = []
+    for _ in range(30):
+        path.write_text("\n".join(defective_lines(records, rng)) + "\n")
+        try:
+            load_stream(path)
+        except ik.IkTrackError as e:
+            outcomes.append(f"{type(e).__name__} line={getattr(e, 'line', None)}: {e}")
+        else:
+            outcomes.append("ok")
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
+    assert digest == STREAM_ERROR_DIGESTS[seed], "\n".join(outcomes)
 
 
 class TestMetricsSummary:

@@ -272,7 +272,7 @@ class TestTrack:
     def test_partial_results_on_error(self, human66):
         spec = ik.TrajectorySpec(kind="static_pose", duration=0.1, dt=DT,
                                  amplitude=0.1, seed=3)
-        _, samples = ik.generate_stream(human66, spec)
+        samples = list(ik.generate_stream(human66, spec)[1])
         samples[5] = TargetSample(t=99.0, positions=samples[5].positions,
                                   rotations=samples[5].rotations,
                                   lin_vels=samples[5].lin_vels,
@@ -286,7 +286,7 @@ class TestTrack:
     def test_huge_finite_velocity_target_is_recorded(self, human66):
         # a finite target past what the QP can solve in float range
         spec = ik.TrajectorySpec(kind="sinusoidal", duration=0.3, dt=DT, amplitude=0.2, seed=3)
-        _, samples = ik.generate_stream(human66, spec)
+        samples = list(ik.generate_stream(human66, spec)[1])
         samples[5] = with_fields(samples[5], ang_vels=np.full((human66.n_o, 3), 1e200))
         gains, baumgarte, _ = default_setup(human66)
         with np.errstate(all="ignore"):
