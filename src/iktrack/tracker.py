@@ -243,9 +243,10 @@ class SolverState:
 
 @dataclass(eq=False)
 class StepReport:
-    """Pre-update diagnostics for one step: the pose residual r, the velocity
-    residual u = v - J nu, the QP's status, the step's wall time and which
-    limit rows ended active."""
+    """Pre-update diagnostics for one step: the pose residual r fed back
+    (position rows, then orientation rows turned into the world frame), the
+    velocity residual u = v - J nu, the QP's status, the step's wall time and
+    which limit rows ended active."""
 
     residual_r: np.ndarray
     residual_u: np.ndarray
@@ -310,6 +311,11 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     t_start = time.perf_counter()
     fk = model.fk_arrays(state.q)
     residual = model.pose_residual_arrays(fk, sample.positions, sample.rotations)
+    # the orientation rows of r are in each estimated frame and the angular
+    # rows of J in the world frame: turn each row by its frame's rotation
+    est_rot = model.stacked_poses((fk[0][None], fk[1][None])).rotations[0]
+    n_pos = 3 * model.n_p
+    residual[n_pos:] = (est_rot @ residual[n_pos:].reshape(-1, 3, 1)).ravel()
     jac = model.stacked_jacobian(state.q, fk=fk)
     velocity = sample.velocity_stack()
     v_star = corrected_velocity(sample, residual, gains, velocity)
@@ -323,14 +329,16 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
         raise NonFiniteSolution(f"step {state.step_index}: the QP returned a non-finite "
                                 "velocity; the targets overflow float arithmetic")
     residual_u = velocity - jac @ nu
-    new_q = Configuration(
-        base_pos=state.q.base_pos + dt * nu[0:3],
-        # nu carries the base angular velocity in the inertial frame; the
-        # integrator steps R + dt R S(omega), so it takes omega in the base frame
-        base_rot=Rotation.drifting(baumgarte_step(state.q.base_rot,
-                                                  state.q.base_rot.m.T @ nu[3:6], baumgarte)),
-        s=state.q.s + dt * nu[6:],
-    )
+    base_pos = state.q.base_pos + dt * nu[0:3]
+    # nu carries the base angular velocity in the inertial frame; the
+    # integrator steps R + dt R S(omega), so it takes omega in the base frame
+    base_rot = baumgarte_step(state.q.base_rot, state.q.base_rot.m.T @ nu[3:6], baumgarte)
+    s = state.q.s + dt * nu[6:]
+    if not (np.isfinite(base_pos).all() and np.isfinite(base_rot).all()
+            and np.isfinite(s).all()):
+        raise NonFiniteSolution(f"step {state.step_index}: the integrated configuration is "
+                                "not finite; the targets overflow float arithmetic")
+    new_q = Configuration(base_pos=base_pos, base_rot=Rotation.drifting(base_rot), s=s)
     wall = time.perf_counter() - t_start
     active = (g - G @ nu <= ACTIVE_TOL) if G.shape[0] else np.zeros(0, dtype=bool)
     report = StepReport(residual_r=residual, residual_u=residual_u,
