@@ -421,10 +421,10 @@ class RunRecord:
     error: str | None = None
 
 
-def summarize_run(model, samples, qs, nus, times, transient_discard=2.0) -> MetricsSummary:
+def summarize_run(model, stream: TargetStream, qs, nus, times,
+                  transient_discard=2.0) -> MetricsSummary:
     """Per-step metrics of a run: ``qs[i]`` and ``nus[i]`` are scored against
-    ``samples[i]``, in chunks of ``CHUNK`` steps."""
-    stream = TargetStream.of(samples)
+    sample i of the stream, in chunks of ``CHUNK`` steps."""
     count = len(qs)
     if count:
         stream.check_model(model)

@@ -135,17 +135,6 @@ class TargetStream(Sequence):
             a.flags.writeable = False
             setattr(self, name, a)
 
-    @classmethod
-    def of(cls, samples) -> "TargetStream":
-        """The stream of a sequence of samples; a ``TargetStream`` is returned
-        as it is."""
-        if isinstance(samples, TargetStream):
-            return samples
-        samples = list(samples)
-        if len({(x.positions.shape, x.rotations.shape) for x in samples}) > 1:
-            raise SchemaMismatch("target counts differ between samples")
-        return cls(*([getattr(x, name) for x in samples] for name in _FIELDS))
-
     def __len__(self) -> int:
         return self.t.shape[0]
 
@@ -162,10 +151,6 @@ class TargetStream(Sequence):
         for k, t in enumerate(self.t.tolist()):
             yield _row(t, self.positions[k], self.rotations[k], self.lin_vels[k],
                        self.ang_vels[k])
-
-    def __repr__(self) -> str:
-        return (f"TargetStream({len(self)} samples, {self.positions.shape[1]} position / "
-                f"{self.rotations.shape[1]} orientation targets)")
 
     def check_model(self, model: KinematicModel):
         """Raise ``SchemaMismatch``, naming sample 0, when the stream's target

@@ -13,8 +13,10 @@ phases. The output file is rewritten after every run, so an interrupted
 session keeps what it measured; an existing output file is extended, so
 untraced and traced batches can share one file. For each workload (traced
 runs apart) and metric the script prints the median and quartiles of both
-sides and the number of pairs the change wins (lower or higher as
-``BENCHMARK.json`` declares the metric).
+sides, the difference of the medians (change minus parent) against the
+parent's interquartile distance and whether it exceeds that distance, and
+the number of pairs the change wins (lower or higher as ``BENCHMARK.json``
+declares the metric). The JSON summary holds the same figures.
 """
 import argparse
 import json
@@ -88,12 +90,15 @@ def summarise(runs, directions):
             change = np.array([v["change"]["metrics"][name]["value"] for _, v in pairs])
             higher = directions.get(name, "lower") == "higher"
             wins = int(np.sum(change > parent if higher else change < parent))
+            q25, q75 = np.percentile(parent, [25, 75])
+            difference = float(np.median(change) - np.median(parent))
             entry[name] = {"parent_median": float(np.median(parent)),
-                           "parent_q25": float(np.percentile(parent, 25)),
-                           "parent_q75": float(np.percentile(parent, 75)),
+                           "parent_q25": float(q25), "parent_q75": float(q75),
                            "change_median": float(np.median(change)),
                            "change_q25": float(np.percentile(change, 25)),
                            "change_q75": float(np.percentile(change, 75)),
+                           "difference": difference, "parent_iqr": float(q75 - q25),
+                           "exceeds_parent_iqr": bool(abs(difference) > q75 - q25),
                            "change_wins": wins, "pairs": len(pairs)}
         summary[f"{workload} traced" if trace else workload] = entry
     return summary
@@ -109,6 +114,8 @@ def report(summary):
                   f"[{s['parent_q25']:.6g}, {s['parent_q75']:.6g}]  "
                   f"change {s['change_median']:.6g} "
                   f"[{s['change_q25']:.6g}, {s['change_q75']:.6g}]  "
+                  f"diff {s['difference']:+.6g} vs IQR {s['parent_iqr']:.6g} "
+                  f"({'exceeds' if s['exceeds_parent_iqr'] else 'within'})  "
                   f"wins {s['change_wins']}/{s['pairs']}")
 
 
