@@ -6,6 +6,13 @@ Joint ordering is the declaration order of the ``joints`` list and fixes the
 indexing of the joint vector ``s`` everywhere. Velocities are stacked as
 (base_lin, base_ang, s_dot) with the base angular velocity expressed in the
 inertial frame.
+
+Frames: every row of a stacked Jacobian, linear and angular, is in the world
+frame. ``pose_residual_arrays`` gives the position errors in the world frame
+and each orientation error vee(skew(R_est^T R_target)) in its estimated frame.
+The tracker turns the orientation errors into the world frame before it feeds
+them back; the whole-body baseline pulls its Jacobian's angular rows back
+into the estimated frames instead.
 """
 from __future__ import annotations
 
@@ -307,6 +314,8 @@ class KinematicModel:
         return self.stacked_jacobians((pos[None], rot[None]))[0]
 
     def pose_residual_arrays(self, fk, target_pos, target_rot) -> np.ndarray:
+        """Stacked pose residual at link poses ``fk``: position errors in the
+        world frame, then orientation errors in each estimated frame."""
         pos, rot = fk
         return pose_residual_kernel(self._pos_idx, self._ori_idx, pos, rot,
                                     target_pos, target_rot)

@@ -56,11 +56,6 @@ def _check_values(t, positions, rotations, lin_vels, ang_vels):
     raise SchemaMismatch(f"rotation target {int(np.argmin(is_rotation[k]))} is not a rotation")
 
 
-def _count_message(n_p, n_o, model):
-    return (f"sample has {n_p} position / {n_o} orientation targets, model declares "
-            f"{model.n_p} / {model.n_o}")
-
-
 @dataclass(eq=False)
 class TargetSample:
     """Timestamped pose and velocity targets for all declared frames.
@@ -90,8 +85,10 @@ class TargetSample:
 
     def check_model(self, model: KinematicModel):
         if self.positions.shape[0] != model.n_p or self.rotations.shape[0] != model.n_o:
-            raise SchemaMismatch(_count_message(self.positions.shape[0],
-                                                self.rotations.shape[0], model))
+            raise SchemaMismatch(
+                f"sample has {self.positions.shape[0]} position / "
+                f"{self.rotations.shape[0]} orientation targets, model declares "
+                f"{model.n_p} / {model.n_o}")
 
 
 def _row(t, positions, rotations, lin_vels, ang_vels) -> TargetSample:
@@ -147,17 +144,14 @@ class TargetStream(Sequence):
         return _row(float(self.t[index]), self.positions[index], self.rotations[index],
                     self.lin_vels[index], self.ang_vels[index])
 
-    def __iter__(self):
-        for k, t in enumerate(self.t.tolist()):
-            yield _row(t, self.positions[k], self.rotations[k], self.lin_vels[k],
-                       self.ang_vels[k])
-
     def check_model(self, model: KinematicModel):
         """Raise ``SchemaMismatch``, naming sample 0, when the stream's target
         counts differ from the model's."""
-        n_p, n_o = self.positions.shape[1], self.rotations.shape[1]
-        if len(self) and (n_p != model.n_p or n_o != model.n_o):
-            raise SchemaMismatch(f"sample 0: {_count_message(n_p, n_o, model)}")
+        if len(self):
+            try:
+                self[0].check_model(model)
+            except SchemaMismatch as e:
+                raise SchemaMismatch(f"sample 0: {e}") from None
 
     def check_spacing(self, dt: float):
         """Raise ``SchemaMismatch``, naming the first pair, when consecutive
@@ -166,7 +160,7 @@ class TargetStream(Sequence):
         bad = np.flatnonzero(np.abs(spacing - dt) > 1e-9)
         if bad.size:
             raise SchemaMismatch(f"samples {bad[0]} and {bad[0] + 1} are spaced "
-                                 f"{spacing[bad[0]]!r}, not dt {dt}")
+                                 f"{float(spacing[bad[0]])!r}, not dt {dt}")
 
 
 @dataclass(eq=False)
@@ -251,7 +245,8 @@ def initial_configuration(model: KinematicModel, sample: TargetSample) -> Config
 
 
 def pose_residual(model: KinematicModel, q: Configuration, sample: TargetSample) -> np.ndarray:
-    """Stacked pose error: position differences, then rotation error vectors."""
+    """Stacked pose error: position differences, then rotation error vectors
+    in each estimated frame (``KinematicModel.pose_residual_arrays``)."""
     sample.check_model(model)
     fk = model.fk_arrays(q)
     return model.pose_residual_arrays(fk, sample.positions, sample.rotations)

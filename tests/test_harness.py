@@ -297,6 +297,67 @@ class TestStreamFiles:
             load_stream(path)
 
 
+class TestTargetStream:
+    FIELDS = ("positions", "rotations", "lin_vels", "ang_vels")
+
+    def test_rows_are_read_only_views(self, human66, tmp_path):
+        spec = TrajectorySpec(kind="random_smooth", duration=0.05, dt=0.01, amplitude=0.3,
+                              seed=2)
+        _, generated = generate_stream(human66, spec)
+        path = tmp_path / "stream.jsonl"
+        save_stream(path, generated)
+        for stream in (generated, load_stream(path)):
+            for row in (stream[2], stream[1:4][1], list(stream)[2], stream[-3]):
+                assert row.t == stream.t[2]
+                for name in self.FIELDS:
+                    assert np.shares_memory(getattr(row, name), getattr(stream, name))
+                    with pytest.raises(ValueError, match="read-only"):
+                        getattr(row, name)[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                stream.t[0] = 1.0
+
+    def test_first_bad_sample_names_the_message(self, human66):
+        spec = TrajectorySpec(kind="static_pose", duration=0.06, dt=0.01, amplitude=0.1,
+                              seed=3)
+        _, stream = generate_stream(human66, spec)
+        arrays = {name: getattr(stream, name).copy() for name in ("t",) + self.FIELDS}
+        arrays["rotations"][2, 4] *= 1.01
+        arrays["ang_vels"][4, 0, 1] = np.nan
+        with pytest.raises(SchemaMismatch, match="^rotation target 4 is not a rotation$"):
+            ik.TargetStream(**arrays)
+        arrays["lin_vels"][1, 0, 0] = np.inf
+        with pytest.raises(SchemaMismatch, match="^lin_vels holds a non-finite value$"):
+            ik.TargetStream(**arrays)
+        with pytest.raises(SchemaMismatch, match="differ in length"):
+            ik.TargetStream(**dict(arrays, t=arrays["t"][:-1]))
+
+    @pytest.mark.parametrize("key", ["p", "R"])
+    def test_target_counts_that_differ_between_lines_are_rejected(self, key, tmp_path):
+        spec = TrajectorySpec(kind="static_pose", duration=0.04, dt=0.01, amplitude=0.1,
+                              seed=4)
+        path = tmp_path / "stream.jsonl"
+        save_stream(path, generate_stream(branched_model(), spec)[1])
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[2][key].pop()
+        records[2]["v" if key == "p" else "w"].pop()
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        counts = "2 position / 4" if key == "p" else "3 position / 3"
+        with pytest.raises(SchemaMismatch,
+                           match=f"^line 3: {counts} orientation targets, line 1 has 3 / 4$"):
+            load_stream(path)
+
+    def test_checks_against_the_model_and_the_rate(self, human66, human48):
+        spec = TrajectorySpec(kind="static_pose", duration=0.04, dt=0.01, amplitude=0.1,
+                              seed=5)
+        _, stream = generate_stream(human66, spec)
+        stream.check_model(human66)
+        stream.check_spacing(0.01)
+        with pytest.raises(SchemaMismatch, match="^sample 0: sample has 1 position"):
+            stream.check_model(base_only_model())
+        with pytest.raises(SchemaMismatch, match="^samples 0 and 1 are spaced 0.01, not dt"):
+            stream.check_spacing(0.02)
+
+
 _BAD_NUMBERS = ("0.5", None, True, False, 10 ** 400 - 1, float("nan"))
 
 
