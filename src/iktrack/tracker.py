@@ -293,9 +293,8 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     residual = model.pose_residual_arrays(fk, sample.positions, sample.rotations)
     # the orientation rows of r are in each estimated frame and the angular
     # rows of J in the world frame: turn each row by its frame's rotation
-    est_rot = model.stacked_poses((fk[0][None], fk[1][None])).rotations[0]
     n_pos = 3 * model.n_p
-    residual[n_pos:] = (est_rot @ residual[n_pos:].reshape(-1, 3, 1)).ravel()
+    residual[n_pos:] = (fk[1][model._ori_idx] @ residual[n_pos:].reshape(-1, 3, 1)).ravel()
     jac = model.stacked_jacobian(state.q, fk=fk)
     velocity = sample.velocity_stack()
     v_star = corrected_velocity(sample, residual, gains, velocity)
@@ -314,8 +313,7 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     # integrator steps R + dt R S(omega), so it takes omega in the base frame
     base_rot = baumgarte_step(state.q.base_rot, state.q.base_rot.m.T @ nu[3:6], baumgarte)
     s = state.q.s + dt * nu[6:]
-    if not (np.isfinite(base_pos).all() and np.isfinite(base_rot).all()
-            and np.isfinite(s).all()):
+    if not np.isfinite(np.concatenate((base_pos, base_rot.ravel(), s))).all():
         raise NonFiniteSolution(f"step {state.step_index}: the integrated configuration is "
                                 "not finite; the targets overflow float arithmetic")
     new_q = Configuration(base_pos=base_pos, base_rot=Rotation.drifting(base_rot), s=s)
