@@ -91,14 +91,6 @@ class TargetSample:
                 f"{model.n_p} / {model.n_o}")
 
 
-def _row(t, positions, rotations, lin_vels, ang_vels) -> TargetSample:
-    """A sample over arrays a ``TargetStream`` has already checked."""
-    row = object.__new__(TargetSample)
-    row.t, row.positions, row.rotations, row.lin_vels, row.ang_vels = (
-        t, positions, rotations, lin_vels, ang_vels)
-    return row
-
-
 class TargetStream(Sequence):
     """The targets of a whole stream as arrays over time: ``t`` (T,),
     ``positions`` (T, n_p, 3), ``rotations`` (T, n_o, 3, 3), ``lin_vels``
@@ -141,8 +133,11 @@ class TargetStream(Sequence):
             for name in _FIELDS:
                 setattr(view, name, getattr(self, name)[index])
             return view
-        return _row(float(self.t[index]), self.positions[index], self.rotations[index],
-                    self.lin_vels[index], self.ang_vels[index])
+        row = object.__new__(TargetSample)  # views of arrays checked already
+        row.t, row.positions, row.rotations, row.lin_vels, row.ang_vels = (
+            float(self.t[index]), self.positions[index], self.rotations[index],
+            self.lin_vels[index], self.ang_vels[index])
+        return row
 
     def check_model(self, model: KinematicModel):
         """Raise ``SchemaMismatch``, naming sample 0, when the stream's target
