@@ -45,7 +45,7 @@ def _cmd_solve(args):
     if not samples:
         raise ParseError(f"{args.stream}: empty stream")
     samples.check_model(model)
-    samples.check_spacing(args.dt)
+    samples.check_spacing(args.dt, name="--dt")
     config = dict(DEFAULT_CONFIG)
     config.update({"gain": args.gain, "limit_slope": args.gain_limit,
                    "rho": args.rho, "dt": args.dt})

@@ -61,8 +61,8 @@ class TargetSample:
     """Timestamped pose and velocity targets for all declared frames.
 
     Construction checks the sample as a ``TargetStream`` of one. A row of a
-    ``TargetStream`` is a ``TargetSample`` whose arrays are read-only views
-    into the stream's arrays.
+    ``TargetStream`` is a ``TargetSample`` whose arrays are views into the
+    stream's arrays.
     """
 
     t: float
@@ -96,11 +96,12 @@ class TargetStream(Sequence):
     ``positions`` (T, n_p, 3), ``rotations`` (T, n_o, 3, 3), ``lin_vels``
     (T, n_p, 3) and ``ang_vels`` (T, n_o, 3).
 
-    Construction copies the arrays, checks them in one pass with the checks
-    and messages of ``TargetSample`` (a bad value raises the message of the
-    first bad sample) and makes them read-only. The stream is a sequence of
-    ``TargetSample`` rows: an index gives a row that views the arrays, a
-    slice a stream that does.
+    Construction copies the arrays and checks them in one pass with the
+    checks and messages of ``TargetSample`` (a bad value raises the message
+    of the first bad sample). The stream is a sequence of ``TargetSample``
+    rows: an index gives a row that views the arrays, a slice a stream that
+    does. As with numpy views, a write into a row changes the stream, and is
+    not checked again.
     """
 
     __slots__ = _FIELDS
@@ -121,7 +122,6 @@ class TargetStream(Sequence):
         _check_counts(*arrays[1:])
         _check_values(*arrays)
         for name, a in zip(_FIELDS, arrays):
-            a.flags.writeable = False
             setattr(self, name, a)
 
     def __len__(self) -> int:
@@ -148,14 +148,15 @@ class TargetStream(Sequence):
             except SchemaMismatch as e:
                 raise SchemaMismatch(f"sample 0: {e}") from None
 
-    def check_spacing(self, dt: float):
+    def check_spacing(self, dt: float, name: str = "dt"):
         """Raise ``SchemaMismatch``, naming the first pair, when consecutive
-        timestamps are not ``dt`` apart."""
+        timestamps are not ``dt`` apart; ``name`` is what the message calls
+        ``dt``."""
         spacing = np.diff(self.t)
         bad = np.flatnonzero(np.abs(spacing - dt) > 1e-9)
         if bad.size:
             raise SchemaMismatch(f"samples {bad[0]} and {bad[0] + 1} are spaced "
-                                 f"{float(spacing[bad[0]])!r}, not dt {dt}")
+                                 f"{float(spacing[bad[0]])!r}, not {name} {dt}")
 
 
 @dataclass(eq=False)

@@ -134,12 +134,14 @@ def test_stream_model_mismatch_is_data_error(model_file, tmp_path):
                  "--method", "dynamical", "--out", str(tmp_path / "o.csv")]) == 2
 
 
-def test_dt_mismatch_is_data_error(model_file, spec_file, tmp_path):
+def test_dt_mismatch_is_data_error(model_file, spec_file, tmp_path, capsys):
     stream = tmp_path / "stream.jsonl"
     main(["gen", "--model", model_file, "--spec", spec_file, "--out", str(stream)])
+    capsys.readouterr()
     assert main(["solve", "--model", model_file, "--stream", str(stream),
                  "--method", "dynamical", "--dt", "0.02",
                  "--out", str(tmp_path / "o.csv")]) == 2
+    assert "are spaced 0.01, not --dt 0.02" in capsys.readouterr().err
 
 
 def _drop_orientation_target(record):

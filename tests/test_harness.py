@@ -300,21 +300,26 @@ class TestStreamFiles:
 class TestTargetStream:
     FIELDS = ("positions", "rotations", "lin_vels", "ang_vels")
 
-    def test_rows_are_read_only_views(self, human66, tmp_path):
+    def test_rows_are_views_of_the_streams_own_arrays(self, human66, tmp_path):
         spec = TrajectorySpec(kind="random_smooth", duration=0.05, dt=0.01, amplitude=0.3,
                               seed=2)
         _, generated = generate_stream(human66, spec)
         path = tmp_path / "stream.jsonl"
         save_stream(path, generated)
-        for stream in (generated, load_stream(path)):
+        loaded = load_stream(path)
+        for stream in (generated, loaded):
             for row in (stream[2], stream[1:4][1], list(stream)[2], stream[-3]):
                 assert row.t == stream.t[2]
                 for name in self.FIELDS:
                     assert np.shares_memory(getattr(row, name), getattr(stream, name))
-                    with pytest.raises(ValueError, match="read-only"):
-                        getattr(row, name)[0] = 0.0
-            with pytest.raises(ValueError, match="read-only"):
-                stream.t[0] = 1.0
+        # a write into a row reaches its stream and no other
+        before = generated.ang_vels[2, 0, 1]
+        loaded[2].ang_vels[0, 1] += 1.0
+        assert loaded.ang_vels[2, 0, 1] == before + 1.0
+        assert generated.ang_vels[2, 0, 1] == before
+        arrays = {name: getattr(generated, name) for name in ("t",) + self.FIELDS}
+        copied = ik.TargetStream(**arrays)
+        assert not any(np.shares_memory(getattr(copied, k), a) for k, a in arrays.items())
 
     def test_first_bad_sample_names_the_message(self, human66):
         spec = TrajectorySpec(kind="static_pose", duration=0.06, dt=0.01, amplitude=0.1,
@@ -356,6 +361,8 @@ class TestTargetStream:
             stream.check_model(base_only_model())
         with pytest.raises(SchemaMismatch, match="^samples 0 and 1 are spaced 0.01, not dt"):
             stream.check_spacing(0.02)
+        with pytest.raises(SchemaMismatch, match=", not --dt 0.02$"):
+            stream.check_spacing(0.02, name="--dt")
 
 
 _BAD_NUMBERS = ("0.5", None, True, False, 10 ** 400 - 1, float("nan"))
