@@ -290,7 +290,8 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     # the orientation rows of r are in each estimated frame and the angular
     # rows of J in the world frame: turn each row by its frame's rotation
     n_pos = 3 * model.n_p
-    residual[n_pos:] = (fk[1][model._ori_idx] @ residual[n_pos:].reshape(-1, 3, 1)).ravel()
+    residual[n_pos:] = (fk[1].take(model._ori_idx, axis=0)
+                        @ residual[n_pos:].reshape(-1, 3, 1)).ravel()
     jac = model.stacked_jacobian(state.q, fk=fk)
     velocity = sample.velocity_stack()
     v_star = corrected_velocity(sample, residual, gains, velocity)
