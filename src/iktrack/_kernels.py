@@ -1,15 +1,15 @@
 """Hot numeric kernels: batched Rodrigues rotations and rotation-vector
 exponentials, forward kinematics by tree depth, stacked frame Jacobians from
-a joint-support mask, batched rotation residuals and orthonormality errors,
-and drift-corrected rotation integration.
+a joint-support mask, batched rotation residuals, orthonormality errors and
+determinants, and drift-corrected rotation integration.
 
 Every kernel is vectorised numpy over whole stacks of links, joints or
 target frames; the only Python-level loop left in a tracking step is the
 forward-kinematics walk over tree depths. Forward kinematics and the stacked
 Jacobian also take a leading batch axis of independent configurations: a
 tracking step calls them with a batch of one, stream generation and scoring
-with a chunk of samples. The per-model index arrays the kernels take are
-built once by ``KinematicModel``.
+with a chunk of samples. The per-model index arrays and joint-axis factors
+the kernels take are built once by ``KinematicModel``.
 """
 from typing import NamedTuple
 
@@ -34,15 +34,27 @@ def skew_stack(v):
     return v.take(_SKEW_IDX, axis=1) * _SKEW_SIGN
 
 
-def rotations_about_axes(axes, angles):
-    """Rodrigues rotation matrices (B, k, 3, 3), one per unit axis of ``axes``
-    (k, 3) and angle of ``angles`` (B, k): R = cos I + sin S(a) + (1 - cos) a a^T."""
-    c = np.cos(angles)
-    s = np.sin(angles)
-    t = 1.0 - c
-    return ((t[:, :, None] * axes).take(_LO, axis=2) * axes.take(_HI, axis=1)
-            + (s[:, :, None] * axes).take(_SKEW_IDX, axis=2) * _SKEW_SIGN
-            + c[:, :, None, None] * _EYE3)
+class AxisFactors(NamedTuple):
+    """The angle-free factors of the Rodrigues formula for k unit axes a,
+    each (k, 3, 3): entry (i, j) of a a^T is a_lo[i, j] a_hi[i, j]."""
+
+    lo: np.ndarray    # a[min(i, j)]
+    hi: np.ndarray    # a[max(i, j)]
+    skew: np.ndarray  # S(a)
+
+
+def axis_factors(axes) -> AxisFactors:
+    """``AxisFactors`` of the unit axes ``axes`` (k, 3)."""
+    return AxisFactors(axes.take(_LO, axis=1), axes.take(_HI, axis=1), skew_stack(axes))
+
+
+def rotations_about_axes(factors, angles):
+    """Rodrigues rotation matrices (B, k, 3, 3), one per axis of ``factors``
+    (``AxisFactors`` of k axes) and angle of ``angles`` (B, k):
+    R = cos I + sin S(a) + (1 - cos) a a^T."""
+    c = np.cos(angles)[:, :, None, None]
+    s = np.sin(angles)[:, :, None, None]
+    return (1.0 - c) * factors.lo * factors.hi + s * factors.skew + c * _EYE3
 
 
 def rotation_vectors(v):
@@ -51,13 +63,14 @@ def rotation_vectors(v):
     # norms as dot products, the way np.linalg.norm forms a vector's norm; a
     # sum of squares can differ in the last bit
     angles = np.sqrt((v[:, None] @ v[:, :, None])[:, 0, 0])
-    return rotations_about_axes(v / np.maximum(angles, 1e-30)[:, None], angles[None])[0]
+    axes = v / np.maximum(angles, 1e-30)[:, None]
+    return rotations_about_axes(axis_factors(axes), angles[None])[0]
 
 
 def rotation_about_axis(axis, angle):
     """Rodrigues rotation matrix about a unit axis."""
     axes = np.asarray(axis, dtype=float).reshape(1, 3)
-    return rotations_about_axes(axes, np.full((1, 1), angle, dtype=float))[0, 0]
+    return rotations_about_axes(axis_factors(axes), np.full((1, 1), angle, dtype=float))[0, 0]
 
 
 class DepthLayout(NamedTuple):
@@ -67,7 +80,7 @@ class DepthLayout(NamedTuple):
 
     levels: tuple          # (start, stop, parent rows) of each depth >= 1, sorted order
     joints: np.ndarray     # joint each link carries
-    axes: np.ndarray       # (k, 3) joint axes
+    factors: AxisFactors   # Rodrigues factors of the joint axes
     # the next two have a unit batch axis, so they broadcast over a batch
     origin_r: np.ndarray   # (k, 1, 3, 3) fixed rotations of the joint origins
     origins: np.ndarray    # (k, 1, 4, 4) joint origins in their parents, rotation part zero
@@ -108,8 +121,8 @@ def depth_layout(parent, joint_of, axis, origin_r, origin_p, base_idx) -> DepthL
     origins = np.zeros((below.shape[0], 4, 4))
     origins[:, :3, 3] = origin_p[below]
     origins[:, 3, 3] = 1.0
-    return DepthLayout(tuple(levels), joint_of[below], axis[below], origin_r[below, None],
-                       origins[:, None], rank)
+    return DepthLayout(tuple(levels), joint_of[below], axis_factors(axis[below]),
+                       origin_r[below, None], origins[:, None], rank)
 
 
 def fk_levels(layout, s, base_p, base_r):
@@ -123,7 +136,7 @@ def fk_levels(layout, s, base_p, base_r):
     depth composes its links' homogeneous transforms onto their parents' in
     one stacked product.
     """
-    batch, k = s.shape[0], layout.axes.shape[0]
+    batch, k = s.shape[0], layout.joints.shape[0]
     # link-major (link, batch, 4, 4), so a depth's parents and children are
     # plain slices of the first axis, whatever the batch size
     world = np.empty((layout.rank.shape[0], batch, 4, 4))
@@ -132,7 +145,7 @@ def fk_levels(layout, s, base_p, base_r):
     world[0, :, 3] = _HOMOGENEOUS_ROW
     local = np.empty((k, batch, 4, 4))
     local[:] = layout.origins
-    joint_r = rotations_about_axes(layout.axes, s[:, layout.joints])
+    joint_r = rotations_about_axes(layout.factors, s[:, layout.joints])
     np.matmul(layout.origin_r, joint_r.swapaxes(0, 1), out=local[:, :, :3, :3])
     for a, b, par in layout.levels:
         np.matmul(world[par], local[a - 1:b - 1], out=world[a:b])
@@ -141,14 +154,16 @@ def fk_levels(layout, s, base_p, base_r):
     return np.ascontiguousarray(pos), np.ascontiguousarray(rot)
 
 
-def stacked_jacobian_kernel(pos, rot, base_pos, pos_idx, ori_idx, pos_support,
+def stacked_jacobian_kernel(pos, rot, base_pos, pos_idx, ori_idx, pos_cols, pos_support,
                             ori_support, joint_link, joint_axis):
     """Stacked frame Jacobians of a batch of B link poses (``pos`` (B, L, 3),
     ``rot`` (B, L, 3, 3), ``base_pos`` (B, 3)), (B, 3 (n_p + n_o), n + 6):
     linear rows for the ``pos_idx`` frames, then angular rows for the
     ``ori_idx`` frames. Columns are ordered (base_lin, base_ang, s_dot).
-    ``*_support[i, j]`` says joint j moves frame i, and ``joint_link[j]`` is
-    the link joint j carries.
+    ``pos_cols`` are the joints that move some ``pos_idx`` frame, and
+    ``pos_support[i, c]`` says joint ``pos_cols[c]`` moves position frame i;
+    ``ori_support[i, j]`` says joint j moves orientation frame i.
+    ``joint_link[j]`` is the link joint j carries.
     """
     batch = pos.shape[0]
     n = joint_axis.shape[0]
@@ -156,14 +171,17 @@ def stacked_jacobian_kernel(pos, rot, base_pos, pos_idx, ori_idx, pos_support,
     jac = np.zeros((batch, n_p + ori_idx.shape[0], 3, n + 6))
     jac[:, :, :, 3:6] = _EYE3
     # world joint axes as columns; an axis is invariant under its own joint's rotation
-    axes = np.swapaxes((rot[:, joint_link] @ joint_axis[:, :, None])[:, :, :, 0], 1, 2)
+    axes = (rot.take(joint_link, axis=1) @ joint_axis[:, :, None])[:, :, :, 0].swapaxes(1, 2)
     if n_p:
-        frame_p = pos[:, pos_idx]
-        lever = frame_p[:, :, :, None] - np.swapaxes(pos[:, joint_link], 1, 2)[:, None]
-        # axes x lever, component i = a[i+1] l[i+2] - a[i+2] l[i+1]
-        lin = (axes[:, None, _NEXT] * lever[:, :, _PREV]
-               - axes[:, None, _PREV] * lever[:, :, _NEXT])
-        np.copyto(jac[:, :n_p, :, 6:], lin, where=pos_support[:, None, :])
+        frame_p = pos.take(pos_idx, axis=1)
+        if pos_cols.shape[0]:
+            lever = (frame_p[:, :, :, None]
+                     - np.swapaxes(pos.take(joint_link[pos_cols], axis=1), 1, 2)[:, None])
+            moving = axes[:, None, :, pos_cols]
+            # axes x lever, component i = a[i+1] l[i+2] - a[i+2] l[i+1]
+            lin = (moving[:, :, _NEXT] * lever[:, :, _PREV]
+                   - moving[:, :, _PREV] * lever[:, :, _NEXT])
+            jac[:, :n_p, :, 6 + pos_cols] = np.where(pos_support[:, None, :], lin, 0.0)
         jac[:, :n_p, :, 0:3] = _EYE3
         lever_base = (base_pos[:, None] - frame_p).reshape(-1, 3)
         jac[:, :n_p, :, 3:6] = skew_stack(lever_base).reshape(batch, n_p, 3, 3)
@@ -176,7 +194,7 @@ def rotation_residuals(est, target):
     (k, 3): sin(theta) n for a relative rotation of theta about unit n."""
     # entries (i, j) of m = est^T target summed over the shared row index in
     # order: the residual's (2, 1), (0, 2), (1, 0) entries, then their mirrors
-    p = est[:, :, _RES_I] * target[:, :, _RES_J]
+    p = est.take(_RES_I, axis=2) * target.take(_RES_J, axis=2)
     m = p[:, 0] + p[:, 1] + p[:, 2]
     return 0.5 * (m[:, :3] - m[:, 3:])
 
@@ -186,11 +204,19 @@ def orthonormality_errors(r):
     return np.linalg.norm(np.swapaxes(r, 1, 2) @ r - _EYE3, axis=(1, 2))
 
 
+def determinants(r):
+    """Determinant of each matrix of a (k, 3, 3) stack, as the triple product
+    of its columns a . (b x c): elementwise over the k matrices, which is far
+    cheaper than ``np.linalg.det``'s factorisations on a long stack."""
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = r.transpose(1, 2, 0)
+    return a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
+
+
 def pose_residual_kernel(pos_idx, ori_idx, pos, rot, target_pos, target_rot):
     """Stacked pose residual: Euclidean position errors, then the rotation
     residuals of the orientation frames."""
-    ori = rotation_residuals(rot[ori_idx], target_rot)
-    return np.concatenate([(target_pos - pos[pos_idx]).ravel(), ori.ravel()])
+    ori = rotation_residuals(rot.take(ori_idx, axis=0), target_rot)
+    return np.concatenate([(target_pos - pos.take(pos_idx, axis=0)).ravel(), ori.ravel()])
 
 
 def baumgarte_step_kernel(r_prev, omega, rho, dt):

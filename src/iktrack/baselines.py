@@ -5,11 +5,12 @@ relative rotation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import rotation_vectors, rotations_about_axes
+from ._kernels import axis_factors, rotation_vectors, rotations_about_axes
 from .errors import DecompositionError
 from .model import Configuration, KinematicModel
 from .qp import ActiveSetSolver, LeastSquaresQP
@@ -62,30 +63,38 @@ class SubsystemReport:
     converged: bool
 
 
+def _damped_step(jac, r, lam):
+    """The Levenberg-Marquardt step: delta solving (J^T J + lam I) delta =
+    J^T r, for a residual r = target - f and the Jacobian J of f."""
+    h = jac.T @ jac
+    h.flat[::h.shape[0] + 1] += lam
+    return np.linalg.solve(h, jac.T @ r)
+
+
 def _damped_gauss_newton(x, evaluate, jacobian, update, cfg):
     """Levenberg-Marquardt on a residual from the iterate ``x``.
 
-    ``evaluate(x)`` gives the residual and whatever ``jacobian(x, state)``
-    reuses to form the residual's Jacobian w.r.t. the step; ``update(x,
-    delta)`` takes the step. A step is kept only when it lowers the residual
-    norm. Returns the iterate, its residual norm and the iteration count.
+    ``evaluate(x)`` gives the residual r = target - f(x) and whatever
+    ``jacobian(x, state)`` reuses to form J, the Jacobian of f w.r.t. the
+    step (r's own is -J); ``update(x, delta)`` takes the step. A step is
+    kept only when it lowers the residual norm. Returns the iterate, its
+    residual norm and the iteration count.
     """
     r, state = evaluate(x)
-    err = float(np.linalg.norm(r))
+    # norms as np.linalg.norm forms a vector's: the root of its dot product
+    err = math.sqrt(r.dot(r))
     lam = cfg.lm_lambda0
     iterations = 0
     while err > cfg.stop_tol and iterations < cfg.max_iters:
         iterations += 1
-        jr = jacobian(x, state)
-        h = jr.T @ jr + lam * np.eye(jr.shape[1])
         try:
-            delta = np.linalg.solve(h, -jr.T @ r)
+            delta = _damped_step(jacobian(x, state), r, lam)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
         candidate = update(x, delta)
         new_r, new_state = evaluate(candidate)
-        new_err = float(np.linalg.norm(new_r))
+        new_err = math.sqrt(new_r.dot(new_r))
         if new_err < err:
             x, r, state, err = candidate, new_r, new_state, new_err
             lam = max(lam / 3.0, 1e-12)
@@ -124,10 +133,9 @@ def solve_whole_body(model: KinematicModel, sample: TargetSample, q_init: Config
         # w.r.t. the step (base position, world rotation, joints); rotation
         # errors live in the estimated frames, so their world rows are pulled back
         jac = model.stacked_jacobian(q, fk=fk)
-        out = -jac
         ori = jac[rows:].reshape(model.n_o, 3, cols)
-        out[rows:] = -(np.swapaxes(fk[1][model._ori_idx], 1, 2) @ ori).reshape(-1, cols)
-        return out
+        jac[rows:] = (fk[1].take(model._ori_idx, axis=0).swapaxes(1, 2) @ ori).reshape(-1, cols)
+        return jac
 
     def update(q, delta):
         rot = rotation_vectors(delta[None, 3:6])[0] @ q.base_rot.m
@@ -176,11 +184,11 @@ def decompose_pairwise(model: KinematicModel) -> list[Subsystem]:
     return subsystems
 
 
-def _relative_rotation(origin_r, axis, angles):
+def _relative_rotation(origin_r, axis, factors, angles):
     """Rotation of a subsystem's tip frame w.r.t. its root frame, plus the
     per-joint axes expressed in the root frame, from the path's joint origin
-    rotations, axes and angles (root side first)."""
-    local = origin_r @ rotations_about_axes(axis, angles[None])[0]
+    rotations, axes, their ``AxisFactors`` and angles (root side first)."""
+    local = origin_r @ rotations_about_axes(factors, angles[None])[0]
     rels = np.empty_like(local)
     rel = np.eye(3)
     for i in range(local.shape[0]):
@@ -194,15 +202,16 @@ def _solve_subsystem(model, sub, target_rel, s_init, cfg):
     idx = np.array(sub.joint_indices)
     links = np.array(sub.path_links)
     origin_r, axis = model._origin_r[links], model._axis[links]
+    factors = axis_factors(axis)
     lo, hi = model._pos_lo[idx], model._pos_hi[idx]
 
     def evaluate(s):
-        rel, axes = _relative_rotation(origin_r, axis, s)
+        rel, axes = _relative_rotation(origin_r, axis, factors, s)
         return orientation_residual(rel, target_rel), (rel, axes)
 
     def jacobian(s, state):
         rel, axes = state
-        return -(rel.T @ axes.T)  # 3 x n_sub
+        return rel.T @ axes.T  # 3 x n_sub
 
     def update(s, delta):
         return np.clip(s + delta, lo, hi)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import rotation_vectors, rotations_about_axes
+from ._kernels import axis_factors, rotation_vectors, rotations_about_axes
 from .baselines import (InstantaneousConfig, decompose_pairwise, solve_pairwise,
                         solve_whole_body)
 from .errors import IkTrackError, ParseError, SchemaMismatch, SpecInfeasible
@@ -174,7 +174,8 @@ def generate_stream(model: KinematicModel, spec: TrajectorySpec):
         base_pos = base_amp * np.sin(barg)
         base_vel = base_amp * 2.0 * np.pi * base_freq * np.cos(barg)
         rarg = 2.0 * np.pi * rot_freq * t + rot_phase
-        base_rot = rotations_about_axes(rot_axis[None], rot_amp * np.sin(rarg)[:, None])[:, 0]
+        base_rot = rotations_about_axes(axis_factors(rot_axis[None]),
+                                        rot_amp * np.sin(rarg)[:, None])[:, 0]
         base_omega = rot_axis * (rot_amp * 2.0 * np.pi * rot_freq * np.cos(rarg))[:, None]
     nu = np.concatenate([base_vel, base_omega, s_dot], axis=1)
     positions = np.empty((steps, model.n_p, 3))

@@ -40,6 +40,13 @@ def rpy_matrix(rpy) -> np.ndarray:
     return rz @ ry @ rx
 
 
+def _moving_columns(support):
+    """The joints that move some frame of a support mask (frames, joints),
+    and the mask narrowed to them."""
+    cols = np.flatnonzero(support.any(axis=0))
+    return cols, support[:, cols]
+
+
 @dataclass(frozen=True)
 class Link:
     name: str
@@ -199,7 +206,9 @@ class KinematicModel:
                                  dtype=np.int64)
         self._ori_idx = np.array([self._link_index[f] for f in self.orientation_target_frames],
                                  dtype=np.int64)
-        self._pos_support = self._support[self._pos_idx]
+        # joints that move some position frame; on a chain whose only position
+        # target is the base there are none, and the Jacobian forms no lever
+        self._pos_cols, self._pos_support = _moving_columns(self._support[self._pos_idx])
         self._ori_support = self._support[self._ori_idx]
         self._assemble_constraints()
 
@@ -279,10 +288,11 @@ class KinematicModel:
         pos, rot = self.fk_arrays(q)
         return pos[idx].copy(), Rotation.drifting(rot[idx].copy())
 
-    def _jacobians(self, fk, pos_idx, ori_idx, pos_support, ori_support) -> np.ndarray:
+    def _jacobians(self, fk, pos_idx, ori_idx, pos_cols, pos_support,
+                   ori_support) -> np.ndarray:
         pos, rot = fk
         return stacked_jacobian_kernel(pos, rot, pos[:, self._base_idx], pos_idx, ori_idx,
-                                       pos_support, ori_support, self._joint_link,
+                                       pos_cols, pos_support, ori_support, self._joint_link,
                                        self._joint_axis)
 
     def jacobian(self, q: "Configuration", frame: str) -> np.ndarray:
@@ -290,24 +300,25 @@ class KinematicModel:
         idx = np.array([self.link_index(frame)], dtype=np.int64)
         support = self._support[idx]
         pos, rot = self.fk_arrays(q)
-        return self._jacobians((pos[None], rot[None]), idx, idx, support, support)[0]
+        return self._jacobians((pos[None], rot[None]), idx, idx, *_moving_columns(support),
+                               support)[0]
 
     def stacked_poses(self, fk) -> StackedPose:
         """Target-frame poses, positions first, from a batch of link poses as
         ``fk_batch`` returns them: positions (B, n_p, 3), rotations (B, n_o, 3, 3)."""
         pos, rot = fk
-        return StackedPose(pos[:, self._pos_idx], rot[:, self._ori_idx])
+        return StackedPose(pos.take(self._pos_idx, axis=1), rot.take(self._ori_idx, axis=1))
 
     def stacked_forward_kinematics(self, q: "Configuration") -> StackedPose:
         """Poses of all declared target frames: positions first, then rotations."""
         pos, rot = self.fk_arrays(q)
-        return StackedPose(pos[self._pos_idx], rot[self._ori_idx])
+        return StackedPose(pos.take(self._pos_idx, axis=0), rot.take(self._ori_idx, axis=0))
 
     def stacked_jacobians(self, fk) -> np.ndarray:
         """Stacked Jacobians (B, 3 (n_p + n_o), n + 6) from a batch of link
         poses as ``fk_batch`` returns them."""
-        return self._jacobians(fk, self._pos_idx, self._ori_idx, self._pos_support,
-                               self._ori_support)
+        return self._jacobians(fk, self._pos_idx, self._ori_idx, self._pos_cols,
+                               self._pos_support, self._ori_support)
 
     def stacked_jacobian(self, q: "Configuration", fk=None) -> np.ndarray:
         pos, rot = fk if fk is not None else self.fk_arrays(q)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import orthonormality_errors
+from ._kernels import determinants, orthonormality_errors
 from .errors import IkTrackError, NonFiniteSolution, QPInfeasible, SchemaMismatch, StaleSample
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
@@ -43,8 +43,10 @@ def _check_values(t, positions, rotations, lin_vels, ang_vels):
     finite = [np.isfinite(a).reshape(count, -1).all(axis=1)
               for a in (t, positions, rotations, lin_vels, ang_vels)]
     r = rotations.reshape(-1, 3, 3)
-    with np.errstate(invalid="ignore"):  # a non-finite rotation is reported as such
-        is_rotation = (orthonormality_errors(r) <= 1e-8) & (np.linalg.det(r) > 0.0)
+    # a non-finite rotation is reported as such, one too large to square as
+    # not a rotation
+    with np.errstate(invalid="ignore", over="ignore"):
+        is_rotation = (orthonormality_errors(r) <= 1e-8) & (determinants(r) > 0.0)
     is_rotation = is_rotation.reshape(count, -1)
     good = np.logical_and.reduce(finite) & is_rotation.all(axis=1)
     if good.all():

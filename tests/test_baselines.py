@@ -6,6 +6,7 @@ import pytest
 import iktrack as ik
 from iktrack import (Configuration, InstantaneousConfig, Rotation, TargetSample,
                      decompose_pairwise, solve_pairwise, solve_whole_body)
+from iktrack.baselines import _damped_step
 from iktrack.errors import DecompositionError
 
 from conftest import hinge_model, rodrigues, single_joint_model, static_sample
@@ -259,6 +260,25 @@ def chained_solves(model, method):
 @pytest.mark.parametrize("method", ["whole-body", "pairwise"])
 def test_chained_solves_are_pinned(name, method, request):
     assert chained_solves(request.getfixturevalue(name), method) == PINNED[name, method]
+
+
+def damped_step_oracle(J, r, lam):
+    """The Levenberg-Marquardt step as the loop once formed it: from the
+    residual's own Jacobian -J and a damping matrix."""
+    return np.linalg.solve(J.T @ J + lam * np.eye(J.shape[1]), -(-J).T @ r)
+
+
+def test_damped_step_matches_normal_equations():
+    # shapes of both loops: 3 x n_sub for a pairwise slice, 72 x 72 for human66
+    rng = np.random.default_rng(19)
+    shapes = [(3, int(k)) for k in rng.integers(1, 10, size=10)] + [(72, 72)] * 5
+    shapes += [(int(k) + int(extra), int(k)) for k, extra in
+               zip(rng.integers(1, 60, size=20), rng.integers(0, 8, size=20))]
+    for rows, cols in shapes:
+        J = rng.normal(size=(rows, cols))
+        r = rng.normal(size=rows)
+        for lam in (1e-12, 1e-3, 0.3, 1e4):
+            assert np.array_equal(_damped_step(J, r, lam), damped_step_oracle(J, r, lam))
 
 
 def test_whole_body_without_orientation_targets():

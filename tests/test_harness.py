@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,18 @@ class TestTargetStream:
             ik.TargetStream(**arrays)
         with pytest.raises(SchemaMismatch, match="differ in length"):
             ik.TargetStream(**dict(arrays, t=arrays["t"][:-1]))
+
+    @pytest.mark.parametrize("entry", [1e120, 1e200, -1e300])
+    def test_a_huge_rotation_is_not_a_rotation(self, human66, entry):
+        spec = TrajectorySpec(kind="static_pose", duration=0.04, dt=0.01, amplitude=0.1,
+                              seed=3)
+        _, stream = generate_stream(human66, spec)
+        arrays = {name: getattr(stream, name).copy() for name in ("t",) + self.FIELDS}
+        arrays["rotations"][1, 5] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaMismatch, match="^rotation target 5 is not a rotation$"):
+                ik.TargetStream(**arrays)
 
     @pytest.mark.parametrize("key", ["p", "R"])
     def test_target_counts_that_differ_between_lines_are_rejected(self, key, tmp_path):

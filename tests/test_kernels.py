@@ -116,7 +116,7 @@ def test_rotation_matches_reference():
     axes = rng.normal(size=(200, 3))
     axes /= np.linalg.norm(axes, axis=1)[:, None]
     angles = rng.uniform(-4.0, 4.0, size=200)
-    batched = _kernels.rotations_about_axes(axes, angles[None])[0]
+    batched = _kernels.rotations_about_axes(_kernels.axis_factors(axes), angles[None])[0]
     for a, t, r in zip(axes, angles, batched):
         assert np.array_equal(r, ref_rotation(a, t))
         assert np.array_equal(_kernels.rotation_about_axis(a, t), r)
@@ -139,6 +139,60 @@ def test_fk_jacobian_residual_match_reference(human66, human48):
                                for a in rng.normal(size=(model.n_o, 3))])
         assert np.array_equal(model.pose_residual_arrays((pos, rot), target_pos, target_rot),
                               ref_residual(model, pos, rot, target_pos, target_rot)), model.n
+
+
+def test_position_rows_of_a_human_chain_with_hand_targets(human66):
+    """The Jacobian forms the joint columns of the position rows only for the
+    joints that move some position frame. On human66 no joint moves the only
+    position frame, the base; with the hands targeted too, the rows still
+    equal the reference bit for bit, and the base's rows keep all-zero joint
+    columns."""
+    assert human66._pos_cols.shape == (0,)
+    model = ik.KinematicModel(human66.links, human66.joints, human66.base_link,
+                              position_targets=("pelvis", "right_hand", "left_hand"),
+                              orientation_targets=human66.orientation_target_frames)
+    fp = [model.link_index(f) for f in model.position_target_frames]
+    fo = [model.link_index(f) for f in model.orientation_target_frames]
+    rng = np.random.default_rng(13)
+    qs = []
+    for _ in range(5):
+        axis = rng.normal(size=3)
+        qs.append(ik.Configuration(
+            rng.normal(size=3),
+            ik.Rotation.drifting(ref_rotation(axis / np.linalg.norm(axis),
+                                              rng.uniform(-3.0, 3.0))),
+            rng.normal(scale=0.6, size=model.n)))
+    fk = model.fk_batch(np.array([q.base_pos for q in qs]),
+                        np.array([q.base_rot.m for q in qs]), np.array([q.s for q in qs]))
+    batched = model.stacked_jacobians(fk)
+    for i, q in enumerate(qs):
+        pos, rot = model.fk_arrays(q)
+        jac = model.stacked_jacobian(q, fk=(pos, rot))
+        assert np.array_equal(jac, ref_jacobian(model, pos, rot, fp, fo))
+        assert np.array_equal(batched[i], jac)
+        assert not jac[0:3, 6:].any()
+        for row in (1, 2):
+            frame = model.position_target_frames[row]
+            assert np.array_equal(jac[3 * row:3 * row + 3], model.jacobian(q, frame)[:3])
+            # four segments of spine and four of arm, three joints each
+            moving = model._support[model.link_index(frame)]
+            assert moving.sum() == 24
+            assert not jac[3 * row:3 * row + 3, 6:][:, ~moving].any()
+
+
+def test_determinants_match_linalg():
+    """The triple product of the columns against ``np.linalg.det``: within a
+    few ulps, and the same sign on every matrix, rotations, reflections and
+    general matrices alike."""
+    rng = np.random.default_rng(14)
+    axes = rng.normal(size=(300, 3))
+    rot = _kernels.rotation_vectors(axes)
+    stacks = (rot, -rot, rng.normal(size=(300, 3, 3)), rng.uniform(-1e3, 1e3, (300, 3, 3)))
+    for m in stacks:
+        det = _kernels.determinants(m)
+        ref = np.linalg.det(m)
+        assert np.array_equal(np.sign(det), np.sign(ref))
+        assert np.allclose(det, ref, rtol=1e-12, atol=0.0)
 
 
 def test_batched_fk_and_jacobian_match_single_calls(human66, human48):
