@@ -23,20 +23,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import (depth_layout, fk_levels, pose_residual_kernel, rotation_about_axis,
-                       stacked_jacobian_kernel)
+from ._kernels import (axis_factors, depth_layout, fk_levels, pose_residual_kernel,
+                       rotations_about_axes, stacked_jacobian_kernel)
 from .errors import ParseError, UnknownFrame, ValidationError
 from .so3 import Rotation
 
 AXIS_TOL = 1e-9
+# the yaw, pitch and roll axes z, y, x, in the order their rotations compose
+_YPR_FACTORS = axis_factors(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
 
 
 def rpy_matrix(rpy) -> np.ndarray:
     """Fixed-axis roll-pitch-yaw: Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
     r, p, y = np.asarray(rpy, dtype=float)
-    rz = rotation_about_axis(np.array([0.0, 0.0, 1.0]), y)
-    ry = rotation_about_axis(np.array([0.0, 1.0, 0.0]), p)
-    rx = rotation_about_axis(np.array([1.0, 0.0, 0.0]), r)
+    rz, ry, rx = rotations_about_axes(_YPR_FACTORS, np.array([[y, p, r]]))[0]
     return rz @ ry @ rx
 
 

@@ -148,52 +148,59 @@ class Stage:
         return entry
 
 
-def _per_sample(stages, iks, models, streams, dynamical):
-    """Alternate the per-sample call and FK/Jacobian on every sample of every
-    stream, each side following its own iterate."""
+class Pass:
+    """One side's pass over a stream, each call made from that side's own
+    iterate, with the harness's default settings as perfbench uses them."""
+
+    def __init__(self, ik, model, stream, dynamical):
+        cfg = ik.harness.DEFAULT_CONFIG
+        self.ik, self.model, self.stream, self.dynamical = ik, model, stream, dynamical
+        self.q = ik.initial_configuration(model, stream[0])
+        self.state = ik.SolverState.initial(model, self.q)
+        self.gains = ik.GainConfig.build(model, dt=DT, gain=cfg["gain"],
+                                         limit_slope=cfg["limit_slope"],
+                                         vel_bound_default=cfg["vel_bound_default"])
+        self.baumgarte = ik.BaumgarteConfig(rho=cfg["rho"], dt=DT)
+        self.solver = ik.ActiveSetSolver(damping=cfg["damping"])
+        self.ik_config = ik.InstantaneousConfig(stop_tol=cfg["stop_tol"],
+                                                max_iters=cfg["max_iters"],
+                                                lm_lambda0=cfg["lm_lambda0"])
+
+    def call(self, i):
+        """``step`` or ``solve_whole_body`` on sample i; advances the iterate."""
+        if self.dynamical:
+            out = self.ik.step(self.state, self.stream[i], self.model, self.gains,
+                               self.baumgarte, self.solver)
+            self.state, self.q = out[0], out[0].q
+        else:
+            out = self.ik.solve_whole_body(self.model, self.stream[i], self.q, self.ik_config)
+            self.q = out.q
+        return out
+
+
+def _step_key(out):
+    state, report = out
+    return _q_arrays(state.q), state.nu.stacked(), report.residual_r
+
+
+def _solve_key(out):
+    return _q_arrays(out.q), out.iterations, out.pose_error
+
+
+def _per_sample(stages, passes, dynamical):
+    """Alternate the per-sample call, then FK and the Jacobian at the
+    configuration it started from, on every sample of every pair of passes."""
     method, fk, jac = (stages.setdefault(k, Stage()) for k in
                        ("step" if dynamical else "solve_whole_body", "fk", "jacobian"))
     index = 0
-    for k in range(len(streams["parent"])):
-        ctx = {}
-        for side in SIDES:
-            ik, model, stream = iks[side], models[side], streams[side][k]
-            cfg = ik.harness.DEFAULT_CONFIG
-            q = ik.initial_configuration(model, stream[0])
-            ctx[side] = {
-                "ik": ik, "model": model, "stream": stream, "q": q,
-                "state": ik.SolverState.initial(model, q),
-                "gains": ik.GainConfig.build(model, dt=DT, gain=cfg["gain"],
-                                             limit_slope=cfg["limit_slope"],
-                                             vel_bound_default=cfg["vel_bound_default"]),
-                "baumgarte": ik.BaumgarteConfig(rho=cfg["rho"], dt=DT),
-                "solver": ik.ActiveSetSolver(damping=cfg["damping"]),
-                "ik_config": ik.InstantaneousConfig(stop_tol=cfg["stop_tol"],
-                                                    max_iters=cfg["max_iters"],
-                                                    lm_lambda0=cfg["lm_lambda0"]),
-            }
-        for i in range(len(streams["parent"][k])):
-            def call(side, c=ctx, i=i):
-                c = c[side]
-                sample = c["stream"][i]
-                if dynamical:
-                    return c["ik"].step(c["state"], sample, c["model"], c["gains"],
-                                        c["baumgarte"], c["solver"])
-                return c["ik"].solve_whole_body(c["model"], sample, c["q"], c["ik_config"])
-            starts = {side: ctx[side]["state"].q if dynamical else ctx[side]["q"]
-                      for side in SIDES}
-            out = method.alternate(
-                index, {side: (lambda s=side: call(s)) for side in SIDES},
-                key=(lambda o: (_q_arrays(o[0].q), o[0].nu.stacked(), o[1].residual_r))
-                if dynamical else (lambda o: (_q_arrays(o.q), o.iterations, o.pose_error)))
-            for side in SIDES:
-                if dynamical:
-                    ctx[side]["state"] = out[side][0]
-                else:
-                    ctx[side]["q"] = out[side].q
-            poses = fk.alternate(index, {side: (lambda s=side: models[s].fk_arrays(starts[s]))
+    for pair in passes:
+        for i in range(len(pair["parent"].stream)):
+            starts = {side: pair[side].q for side in SIDES}
+            method.alternate(index, {side: (lambda s=side: pair[s].call(i)) for side in SIDES},
+                             key=_step_key if dynamical else _solve_key)
+            poses = fk.alternate(index, {side: (lambda s=side: pair[s].model.fk_arrays(starts[s]))
                                          for side in SIDES})
-            jac.alternate(index, {side: (lambda s=side: models[s].stacked_jacobian(
+            jac.alternate(index, {side: (lambda s=side: pair[s].model.stacked_jacobian(
                 starts[s], fk=poses[s])) for side in SIDES})
             index += 1
 
@@ -250,18 +257,21 @@ def main(argv=None):
             spec = recipes[name]
             stages = {}
             _set_up(stages, iks, spec, fixtures, args.seed, args.rounds, workdir)
-            models, streams = {}, {}
+            dynamical = spec["method"] == "dynamical"
+            passes = [{} for _ in range(args.streams)]
             for side in SIDES:
                 ik = iks[side]
                 with open(os.path.join(fixtures, spec["model"])) as fh:
-                    models[side] = ik.load_model(fh.read())
+                    model = ik.load_model(fh.read())
                 with open(os.path.join(fixtures, spec["source"])) as fh:
                     source = ik.load_model(fh.read())
-                streams[side] = [ik.generate_stream(source, ik.TrajectorySpec(
-                    kind="random_smooth", duration=DURATION, dt=DT,
-                    amplitude=spec["amplitude"], freq_band=spec["band"],
-                    seed=args.seed * STREAMS + i))[1] for i in range(args.streams)]
-            _per_sample(stages, iks, models, streams, spec["method"] == "dynamical")
+                for i, pair in enumerate(passes):
+                    stream = ik.generate_stream(source, ik.TrajectorySpec(
+                        kind="random_smooth", duration=DURATION, dt=DT,
+                        amplitude=spec["amplitude"], freq_band=spec["band"],
+                        seed=args.seed * STREAMS + i))[1]
+                    pair[side] = Pass(ik, model, stream, dynamical)
+            _per_sample(stages, passes, dynamical)
             doc["workloads"][name] = {k: v.summary() for k, v in stages.items()}
             for stage, s in doc["workloads"][name].items():
                 print(f"{name:14s} {stage:17s} parent {s['parent_median_us']:10.1f} us  "
