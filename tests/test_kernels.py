@@ -181,9 +181,9 @@ def test_position_rows_of_a_human_chain_with_hand_targets(human66):
 
 
 def test_determinants_match_linalg():
-    """The triple product of the columns against ``np.linalg.det``: within a
-    few ulps, and the same sign on every matrix, rotations, reflections and
-    general matrices alike."""
+    """The triple product of the columns against ``np.linalg.det``: equal to
+    1e-12 relative, and of the same sign on every matrix, rotations,
+    reflections and general matrices alike."""
     rng = np.random.default_rng(14)
     axes = rng.normal(size=(300, 3))
     rot = _kernels.rotation_vectors(axes)
