@@ -123,19 +123,14 @@ def solve_whole_body(model: KinematicModel, sample: TargetSample, q_init: Config
     pose error.
     """
     sample.check_model(model)
-    rows, cols = 3 * model.n_p, model.n + 6
 
     def evaluate(q):
         fk = model.fk_arrays(q)
         return model.pose_residual_arrays(fk, sample.positions, sample.rotations), fk
 
     def jacobian(q, fk):
-        # w.r.t. the step (base position, world rotation, joints); rotation
-        # errors live in the estimated frames, so their world rows are pulled back
-        jac = model.stacked_jacobian(q, fk=fk)
-        ori = jac[rows:].reshape(model.n_o, 3, cols)
-        jac[rows:] = (fk[1].take(model._ori_idx, axis=0).swapaxes(1, 2) @ ori).reshape(-1, cols)
-        return jac
+        # w.r.t. the step (base position, world rotation, joints)
+        return model.stacked_jacobian(q, fk=fk)
 
     def update(q, delta):
         rot = rotation_vectors(delta[None, 3:6])[0] @ q.base_rot.m

@@ -317,7 +317,7 @@ def _run_instantaneous(model, samples, config, solve_fn):
                               lm_lambda0=config["lm_lambda0"])
     solver = ActiveSetSolver(damping=config["damping"])
     qs, nus, times = [], [], []
-    q = initial_configuration(model, samples[0])
+    q = initial_configuration(model, samples[0]) if len(samples) else None
     for sample in samples:
         t0 = time.perf_counter()
         q = solve_fn(sample, q, cfg)

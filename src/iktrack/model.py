@@ -7,12 +7,8 @@ indexing of the joint vector ``s`` everywhere. Velocities are stacked as
 (base_lin, base_ang, s_dot) with the base angular velocity expressed in the
 inertial frame.
 
-Frames: every row of a stacked Jacobian, linear and angular, is in the world
-frame. ``pose_residual_arrays`` gives the position errors in the world frame
-and each orientation error vee(skew(R_est^T R_target)) in its estimated frame.
-The tracker turns the orientation errors into the world frame before it feeds
-them back; the whole-body baseline pulls its Jacobian's angular rows back
-into the estimated frames instead.
+Frames: every row of a pose residual and of a stacked Jacobian is in the
+world frame.
 """
 from __future__ import annotations
 
@@ -166,6 +162,10 @@ class KinematicModel:
                 raise ValidationError("constraint shape", "b_q/b_nu length mismatch")
             if not np.all(np.isfinite(ec.a)):
                 raise ValidationError("non-finite constraint", "A")
+            # an infinite bound means unbounded; NaN bounds nothing
+            for name in ("b_q", "b_nu"):
+                if np.isnan(getattr(ec, name)).any():
+                    raise ValidationError("NaN constraint bound", name)
 
     # -- precomputed arrays -------------------------------------------------
 
@@ -325,8 +325,8 @@ class KinematicModel:
         return self.stacked_jacobians((pos[None], rot[None]))[0]
 
     def pose_residual_arrays(self, fk, target_pos, target_rot) -> np.ndarray:
-        """Stacked pose residual at link poses ``fk``: position errors in the
-        world frame, then orientation errors in each estimated frame."""
+        """Stacked pose residual at link poses ``fk`` in the world frame:
+        position errors, then orientation errors R_est vee(skew(R_est^T R_target))."""
         pos, rot = fk
         return pose_residual_kernel(self._pos_idx, self._ori_idx, pos, rot,
                                     target_pos, target_rot)

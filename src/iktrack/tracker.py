@@ -221,9 +221,8 @@ class SolverState:
 @dataclass(eq=False)
 class StepReport:
     """Pre-update diagnostics for one step: the pose residual r fed back
-    (position rows, then orientation rows turned into the world frame), the
-    velocity residual u = v - J nu, the QP's status, the step's wall time and
-    which limit rows ended active."""
+    (``pose_residual``), the velocity residual u = v - J nu, the QP's status,
+    the step's wall time and which limit rows ended active."""
 
     residual_r: np.ndarray
     residual_u: np.ndarray
@@ -243,8 +242,8 @@ def initial_configuration(model: KinematicModel, sample: TargetSample) -> Config
 
 
 def pose_residual(model: KinematicModel, q: Configuration, sample: TargetSample) -> np.ndarray:
-    """Stacked pose error: position differences, then rotation error vectors
-    in each estimated frame (``KinematicModel.pose_residual_arrays``)."""
+    """Stacked pose error in the world frame: position differences, then
+    rotation error vectors (``KinematicModel.pose_residual_arrays``)."""
     sample.check_model(model)
     fk = model.fk_arrays(q)
     return model.pose_residual_arrays(fk, sample.positions, sample.rotations)
@@ -289,11 +288,6 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     t_start = time.perf_counter()
     fk = model.fk_arrays(state.q)
     residual = model.pose_residual_arrays(fk, sample.positions, sample.rotations)
-    # the orientation rows of r are in each estimated frame and the angular
-    # rows of J in the world frame: turn each row by its frame's rotation
-    n_pos = 3 * model.n_p
-    residual[n_pos:] = (fk[1].take(model._ori_idx, axis=0)
-                        @ residual[n_pos:].reshape(-1, 3, 1)).ravel()
     jac = model.stacked_jacobian(state.q, fk=fk)
     velocity = sample.velocity_stack()
     v_star = corrected_velocity(sample, residual, gains, velocity)

@@ -225,10 +225,12 @@ class TestPairwise:
 
 # sha256 prefixes of the configurations each solver chained over a 0.2 s
 # random_smooth stream (amplitude 0.3, seed 17), and the iteration counts per
-# sample, recorded with the two-loop solvers these replaced (numpy 2.4, x86-64)
+# sample (numpy 2.4, x86-64). The pairwise pins were recorded with the
+# two-loop solvers these replaced, the whole-body pins with world-frame
+# orientation rows in the residual and the Jacobian
 PINNED = {
-    ("human66", "whole-body"): ("f4ef82b9c89ae782", [3] + [2] * 19),
-    ("human48", "whole-body"): ("e62c9a047b71e511", [3] + [2] * 19),
+    ("human66", "whole-body"): ("a4037a82fe965805", [3] + [2] * 19),
+    ("human48", "whole-body"): ("7b854f5d4642322a", [3] + [2] * 19),
     ("human66", "pairwise"): ("04137c8edc9e00b7", [44, 23, 23, 23, 23] + [22] * 15),
     ("human48", "pairwise"): ("d649f9e0745f4586",
                               [40, 22, 22, 22, 21, 22, 22, 21] + [22] * 12),

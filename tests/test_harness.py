@@ -12,7 +12,7 @@ from iktrack import (Configuration, MetricsSummary, Rotation, TargetSample,
                      project_to_so3, results_csv, rmse_angvel, run_benchmark, run_method,
                      save_stream, summarize_run)
 from iktrack.errors import DegenerateMatrix, ParseError, SchemaMismatch, SpecInfeasible
-from iktrack.harness import CHUNK
+from iktrack.harness import CHUNK, METHODS
 
 from conftest import base_only_model, branched_model, rodrigues, static_sample
 
@@ -461,6 +461,13 @@ class TestBenchmark:
         assert rec.steps == 260
         assert rec.metrics.mnte_stats.median <= 1e-2
         assert table.splitlines()[0].startswith("method,model,scenario")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_empty_stream_gives_an_empty_run(self, human66, method):
+        spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01,
+                              amplitude=0.1, seed=3)
+        _, stream = ik.generate_stream(human66, spec)
+        assert ik.run_method(method, human66, stream[:0]) == ([], [], [], None)
 
     def test_empty_method_list(self, human66):
         spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01,

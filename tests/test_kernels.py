@@ -76,7 +76,8 @@ def ref_residual(model, pos, rot, target_pos, target_rot):
     for i, f in enumerate(model.orientation_target_frames):
         a, b = rot[model.link_index(f)], target_rot[i]
         m = lambda r, c: a[0, r] * b[0, c] + a[1, r] * b[1, c] + a[2, r] * b[2, c]
-        out.append(0.5 * np.array([m(2, 1) - m(1, 2), m(0, 2) - m(2, 0), m(1, 0) - m(0, 1)]))
+        r = 0.5 * np.array([m(2, 1) - m(1, 2), m(0, 2) - m(2, 0), m(1, 0) - m(0, 1)])
+        out.append(a @ r)  # turned from the estimated frame into the world frame
     return np.concatenate(out) if out else np.zeros(0)
 
 
@@ -224,8 +225,9 @@ def test_orientation_residual_matches_pose_residual_rows(human66, human48):
         stacked = model.pose_residual_arrays(fk, rng.normal(size=(model.n_p, 3)), target_rot)
         rows = stacked[3 * model.n_p:].reshape(-1, 3)
         for k in range(model.n_o):
-            assert np.array_equal(ik.orientation_residual(rotations[k], target_rot[k]),
-                                  rows[k]), (model.n, k)
+            # the residual in the estimated frame, turned into the world frame
+            world = rotations[k] @ ik.orientation_residual(rotations[k], target_rot[k])
+            assert np.array_equal(world, rows[k]), (model.n, k)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -263,6 +263,26 @@ class TestModelValidation:
                            joints=[Joint("j", "b", "x", axis=[0, 0, 1], pos_limits=(1.0, -1.0))],
                            base_link="b")
 
+    @pytest.mark.parametrize("field", ["b_q", "b_nu"])
+    def test_nan_constraint_bound_rejected(self, human48, field):
+        """Built through the Python API, a NaN bound is rejected by name, as
+        the JSON loader rejects it; an infinite bound still means unbounded."""
+        ec = human48.extra_constraints
+
+        def with_bound(value):
+            bounds = {"b_q": ec.b_q.copy(), "b_nu": ec.b_nu.copy()}
+            bounds[field][0] = value
+            return KinematicModel(human48.links, human48.joints, human48.base_link,
+                                  human48.position_target_frames,
+                                  human48.orientation_target_frames,
+                                  ik.ExtraConstraints(a=ec.a, **bounds))
+
+        unbounded = with_bound(np.inf)
+        assert np.isinf(unbounded.config_bounds[-1] if field == "b_q"
+                        else unbounded.vel_bounds[-1])
+        with pytest.raises(ValidationError, match=f"NaN constraint bound: {field}"):
+            with_bound(np.nan)
+
     def test_unknown_target_frame_rejected(self):
         with pytest.raises(ValidationError, match="unknown target frame"):
             KinematicModel(links=[Link("b")], joints=[], base_link="b",

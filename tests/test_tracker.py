@@ -47,6 +47,28 @@ class TestPoseResidual:
         r = pose_residual(m, q, sample)
         assert np.allclose(r, [0, 0, 0, 0, 0, 1], atol=1e-12)
 
+    def test_equals_the_residual_step_feeds_back(self, human66):
+        """On a tilted base and bent joints, ``pose_residual`` is the vector
+        ``step()`` feeds back, bit for bit, and its norm is the norm of the
+        rotation errors taken in each estimated frame."""
+        rng = np.random.default_rng(8)
+        q = Configuration(rng.normal(size=3), Rotation.about_axis([1.0, 2.0, -1.0], 0.7),
+                          rng.uniform(-0.4, 0.4, human66.n))
+        truth = Configuration(rng.normal(size=3), Rotation.about_axis([0.0, 1.0, 1.0], -0.5),
+                              rng.uniform(-0.4, 0.4, human66.n))
+        sample = static_sample(human66, truth)
+        gains, baumgarte, solver = default_setup(human66)
+        _, report = step(SolverState.initial(human66, q), sample, human66, gains,
+                         baumgarte, solver)
+        r = pose_residual(human66, q, sample)
+        assert np.array_equal(r, report.residual_r)
+        est = human66.stacked_forward_kinematics(q)
+        local = np.concatenate(
+            [(sample.positions - est.positions).ravel()]
+            + [ik.orientation_residual(a, b) for a, b in zip(est.rotations, sample.rotations)])
+        assert np.linalg.norm(local) > 1.0
+        assert abs(np.linalg.norm(r) / np.linalg.norm(local) - 1.0) <= 1e-14
+
     def test_count_mismatch(self, human66, human48):
         sample = static_sample(human48, Configuration.zeros(human48))
         sample.positions = sample.positions[:0]  # break n_p

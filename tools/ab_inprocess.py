@@ -23,9 +23,10 @@ are timed in alternation:
 
 The JSON output holds, per workload and stage, both sides' median and
 quartiles in microseconds, the ratio of the medians (change / parent), the
-number of alternations the change was faster in, and whether the two sides'
-outputs were identical bit for bit on every call. BLAS runs on one thread,
-as in perfbench.
+number of alternations the change was faster in, whether the two sides'
+outputs were identical bit for bit on every call, and the largest absolute
+difference between them over all calls (``max_abs_diff``), so a change in
+the last bits shows as a number. BLAS runs on one thread, as in perfbench.
 """
 import os
 
@@ -37,6 +38,7 @@ import argparse  # noqa: E402
 import filecmp  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -103,6 +105,27 @@ def _same(a, b):
     return np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
 
 
+def _max_abs_diff(a, b):
+    """The largest absolute difference between two outputs of the shape
+    ``_same`` compares: 0.0 when they are identical, inf where their shapes
+    or non-numeric entries differ or only one side is NaN."""
+    if isinstance(a, (tuple, list)):
+        if len(a) != len(b):
+            return math.inf
+        return max((_max_abs_diff(x, y) for x, y in zip(a, b)), default=0.0)
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        return math.inf
+    if a.dtype.kind not in "biuf" or b.dtype.kind not in "biuf":
+        return 0.0 if np.array_equal(a, b) else math.inf
+    if not a.size:
+        return 0.0
+    a, b = a.astype(float), b.astype(float)
+    with np.errstate(invalid="ignore"):
+        diff = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b))
+    return float(np.nan_to_num(diff, nan=math.inf).max())
+
+
 def _stream_arrays(stream):
     return (stream.t, stream.positions, stream.rotations, stream.lin_vels, stream.ang_vels)
 
@@ -118,6 +141,7 @@ class Stage:
         self.times = {side: [] for side in SIDES}
         self.wins = 0
         self.identical = True
+        self.max_abs_diff = 0.0
 
     def alternate(self, index, calls, key=lambda out: out):
         """Run ``calls[side]()`` for both sides, the parent first when
@@ -131,7 +155,9 @@ class Stage:
         for side in SIDES:
             self.times[side].append(spent[side])
         self.wins += spent["change"] < spent["parent"]
-        self.identical &= bool(_same(key(out["parent"]), key(out["change"])))
+        parent, change = key(out["parent"]), key(out["change"])
+        self.identical &= bool(_same(parent, change))
+        self.max_abs_diff = max(self.max_abs_diff, _max_abs_diff(parent, change))
         return out
 
     def summary(self):
@@ -145,6 +171,7 @@ class Stage:
         entry["change_faster"] = self.wins
         entry["count"] = len(self.times["parent"])
         entry["identical"] = self.identical
+        entry["max_abs_diff"] = self.max_abs_diff
         return entry
 
 
@@ -232,7 +259,9 @@ def _set_up(stages, iks, spec, fixtures, seed, rounds, workdir):
         stage("save_stream", lambda s: iks[s].save_stream(files[s], generated[s][1]),
               key=lambda _: None)
         if not filecmp.cmp(files["parent"], files["change"], shallow=False):
+            # files are compared by bytes, so a difference has no size
             stages["save_stream"].identical = False
+            stages["save_stream"].max_abs_diff = math.inf
         loaded = stage("load_stream", lambda s: iks[s].load_stream(files[s]),
                        key=_stream_arrays)
         if not runs:
@@ -277,7 +306,8 @@ def main(argv=None):
                 print(f"{name:14s} {stage:17s} parent {s['parent_median_us']:10.1f} us  "
                       f"change {s['change_median_us']:10.1f} us  ratio {s['ratio']:.3f}  "
                       f"faster {s['change_faster']}/{s['count']}  "
-                      f"identical {s['identical']}", file=sys.stderr)
+                      f"identical {s['identical']}  max_abs_diff {s['max_abs_diff']:.3g}",
+                      file=sys.stderr)
             with open(args.out, "w") as fh:
                 json.dump(doc, fh, indent=1)
     return 0
