@@ -18,6 +18,7 @@ from .harness import (DEFAULT_CONFIG, METHODS, TrajectorySpec, generate_stream,
                       load_stream, results_csv, run_benchmark, run_method,
                       save_stream, summarize_run)
 from .model import generate_human_chain, load_model, serialize_model
+from .so3 import BaumgarteConfig
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -46,9 +47,8 @@ def _cmd_solve(args):
         raise ParseError(f"{args.stream}: empty stream")
     samples.check_model(model)
     samples.check_spacing(args.dt, name="--dt")
-    config = dict(DEFAULT_CONFIG)
-    config.update({"gain": args.gain, "limit_slope": args.gain_limit,
-                   "rho": args.rho, "dt": args.dt})
+    config = {"gain": args.gain, "limit_slope": args.gain_limit, "rho": args.rho,
+              "dt": args.dt}
     qs, nus, times, error = run_method(args.method, model, samples, config)
     metrics = summarize_run(model, samples, qs, nus, times)
     with open(args.out, "w") as fh:
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method", required=True, choices=list(METHODS))
     p_solve.add_argument("--gain", type=float, default=DEFAULT_CONFIG["gain"])
     p_solve.add_argument("--gain-limit", type=float, default=DEFAULT_CONFIG["limit_slope"])
-    p_solve.add_argument("--dt", type=float, default=0.01)
+    p_solve.add_argument("--dt", type=float, default=BaumgarteConfig.dt)
     p_solve.add_argument("--rho", type=float, default=DEFAULT_CONFIG["rho"])
     p_solve.add_argument("--out", required=True)
     p_solve.set_defaults(func=_cmd_solve)

@@ -22,16 +22,20 @@ from .tracker import (GainConfig, TargetSample, TargetStream, _check_counts,
 
 METHODS = ("dynamical", "whole-body", "pairwise")
 
+# the settings classes own the defaults; this is their one flat view
 DEFAULT_CONFIG = {
-    "gain": 2.0,
-    "limit_slope": 10.0,
-    "rho": 10.0,
-    "damping": 1e-6,
-    "vel_bound_default": 1e3,
-    "stop_tol": 1e-4,
-    "max_iters": 30,
-    "lm_lambda0": 1e-3,
+    "gain": GainConfig.gain,
+    "limit_slope": GainConfig.limit_slope,
+    "rho": BaumgarteConfig.rho,
+    "damping": ActiveSetSolver.damping,
+    "vel_bound_default": GainConfig.vel_bound_default,
+    "stop_tol": InstantaneousConfig.stop_tol,
+    "max_iters": InstantaneousConfig.max_iters,
+    "lm_lambda0": InstantaneousConfig.lm_lambda0,
 }
+
+# the leading window, in seconds, left out of a run's summary statistics
+TRANSIENT_DISCARD = 2.0
 
 
 # -- metrics ------------------------------------------------------------------
@@ -354,7 +358,7 @@ def run_method(method, model, samples, config=None):
     merged = dict(DEFAULT_CONFIG)
     merged.update(config or {})
     if "dt" not in merged:
-        merged["dt"] = samples[1].t - samples[0].t if len(samples) > 1 else 0.01
+        merged["dt"] = samples[1].t - samples[0].t if len(samples) > 1 else BaumgarteConfig.dt
     return _RUNNERS[method](model, samples, merged)
 
 
@@ -386,7 +390,7 @@ class MetricsSummary:
     mnte_series: np.ndarray
     rmse_series: np.ndarray
     time_series: np.ndarray
-    transient_discard: float = 2.0
+    transient_discard: float = TRANSIENT_DISCARD
     mnte_stats: SeriesStats = field(init=False)
     rmse_stats: SeriesStats = field(init=False)
     time_stats: SeriesStats = field(init=False)
@@ -423,7 +427,7 @@ class RunRecord:
 
 
 def summarize_run(model, stream: TargetStream, qs, nus, times,
-                  transient_discard=2.0) -> MetricsSummary:
+                  transient_discard=TRANSIENT_DISCARD) -> MetricsSummary:
     """Per-step metrics of a run: ``qs[i]`` and ``nus[i]`` are scored against
     sample i of the stream, in chunks of ``CHUNK`` steps."""
     count = len(qs)
@@ -451,7 +455,7 @@ def _bench_cell(method, model_id, model, trajectory_id, samples, config, transie
                      failures=0 if error is None else 1, error=error)
 
 
-def run_benchmark(models, specs, methods, config=None, transient_discard=2.0):
+def run_benchmark(models, specs, methods, config=None, transient_discard=TRANSIENT_DISCARD):
     """Run the full (model x spec x method) grid.
 
     ``models`` and ``specs`` are (id, value) pairs; streams are generated per

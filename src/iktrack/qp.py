@@ -103,8 +103,9 @@ class ActiveSetSolver:
     ``damping`` is the Hessian damping its callers put into their problems."""
 
     tol = 1e-8
+    damping = 1e-6
 
-    def __init__(self, damping: float = 1e-6):
+    def __init__(self, damping: float = damping):
         self.damping = damping
 
     def solve(self, prob: LeastSquaresQP, warm_start=()) -> QPSolution:

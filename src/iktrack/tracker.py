@@ -152,10 +152,10 @@ class TargetStream(Sequence):
 
     def check_spacing(self, dt: float, name: str = "dt"):
         """Raise ``SchemaMismatch``, naming the first pair, when consecutive
-        timestamps are not ``dt`` apart; ``name`` is what the message calls
-        ``dt``."""
+        timestamps are not ``dt`` apart within ``RATE_TOL`` (a NaN ``dt`` fails
+        every pair); ``name`` is what the message calls ``dt``."""
         spacing = np.diff(self.t)
-        bad = np.flatnonzero(np.abs(spacing - dt) > 1e-9)
+        bad = np.flatnonzero(~(np.abs(spacing - dt) <= RATE_TOL))
         if bad.size:
             raise SchemaMismatch(f"samples {bad[0]} and {bad[0] + 1} are spaced "
                                  f"{float(spacing[bad[0]])!r}, not {name} {dt}")
@@ -166,39 +166,33 @@ class GainConfig:
     """Feedback gains for the velocity correction and the joint-limit
     velocity shaping.
 
-    ``gain`` is the diagonal of the residual-feedback matrix (one entry per
-    stacked residual component), ``limit_slope`` the per-constraint-row slope
-    of the tanh bound shaping, and ``vel_bound_default`` the stand-in for
-    unbounded velocity rows. Construction enforces the discrete-time
-    stability guard max(gain) * dt <= 1.
+    ``gain`` is the residual-feedback gain K, one for every stacked residual
+    component, ``limit_slope`` the slope of the tanh bound shaping on every
+    constraint row, and ``vel_bound_default`` the stand-in for unbounded
+    velocity rows. Construction checks that each value is positive (NaN is
+    not) and enforces the discrete-time stability guard gain * dt <= 1.
     """
 
-    gain: np.ndarray
-    limit_slope: np.ndarray
-    vel_bound_default: float
-    dt: float
+    gain: float = 2.0
+    limit_slope: float = 10.0
+    vel_bound_default: float = 1e3
+    dt: float = BaumgarteConfig.dt
 
     def __post_init__(self):
-        self.gain = np.asarray(self.gain, dtype=float)
-        self.limit_slope = np.asarray(self.limit_slope, dtype=float)
-        if np.any(self.gain <= 0.0):
-            raise ValueError("gain entries must be positive")
-        if np.any(self.limit_slope <= 0.0):
-            raise ValueError("limit_slope entries must be positive")
-        if not self.vel_bound_default > 0.0:
-            raise ValueError("vel_bound_default must be positive")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if float(np.max(self.gain)) * self.dt > 1.0:
-            raise ValueError("stability guard: max(gain) * dt must be <= 1")
+        for name in ("gain", "limit_slope", "vel_bound_default", "dt"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if not self.gain * self.dt <= 1.0:
+            raise ValueError("stability guard: gain * dt must be <= 1")
 
     @classmethod
-    def build(cls, model: KinematicModel, dt: float, gain: float = 2.0,
-              limit_slope: float = 10.0, vel_bound_default: float = 1e3) -> "GainConfig":
-        dim = 3 * (model.n_p + model.n_o)
-        m = model.constraint_matrix.shape[0]
-        return cls(gain=np.full(dim, float(gain)),
-                   limit_slope=np.full(max(m, 1), float(limit_slope)),
+    def build(cls, model: KinematicModel, dt: float, gain: float = gain,
+              limit_slope: float = limit_slope,
+              vel_bound_default: float = vel_bound_default) -> "GainConfig":
+        """The gains for sample spacing ``dt``, with the class's defaults.
+        The gains no longer depend on the model; ``model`` stays in the
+        signature for the callers that pass it."""
+        return cls(gain=gain, limit_slope=limit_slope,
                    vel_bound_default=vel_bound_default, dt=dt)
 
 
@@ -251,7 +245,7 @@ def pose_residual(model: KinematicModel, q: Configuration, sample: TargetSample)
 
 def corrected_velocity(sample: TargetSample, residual: np.ndarray,
                        gains: GainConfig, velocity: np.ndarray | None = None) -> np.ndarray:
-    """Velocity targets with elementwise residual feedback added; ``velocity``
+    """Velocity targets with the residual fed back through the gain; ``velocity``
     is ``sample.velocity_stack()`` when the caller already holds it."""
     if velocity is None:
         velocity = sample.velocity_stack()

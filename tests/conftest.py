@@ -85,10 +85,10 @@ def branched_model():
 
 
 def unchecked_gains(model, dt, gain):
-    """``GainConfig.build`` with every feedback gain set to ``gain``, bypassing
+    """``GainConfig.build`` with the feedback gain set to ``gain``, bypassing
     the positivity and stability guards (zero gain, or gain * dt past 1)."""
     gains = ik.GainConfig.build(model, dt=dt)
-    gains.gain = np.full_like(gains.gain, float(gain))
+    gains.gain = float(gain)
     return gains
 
 
