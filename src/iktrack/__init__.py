@@ -7,10 +7,10 @@ accuracy/timing comparisons.
 """
 from .baselines import (IkResult, InstantaneousConfig, Subsystem, SubsystemReport,
                         decompose_pairwise, solve_pairwise, solve_whole_body)
-from .errors import (DecompositionError, DegenerateMatrix, IkTrackError, NonFiniteSolution,
-                     NotARotation, NotSkewSymmetric, ParseError, QPInfeasible, RankDeficient,
-                     SchemaMismatch, SingularMatrix, SpecInfeasible, StaleSample,
-                     UnknownFrame, ValidationError)
+from .errors import (DecompositionError, DegenerateMatrix, IkTrackError, InvalidSetting,
+                     NonFiniteSolution, NotARotation, NotSkewSymmetric, ParseError,
+                     QPInfeasible, RankDeficient, SchemaMismatch, SingularMatrix,
+                     SpecInfeasible, StaleSample, UnknownFrame, ValidationError)
 from .harness import (MetricsSummary, RunRecord, SeriesStats, TrajectorySpec,
                       generate_stream, load_stream, mnte, results_csv, rmse_angvel,
                       run_benchmark, run_method, save_stream, summarize_run)
@@ -54,5 +54,5 @@ __all__ = [
     "IkTrackError", "NotARotation", "NotSkewSymmetric", "SingularMatrix",
     "DegenerateMatrix", "UnknownFrame", "ParseError", "ValidationError",
     "RankDeficient", "QPInfeasible", "NonFiniteSolution", "StaleSample", "SchemaMismatch",
-    "SpecInfeasible", "DecompositionError",
+    "SpecInfeasible", "DecompositionError", "InvalidSetting",
 ]

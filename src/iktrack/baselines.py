@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import axis_factors, rotation_vectors, rotations_about_axes
-from .errors import DecompositionError
+from .errors import DecompositionError, check_setting
 from .model import Configuration, KinematicModel
 from .qp import ActiveSetSolver, LeastSquaresQP
 from .so3 import Rotation, orientation_residual, project_to_so3
@@ -28,8 +28,9 @@ class InstantaneousConfig:
     lm_lambda0: float = 1e-3
 
     def __post_init__(self):
-        if not self.stop_tol > 0.0:
-            raise ValueError("stop_tol must be positive")
+        check_setting("stop_tol", self.stop_tol)
+        check_setting("max_iters", self.max_iters, integer=True)
+        check_setting("lm_lambda0", self.lm_lambda0)
 
     def weight_vector(self, model: KinematicModel) -> np.ndarray:
         """Per-component weights of the stacked residual: all ones, since the

@@ -12,13 +12,14 @@ import sys
 
 import numpy as np
 
-from .errors import (IkTrackError, ParseError, QPInfeasible, SchemaMismatch,
+from .errors import (IkTrackError, InvalidSetting, ParseError, QPInfeasible, SchemaMismatch,
                      SpecInfeasible, StaleSample, ValidationError)
 from .harness import (DEFAULT_CONFIG, METHODS, TrajectorySpec, generate_stream,
                       load_stream, results_csv, run_benchmark, run_method,
                       save_stream, summarize_run)
 from .model import generate_human_chain, load_model, serialize_model
 from .so3 import BaumgarteConfig
+from .tracker import GainConfig
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -41,6 +42,9 @@ def _load_model_file(path):
 
 
 def _cmd_solve(args):
+    # the flags are checked for every method, before any file is read
+    GainConfig(gain=args.gain, limit_slope=args.gain_limit, dt=args.dt)
+    BaumgarteConfig(rho=args.rho, dt=args.dt)
     model = _load_model_file(args.model)
     samples = load_stream(args.stream)
     if not samples:
@@ -84,8 +88,6 @@ def _cmd_gen(args):
         raise ValidationError("unknown key", f"spec: {sorted(unknown)[0]}")
     if args.seed is not None:
         raw["seed"] = args.seed
-    if "freq_band" in raw:
-        raw["freq_band"] = tuple(raw["freq_band"])
     try:
         spec = TrajectorySpec(**raw)
     except (TypeError, ValueError) as e:
@@ -112,8 +114,6 @@ def _bench_grid(cfg):
         specs = []
         for entry in cfg["specs"]:
             fields = {k: v for k, v in entry.items() if k != "id"}
-            if "freq_band" in fields:
-                fields["freq_band"] = tuple(fields["freq_band"])
             specs.append((entry["id"], TrajectorySpec(**fields)))
         return models, specs, cfg.get("methods", list(METHODS)), cfg.get("config", {})
     except (AttributeError, KeyError, TypeError, ValueError) as e:
@@ -192,6 +192,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvalidSetting as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return USAGE_ERROR
     except _DATA_ERRORS as e:
         print(f"data error: {e}", file=sys.stderr)
         return DATA_ERROR

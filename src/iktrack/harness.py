@@ -13,7 +13,8 @@ import numpy as np
 from ._kernels import axis_factors, rotation_vectors, rotations_about_axes
 from .baselines import (InstantaneousConfig, decompose_pairwise, solve_pairwise,
                         solve_whole_body)
-from .errors import IkTrackError, ParseError, SchemaMismatch, SpecInfeasible
+from .errors import (IkTrackError, InvalidSetting, ParseError, SchemaMismatch, SpecInfeasible,
+                     check_setting)
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP
 from .so3 import BaumgarteConfig, Rotation, project_stack_to_so3
@@ -99,7 +100,9 @@ def rmse_angvel(model: KinematicModel, q: Configuration, nu: Velocity,
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """Recipe for a synthetic target stream."""
+    """Recipe for a synthetic target stream. Construction rejects a NaN,
+    infinite or negative number (``InvalidSetting``) and makes ``freq_band``
+    a tuple."""
 
     kind: str  # static_pose | sinusoidal | random_smooth
     duration: float
@@ -111,9 +114,19 @@ class TrajectorySpec:
 
     def __post_init__(self):
         if self.kind not in ("static_pose", "sinusoidal", "random_smooth"):
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if not self.dt > 0.0 or self.duration < self.dt:
-            raise ValueError("need dt > 0 and duration >= dt")
+            raise InvalidSetting(f"unknown trajectory kind {self.kind!r}")
+        check_setting("dt", self.dt)
+        check_setting("duration", self.duration)
+        if not self.duration >= self.dt:
+            raise InvalidSetting("need duration >= dt")
+        check_setting("amplitude", self.amplitude, zero_ok=True)
+        check_setting("noise_std", self.noise_std, zero_ok=True)
+        band = tuple(self.freq_band)
+        if len(band) != 2:
+            raise InvalidSetting(f"freq_band must hold two frequencies, got {band!r}")
+        for f in band:
+            check_setting("freq_band", f, zero_ok=True)
+        object.__setattr__(self, "freq_band", band)
 
 
 def _joint_waves(model, spec, rng):
@@ -447,6 +460,8 @@ def summarize_run(model, stream: TargetStream, qs, nus, times,
 def _bench_cell(method, model_id, model, trajectory_id, samples, config, transient_discard):
     try:
         qs, nus, times, error = run_method(method, model, samples, config)
+    except InvalidSetting:
+        raise  # a bad setting is the sweep's error, not the cell's
     except IkTrackError as e:
         qs, nus, times, error = [], [], [], str(e)
     metrics = summarize_run(model, samples, qs, nus, times, transient_discard)
@@ -460,7 +475,8 @@ def run_benchmark(models, specs, methods, config=None, transient_discard=TRANSIE
 
     ``models`` and ``specs`` are (id, value) pairs; streams are generated per
     (model, spec) cell. Individual failures are recorded without aborting the
-    sweep. Returns the records in declaration order plus the results CSV.
+    sweep, except an ``InvalidSetting``, which aborts it. Returns the records
+    in declaration order plus the results CSV.
     """
     merged = dict(DEFAULT_CONFIG)
     merged.update(config or {})

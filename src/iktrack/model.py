@@ -76,11 +76,20 @@ class StackedPose(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class ExtraConstraints:
     """User-supplied joint-coupling rows A s <= b_q with velocity bounds b_nu
-    (np.inf marks an unbounded entry)."""
+    (np.inf marks an unbounded entry). Construction makes each field a float
+    array; a field that cannot be one is a ``ValidationError`` naming it."""
 
     a: np.ndarray
     b_q: np.ndarray
     b_nu: np.ndarray
+
+    def __post_init__(self):
+        for name in ("a", "b_q", "b_nu"):
+            try:
+                value = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):
+                raise ValidationError("non-numeric constraint", name) from None
+            object.__setattr__(self, name, value)
 
 
 class KinematicModel:

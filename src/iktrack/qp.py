@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import RankDeficient
+from .errors import RankDeficient, check_setting
 
 
 class QPStatus(Enum):
@@ -49,8 +49,7 @@ class LeastSquaresQP:
             self.g = np.asarray(self.g, dtype=float).reshape(-1)
             if self.g.shape[0] != self.G.shape[0]:
                 raise ValueError("G and g row counts differ")
-        if self.damping < 0.0:
-            raise ValueError("damping must be non-negative")
+        check_setting("damping", self.damping, zero_ok=True)
 
 
 @dataclass(eq=False)
@@ -65,6 +64,7 @@ class QPSolution:
 def solve_unconstrained(J, target, damping: float = 0.0) -> np.ndarray:
     """x = (J^T J + damping I)^-1 J^T target via a least-squares factorization
     of the damping-augmented system."""
+    check_setting("damping", damping, zero_ok=True)
     J = np.asarray(J, dtype=float)
     target = np.asarray(target, dtype=float)
     d = J.shape[1]
@@ -106,6 +106,7 @@ class ActiveSetSolver:
     damping = 1e-6
 
     def __init__(self, damping: float = damping):
+        check_setting("damping", damping, zero_ok=True)
         self.damping = damping
 
     def solve(self, prob: LeastSquaresQP, warm_start=()) -> QPSolution:

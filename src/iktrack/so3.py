@@ -12,7 +12,8 @@ import numpy as np
 
 from ._kernels import (baumgarte_step_kernel, orthonormality_errors, rotation_about_axis,
                        rotation_residuals, skew_stack)
-from .errors import DegenerateMatrix, NotARotation, NotSkewSymmetric, SingularMatrix
+from .errors import (DegenerateMatrix, NotARotation, NotSkewSymmetric, SingularMatrix,
+                     check_setting)
 
 ORTHONORMALITY_TOL = 1e-9
 
@@ -87,10 +88,8 @@ class BaumgarteConfig:
     dt: float = 0.01
 
     def __post_init__(self):
-        if not self.rho > 0.0:
-            raise ValueError("rho must be positive")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        check_setting("rho", self.rho)
+        check_setting("dt", self.dt)
 
 
 def _mat(r) -> np.ndarray:

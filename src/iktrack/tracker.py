@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import determinants, orthonormality_errors
-from .errors import IkTrackError, NonFiniteSolution, QPInfeasible, SchemaMismatch, StaleSample
+from .errors import (IkTrackError, InvalidSetting, NonFiniteSolution, QPInfeasible,
+                     SchemaMismatch, StaleSample, check_setting)
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
 from .so3 import BaumgarteConfig, Rotation, baumgarte_step
@@ -169,8 +170,9 @@ class GainConfig:
     ``gain`` is the residual-feedback gain K, one for every stacked residual
     component, ``limit_slope`` the slope of the tanh bound shaping on every
     constraint row, and ``vel_bound_default`` the stand-in for unbounded
-    velocity rows. Construction checks that each value is positive (NaN is
-    not) and enforces the discrete-time stability guard gain * dt <= 1.
+    velocity rows. Construction checks that each value is a finite positive
+    number and enforces the discrete-time stability guard gain * dt <= 1;
+    either failure is an ``InvalidSetting``.
     """
 
     gain: float = 2.0
@@ -180,10 +182,10 @@ class GainConfig:
 
     def __post_init__(self):
         for name in ("gain", "limit_slope", "vel_bound_default", "dt"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            check_setting(name, getattr(self, name))
         if not self.gain * self.dt <= 1.0:
-            raise ValueError("stability guard: gain * dt must be <= 1")
+            raise InvalidSetting(f"stability guard: gain * dt must be <= 1, got "
+                                 f"{self.gain!r} * {self.dt!r}")
 
     @classmethod
     def build(cls, model: KinematicModel, dt: float, gain: float = gain,

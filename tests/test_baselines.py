@@ -283,6 +283,29 @@ def test_damped_step_matches_normal_equations():
             assert np.array_equal(_damped_step(J, r, lam), damped_step_oracle(J, r, lam))
 
 
+@pytest.mark.parametrize("make, setting", [
+    pytest.param(lambda: ik.ActiveSetSolver(damping=np.nan), "damping", id="solver-damping-nan"),
+    pytest.param(lambda: ik.LeastSquaresQP(np.eye(2), np.ones(2), damping=np.nan), "damping",
+                 id="problem-damping-nan"),
+    pytest.param(lambda: ik.solve_unconstrained(np.eye(2), np.ones(2), damping=np.nan),
+                 "damping", id="unconstrained-damping-nan"),
+    pytest.param(lambda: InstantaneousConfig(lm_lambda0=np.nan), "lm_lambda0",
+                 id="lm-lambda0-nan"),
+    pytest.param(lambda: InstantaneousConfig(lm_lambda0=0.0), "lm_lambda0", id="lm-lambda0-zero"),
+    pytest.param(lambda: InstantaneousConfig(max_iters=0), "max_iters", id="max-iters-zero"),
+    pytest.param(lambda: InstantaneousConfig(max_iters=2.5), "max_iters",
+                 id="max-iters-fraction"),
+])
+def test_bad_solver_settings_are_rejected(make, setting):
+    """A NaN damping would be skipped as zero, and a NaN or zero initial
+    damping or a zero iteration cap would make whole-body return its start
+    unchanged. Each is an ``InvalidSetting`` naming the setting, which is an
+    ``IkTrackError`` and a ``ValueError``."""
+    with pytest.raises(ValueError, match=f"^{setting} must be") as exc:
+        make()
+    assert isinstance(exc.value, ik.IkTrackError)
+
+
 def test_whole_body_without_orientation_targets():
     # position targets only: the residual and its Jacobian have no rotation rows
     m = ik.KinematicModel(

@@ -144,6 +144,59 @@ def test_dt_mismatch_is_data_error(model_file, spec_file, tmp_path, capsys):
     assert "are spaced 0.01, not --dt 0.02" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--gain", "200"], "stability guard: gain * dt must be <= 1"),
+    (["--gain", "-1"], "gain must be"),
+    (["--gain", "nan"], "gain must be"),
+    (["--gain-limit", "0"], "limit_slope must be"),
+    (["--rho", "0"], "rho must be"),
+    (["--dt", "nan"], "dt must be"),
+])
+@pytest.mark.parametrize("method", ["dynamical", "whole-body"])
+def test_bad_solve_flag_is_a_usage_error(model_file, spec_file, tmp_path, capsys, flags,
+                                         message, method):
+    stream = tmp_path / "stream.jsonl"
+    main(["gen", "--model", model_file, "--spec", spec_file, "--out", str(stream)])
+    capsys.readouterr()
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--model", model_file, "--stream", str(stream), "--method", method,
+                 "--out", str(out)] + flags) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: {message}")
+    assert not out.exists()
+
+
+def test_bench_bad_setting_is_a_usage_error(model_file, tmp_path, capsys):
+    """A bad setting under ``config`` stops the sweep with one line; it is
+    not recorded as a failed cell."""
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({
+        "models": [{"id": "h66", "path": model_file}],
+        "specs": [{"id": "static", "kind": "static_pose", "duration": 0.05,
+                   "dt": 0.01, "amplitude": 0.1, "seed": 3}],
+        "methods": ["dynamical"],
+        "config": {"gain": 200.0},
+    }))
+    out_dir = tmp_path / "results"
+    assert main(["bench", "--config", str(config), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: stability guard")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("field, text", [("duration", "NaN"), ("duration", "Infinity"),
+                                         ("noise_std", "NaN"), ("noise_std", "-0.1")])
+def test_gen_non_finite_or_negative_spec_value_is_bad_spec(model_file, tmp_path, capsys,
+                                                            field, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "sinusoidal", "duration": 0.3, "dt": 0.01, "amplitude": 0.2, '
+                    f'"{field}": {text}}}')
+    out = tmp_path / "stream.jsonl"
+    assert main(["gen", "--model", model_file, "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: bad spec: {field} must be")
+    assert not out.exists()
+
+
 def _drop_orientation_target(record):
     record["R"].pop()
     record["w"].pop()

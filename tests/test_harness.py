@@ -141,6 +141,28 @@ class TestGenerateStream:
         for rot in b[0].rotations:  # still valid rotations
             assert ik.orthonormality_error(rot) <= 1e-9
 
+    @pytest.mark.parametrize("field, value", [
+        ("duration", np.nan), ("duration", np.inf), ("dt", np.nan), ("amplitude", np.nan),
+        ("amplitude", -0.1), ("noise_std", np.nan), ("noise_std", -0.01),
+        ("freq_band", (0.5, np.nan)), ("freq_band", (-1.0, 1.0)), ("freq_band", (1.0,)),
+    ])
+    def test_spec_rejects_nan_infinite_and_negative_values(self, field, value):
+        """A NaN or infinite duration would fail in the step count, a NaN or
+        negative noise level would give a clean stream; each bad value is an
+        ``InvalidSetting`` naming its field."""
+        fields = {"kind": "sinusoidal", "duration": 0.3, "dt": 0.01, "amplitude": 0.2,
+                  field: value}
+        with pytest.raises(ValueError, match=field) as exc:
+            TrajectorySpec(**fields)
+        assert isinstance(exc.value, ik.IkTrackError)
+
+    def test_spec_holds_freq_band_as_a_tuple(self):
+        spec = TrajectorySpec(kind="sinusoidal", duration=0.3, dt=0.01, amplitude=0.2,
+                              freq_band=[0.5, 1.5])
+        assert spec.freq_band == (0.5, 1.5)
+        assert hash(spec) == hash(TrajectorySpec(kind="sinusoidal", duration=0.3, dt=0.01,
+                                                 amplitude=0.2, freq_band=(0.5, 1.5)))
+
 
 def pipeline_model(name, request):
     return branched_model() if name == "branched" else request.getfixturevalue(name)
@@ -376,6 +398,8 @@ class TestTargetStream:
             stream.check_spacing(0.02)
         with pytest.raises(SchemaMismatch, match=", not --dt 0.02$"):
             stream.check_spacing(0.02, name="--dt")
+        with pytest.raises(SchemaMismatch, match=", not dt nan$"):
+            stream.check_spacing(float("nan"))
 
 
 _BAD_NUMBERS = ("0.5", None, True, False, 10 ** 400 - 1, float("nan"))

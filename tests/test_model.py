@@ -283,6 +283,28 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match=f"NaN constraint bound: {field}"):
             with_bound(np.nan)
 
+    def test_constraints_given_as_lists(self, human48):
+        """Built through the Python API from lists, the constraints give the
+        model their arrays give; an entry that is not a number is rejected by
+        field name."""
+        ec = human48.extra_constraints
+
+        def with_constraints(**fields):
+            return KinematicModel(human48.links, human48.joints, human48.base_link,
+                                  human48.position_target_frames,
+                                  human48.orientation_target_frames,
+                                  ik.ExtraConstraints(**fields))
+
+        listed = with_constraints(a=ec.a.tolist(), b_q=ec.b_q.tolist(), b_nu=ec.b_nu.tolist())
+        assert np.array_equal(listed.constraint_matrix, human48.constraint_matrix)
+        assert np.array_equal(listed.config_bounds, human48.config_bounds)
+        assert np.array_equal(listed.vel_bounds, human48.vel_bounds)
+        bad_row = [["x"] + row[1:] for row in ec.a.tolist()]
+        for field, value in (("a", bad_row), ("b_q", np.array(["x"])), ("b_nu", [[1.0], []])):
+            fields = {"a": ec.a, "b_q": ec.b_q, "b_nu": ec.b_nu, field: value}
+            with pytest.raises(ValidationError, match=f"non-numeric constraint: {field}$"):
+                with_constraints(**fields)
+
     def test_unknown_target_frame_rejected(self):
         with pytest.raises(ValidationError, match="unknown target frame"):
             KinematicModel(links=[Link("b")], joints=[], base_link="b",

@@ -16,7 +16,10 @@ runs apart) and metric the script prints the median and quartiles of both
 sides, the difference of the medians (change minus parent) against the
 parent's interquartile distance and whether it exceeds that distance, and
 the number of pairs the change wins (lower or higher as ``BENCHMARK.json``
-declares the metric). The JSON summary holds the same figures.
+declares the metric), and per side how many runs were not ``correct`` and
+how many samples failed. The workloads and the metrics' directions are read
+from the change checkout's ``BENCHMARK.json``. The JSON summary holds the
+same figures.
 """
 import argparse
 import json
@@ -27,22 +30,41 @@ import sys
 
 import numpy as np
 
-WORKLOADS = ("h66-run", "h48-limits", "h66-wholebody")
+SIDES = ("parent", "change")
+
+
+def _declared(checkout):
+    """The checkout's BENCHMARK.json."""
+    try:
+        with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise SystemExit(f"error: cannot read BENCHMARK.json in {checkout}: {e}")
 
 
 def _parse_args(argv):
+    # the workload choices come from the change's BENCHMARK.json, so --change
+    # is read first
+    early = argparse.ArgumentParser(add_help=False)
+    early.add_argument("--change")
+    change = early.parse_known_args(argv)[0].change
+    declared = _declared(change) if change else {"workloads": []}
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="workload to run (repeatable; default all three)")
+    parser.add_argument("--workload", action="append",
+                        choices=[w["name"] for w in declared["workloads"]],
+                        help="workload to run (repeatable; default all that "
+                             "BENCHMARK.json declares)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--description", default="")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    args.declared = declared
+    return args
 
 
 def _git_head(path):
@@ -53,10 +75,8 @@ def _git_head(path):
         return None
 
 
-def _directions(checkout):
-    """Metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
-    with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
-        declared = json.load(fh)
+def _directions(declared):
+    """Metric name -> "lower" or "higher", from a BENCHMARK.json document."""
     return {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
 
 
@@ -75,7 +95,8 @@ def run_once(checkout, workload, seed, seconds, trace):
 
 def summarise(runs, directions):
     """Per workload and metric, traced runs apart: both sides' median and
-    quartiles over the pairs, and the pairs the change wins."""
+    quartiles over the pairs, and the pairs the change wins; per workload and
+    side, the runs that were not ``correct`` and the samples that failed."""
     summary = {}
     for workload, trace in dict.fromkeys((r["workload"], r["trace"]) for r in runs):
         by_seed = {}
@@ -84,6 +105,10 @@ def summarise(runs, directions):
                 by_seed.setdefault(r["seed"], {})[r["side"]] = r["output"]
         pairs = [(s, v) for s, v in sorted(by_seed.items()) if len(v) == 2]
         entry = {"seeds": [s for s, _ in pairs]}
+        for side in SIDES:
+            outputs = [v[side] for _, v in pairs]
+            entry[side] = {"not_correct": sum(not o["correct"] for o in outputs),
+                           "failed_samples": sum(o["failed"] for o in outputs)}
         metrics = pairs[0][1]["parent"]["metrics"] if pairs else {}
         for name in metrics:
             parent = np.array([v["parent"]["metrics"][name]["value"] for _, v in pairs])
@@ -107,8 +132,11 @@ def summarise(runs, directions):
 def report(summary):
     for workload, entry in summary.items():
         print(f"{workload}: {len(entry['seeds'])} pairs, seeds {entry['seeds']}")
+        for side in SIDES:
+            print(f"  {side}: {entry[side]['not_correct']} runs not correct, "
+                  f"{entry[side]['failed_samples']} samples failed")
         for name, s in entry.items():
-            if name == "seeds":
+            if name in ("seeds",) + SIDES:
                 continue
             print(f"  {name:34s} parent {s['parent_median']:.6g} "
                   f"[{s['parent_q25']:.6g}, {s['parent_q75']:.6g}]  "
@@ -121,8 +149,8 @@ def report(summary):
 
 def main(argv=None):
     args = _parse_args(argv)
-    workloads = args.workload or list(WORKLOADS)
-    directions = _directions(args.change)
+    workloads = args.workload or [w["name"] for w in args.declared["workloads"]]
+    directions = _directions(args.declared)
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
