@@ -214,8 +214,8 @@ def determinants(r):
 
 def pose_residual_kernel(pos_idx, ori_idx, pos, rot, target_pos, target_rot):
     """Stacked pose residual in the world frame: position errors, then the
-    rotation residual of each orientation frame turned by its estimated
-    rotation, R_est vee(skew(R_est^T R_target))."""
+    rotation residual of each orientation frame (the skew part of
+    R_est^T R_target as a vector) turned by its estimated rotation R_est."""
     est = rot.take(ori_idx, axis=0)
     ori = est @ rotation_residuals(est, target_rot)[:, :, None]
     return np.concatenate([(target_pos - pos.take(pos_idx, axis=0)).ravel(), ori.ravel()])

@@ -17,7 +17,7 @@ from .errors import (IkTrackError, InvalidSetting, ParseError, QPInfeasible, Sch
 from .harness import (DEFAULT_CONFIG, METHODS, TrajectorySpec, generate_stream,
                       load_stream, results_csv, run_benchmark, run_method,
                       save_stream, summarize_run)
-from .model import generate_human_chain, load_model, serialize_model
+from .model import generate_human_chain, load_model
 from .so3 import BaumgarteConfig
 from .tracker import GainConfig
 
@@ -142,7 +142,7 @@ def _cmd_bench(args):
 def _cmd_models_gen_human(args):
     model = generate_human_chain(args.dofs, args.seed)
     with open(args.out, "w") as fh:
-        fh.write(serialize_model(model))
+        fh.write(model.serialize())
     print(f"wrote {args.dofs}-DoF model ({len(model.links)} links) to {args.out}")
     return 0
 

@@ -19,10 +19,6 @@ class NotARotation(IkTrackError):
     """Matrix failed the orthonormality / positive-determinant check."""
 
 
-class NotSkewSymmetric(IkTrackError):
-    """Matrix handed to vee() is not skew-symmetric within tolerance."""
-
-
 class SingularMatrix(IkTrackError):
     """Matrix (or its Gram matrix) is not invertible."""
 

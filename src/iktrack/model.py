@@ -36,13 +36,6 @@ def rpy_matrix(rpy) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def _moving_columns(support):
-    """The joints that move some frame of a support mask (frames, joints),
-    and the mask narrowed to them."""
-    cols = np.flatnonzero(support.any(axis=0))
-    return cols, support[:, cols]
-
-
 @dataclass(frozen=True)
 class Link:
     name: str
@@ -217,7 +210,9 @@ class KinematicModel:
                                  dtype=np.int64)
         # joints that move some position frame; on a chain whose only position
         # target is the base there are none, and the Jacobian forms no lever
-        self._pos_cols, self._pos_support = _moving_columns(self._support[self._pos_idx])
+        pos_support = self._support[self._pos_idx]
+        self._pos_cols = np.flatnonzero(pos_support.any(axis=0))
+        self._pos_support = pos_support[:, self._pos_cols]
         self._ori_support = self._support[self._ori_idx]
         self._assemble_constraints()
 
@@ -276,9 +271,6 @@ class KinematicModel:
         except KeyError:
             raise UnknownFrame(frame) from None
 
-    def physical_links(self):
-        return tuple(l.name for l in self.links if not l.is_dummy)
-
     # -- kinematics ---------------------------------------------------------
 
     def fk_batch(self, base_pos, base_rot, s) -> tuple[np.ndarray, np.ndarray]:
@@ -292,42 +284,19 @@ class KinematicModel:
         pos, rot = self.fk_batch(q.base_pos[None], q.base_rot.m[None], q.s[None])
         return pos[0], rot[0]
 
-    def forward_kinematics(self, q: "Configuration", frame: str) -> tuple[np.ndarray, Rotation]:
-        idx = self.link_index(frame)
-        pos, rot = self.fk_arrays(q)
-        return pos[idx].copy(), Rotation.drifting(rot[idx].copy())
-
-    def _jacobians(self, fk, pos_idx, ori_idx, pos_cols, pos_support,
-                   ori_support) -> np.ndarray:
-        pos, rot = fk
-        return stacked_jacobian_kernel(pos, rot, pos[:, self._base_idx], pos_idx, ori_idx,
-                                       pos_cols, pos_support, ori_support, self._joint_link,
-                                       self._joint_axis)
-
-    def jacobian(self, q: "Configuration", frame: str) -> np.ndarray:
-        """6x(n+6) frame Jacobian; top three rows linear, bottom three angular."""
-        idx = np.array([self.link_index(frame)], dtype=np.int64)
-        support = self._support[idx]
-        pos, rot = self.fk_arrays(q)
-        return self._jacobians((pos[None], rot[None]), idx, idx, *_moving_columns(support),
-                               support)[0]
-
     def stacked_poses(self, fk) -> StackedPose:
         """Target-frame poses, positions first, from a batch of link poses as
         ``fk_batch`` returns them: positions (B, n_p, 3), rotations (B, n_o, 3, 3)."""
         pos, rot = fk
         return StackedPose(pos.take(self._pos_idx, axis=1), rot.take(self._ori_idx, axis=1))
 
-    def stacked_forward_kinematics(self, q: "Configuration") -> StackedPose:
-        """Poses of all declared target frames: positions first, then rotations."""
-        pos, rot = self.fk_arrays(q)
-        return StackedPose(pos.take(self._pos_idx, axis=0), rot.take(self._ori_idx, axis=0))
-
     def stacked_jacobians(self, fk) -> np.ndarray:
         """Stacked Jacobians (B, 3 (n_p + n_o), n + 6) from a batch of link
         poses as ``fk_batch`` returns them."""
-        return self._jacobians(fk, self._pos_idx, self._ori_idx, self._pos_cols,
-                               self._pos_support, self._ori_support)
+        pos, rot = fk
+        return stacked_jacobian_kernel(pos, rot, pos[:, self._base_idx], self._pos_idx,
+                                       self._ori_idx, self._pos_cols, self._pos_support,
+                                       self._ori_support, self._joint_link, self._joint_axis)
 
     def stacked_jacobian(self, q: "Configuration", fk=None) -> np.ndarray:
         pos, rot = fk if fk is not None else self.fk_arrays(q)
@@ -335,7 +304,8 @@ class KinematicModel:
 
     def pose_residual_arrays(self, fk, target_pos, target_rot) -> np.ndarray:
         """Stacked pose residual at link poses ``fk`` in the world frame:
-        position errors, then orientation errors R_est vee(skew(R_est^T R_target))."""
+        position errors, then each orientation frame's rotation residual (the
+        skew part of R_est^T R_target as a vector) turned by R_est."""
         pos, rot = fk
         return pose_residual_kernel(self._pos_idx, self._ori_idx, pos, rot,
                                     target_pos, target_rot)
@@ -552,10 +522,6 @@ def load_model(text: str) -> KinematicModel:
         extra_constraints=(_load_constraints(doc["constraints"], len(joints))
                            if "constraints" in doc else None),
     )
-
-
-def serialize_model(model: KinematicModel) -> str:
-    return model.serialize()
 
 
 # -- procedural human-like chain ---------------------------------------------

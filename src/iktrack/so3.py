@@ -1,4 +1,4 @@
-"""Rotation-matrix algebra: skew/vee operators, orientation residuals on
+"""Rotation-matrix algebra: validated rotations, orientation residuals on
 SO(3), and drift-corrected integration of angular velocity.
 
 All operations are pure functions on value types and safe to call from any
@@ -11,9 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (baumgarte_step_kernel, orthonormality_errors, rotation_about_axis,
-                       rotation_residuals, skew_stack)
-from .errors import (DegenerateMatrix, NotARotation, NotSkewSymmetric, SingularMatrix,
-                     check_setting)
+                       rotation_residuals)
+from .errors import DegenerateMatrix, NotARotation, SingularMatrix, check_setting
 
 ORTHONORMALITY_TOL = 1e-9
 
@@ -72,9 +71,6 @@ class Rotation:
             raise ValueError("axis must be nonzero")
         return cls.drifting(rotation_about_axis(axis / norm, float(angle)))
 
-    def orthonormality_error(self) -> float:
-        return orthonormality_error(self.m)
-
     def __repr__(self) -> str:
         return f"Rotation({self.m.tolist()!r})"
 
@@ -96,26 +92,6 @@ def _mat(r) -> np.ndarray:
     if isinstance(r, Rotation):
         return r.m
     return np.ascontiguousarray(r, dtype=float)
-
-
-def skew(v) -> np.ndarray:
-    """Skew-symmetric matrix S(v) with S(v) u = v x u."""
-    return skew_stack(np.asarray(v, dtype=float).reshape(1, 3))[0]
-
-
-def vee(a, tol: float = 1e-9) -> np.ndarray:
-    """Inverse of ``skew``; rejects matrices that are not skew-symmetric."""
-    a = np.asarray(a, dtype=float)
-    sym = np.linalg.norm(a + a.T)
-    if sym > tol:
-        raise NotSkewSymmetric(f"symmetric part norm {sym:.3e} exceeds {tol:.0e}")
-    return np.array([a[2, 1], a[0, 2], a[1, 0]])
-
-
-def skew_part(a) -> np.ndarray:
-    """Skew-symmetrization (a - a^T)/2."""
-    a = np.asarray(a, dtype=float)
-    return 0.5 * (a - a.T)
 
 
 def orientation_residual(estimate, target) -> np.ndarray:

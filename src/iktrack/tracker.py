@@ -217,7 +217,8 @@ class SolverState:
 @dataclass(eq=False)
 class StepReport:
     """Pre-update diagnostics for one step: the pose residual r fed back
-    (``pose_residual``), the velocity residual u = v - J nu, the QP's status,
+    (``KinematicModel.pose_residual_arrays``), the velocity residual
+    u = v - J nu, the QP's status,
     the step's wall time and which limit rows ended active."""
 
     residual_r: np.ndarray
@@ -235,14 +236,6 @@ def initial_configuration(model: KinematicModel, sample: TargetSample) -> Config
     if model.base_link in model.position_target_frames:
         base_pos = sample.positions[model.position_target_frames.index(model.base_link)]
     return Configuration.zeros(model, base_pos=base_pos)
-
-
-def pose_residual(model: KinematicModel, q: Configuration, sample: TargetSample) -> np.ndarray:
-    """Stacked pose error in the world frame: position differences, then
-    rotation error vectors (``KinematicModel.pose_residual_arrays``)."""
-    sample.check_model(model)
-    fk = model.fk_arrays(q)
-    return model.pose_residual_arrays(fk, sample.positions, sample.rotations)
 
 
 def corrected_velocity(sample: TargetSample, residual: np.ndarray,
@@ -323,13 +316,6 @@ class TrackResult:
     velocities: list
     reports: list
     error: str | None = None
-
-    @property
-    def completed(self) -> bool:
-        return self.error is None
-
-    def __len__(self) -> int:
-        return len(self.configurations)
 
 
 def track(model: KinematicModel, stream, gains: GainConfig,

@@ -103,9 +103,32 @@ def rodrigues(axis, angle):
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
+def target_poses(model, q):
+    """Poses of the declared target frames at q, as the pipeline forms them:
+    ``stacked_poses`` of a one-configuration ``fk_batch``."""
+    fk = model.fk_batch(q.base_pos[None], q.base_rot.m[None], q.s[None])
+    positions, rotations = model.stacked_poses(fk)
+    return ik.StackedPose(positions[0], rotations[0])
+
+
+def residual_at(model, q, sample):
+    """The stacked pose residual ``step()`` feeds back at q."""
+    return model.pose_residual_arrays(model.fk_arrays(q), sample.positions, sample.rotations)
+
+
+def every_link_model(model):
+    """``model`` with every link declared as a position and an orientation
+    target, so its stacked Jacobian holds the linear rows of every link, then
+    the angular rows of every link."""
+    names = [l.name for l in model.links]
+    return ik.KinematicModel(model.links, model.joints, model.base_link,
+                             position_targets=names, orientation_targets=names,
+                             extra_constraints=model.extra_constraints)
+
+
 def static_sample(model, q, t=0.0):
     """Sample equal to the forward kinematics of q with zero velocities."""
-    positions, rotations = model.stacked_forward_kinematics(q)
+    positions, rotations = target_poses(model, q)
     return ik.TargetSample(t=t, positions=positions, rotations=rotations,
                            lin_vels=np.zeros((model.n_p, 3)),
                            ang_vels=np.zeros((model.n_o, 3)))

@@ -11,7 +11,7 @@ from iktrack.cli import main
 @pytest.fixture(scope="module")
 def model_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "human66.json"
-    path.write_text(ik.serialize_model(ik.generate_human_chain(66, seed=7)))
+    path.write_text(ik.generate_human_chain(66, seed=7).serialize())
     return str(path)
 
 

@@ -14,7 +14,7 @@ from iktrack import (Configuration, MetricsSummary, Rotation, TargetSample,
 from iktrack.errors import DegenerateMatrix, ParseError, SchemaMismatch, SpecInfeasible
 from iktrack.harness import CHUNK, METHODS
 
-from conftest import base_only_model, branched_model, rodrigues, static_sample
+from conftest import base_only_model, branched_model, rodrigues, static_sample, target_poses
 
 
 class TestMetrics:
@@ -64,7 +64,7 @@ class TestMetrics:
         q = Configuration(rng.normal(size=3), Rotation.about_axis([1, 1, 1], 0.3),
                           rng.normal(scale=0.3, size=human66.n))
         nu = Velocity.from_stacked(rng.normal(size=human66.n + 6))
-        positions, rotations = human66.stacked_forward_kinematics(q)
+        positions, rotations = target_poses(human66, q)
         vel = human66.stacked_jacobian(q) @ nu.stacked()
         sample = TargetSample(t=0.0, positions=positions, rotations=rotations,
                               lin_vels=vel[:3].reshape(-1, 3),
@@ -173,7 +173,7 @@ def per_sample_scores(model, q, nu, sample):
     the estimate's polar-projected rotations against the targets, and the
     angular rows of J(q) nu against the angular-velocity targets."""
     projected = Configuration(q.base_pos, project_to_so3(q.base_rot), q.s)
-    rotations = model.stacked_forward_kinematics(projected).rotations
+    rotations = target_poses(model, projected).rotations
     traces = np.einsum("kij,kij->k", rotations, sample.rotations)
     score = float(np.mean(np.maximum((3.0 - traces) / 2.0, 0.0)))
     est = (model.stacked_jacobian(q) @ nu.stacked())[3 * model.n_p:].reshape(-1, 3)
@@ -208,7 +208,7 @@ class TestChunkedPipeline:
         truth, samples = generate_stream(model, spec)
         assert len(samples) == len(truth) == length
         for k, ((q, nu), sample) in enumerate(zip(truth, samples)):
-            positions, rotations = model.stacked_forward_kinematics(q)
+            positions, rotations = target_poses(model, q)
             assert type(sample.t) is float and sample.t == k * 0.01
             assert np.array_equal(sample.positions, positions)
             assert np.array_equal(sample.rotations, rotations)

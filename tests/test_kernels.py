@@ -13,7 +13,7 @@ import pytest
 import iktrack as ik
 from iktrack import _kernels
 
-from conftest import branched_model
+from conftest import branched_model, every_link_model, target_poses
 
 
 def ref_rotation(axis, angle):
@@ -132,9 +132,11 @@ def test_fk_jacobian_residual_match_reference(human66, human48):
         fo = [model.link_index(f) for f in model.orientation_target_frames]
         assert same(model.stacked_jacobian(q, fk=(pos, rot)),
                     ref_jacobian(model, pos, rot, fp, fo), exact), model.n
-        for l in range(len(model.links)):
-            assert same(model.jacobian(q, model.links[l].name),
-                        ref_jacobian(model, pos, rot, [l], [l]), exact), (model.n, l)
+        # every link's rows, on the same tree with every link a target
+        every = every_link_model(model)
+        links = range(len(model.links))
+        assert same(every.stacked_jacobian(q, fk=(pos, rot)),
+                    ref_jacobian(every, pos, rot, links, links), exact), model.n
         target_pos = rng.normal(size=(model.n_p, 3))
         target_rot = np.array([ref_rotation(a / np.linalg.norm(a), rng.uniform(-3.0, 3.0))
                                for a in rng.normal(size=(model.n_o, 3))])
@@ -166,17 +168,19 @@ def test_position_rows_of_a_human_chain_with_hand_targets(human66):
     fk = model.fk_batch(np.array([q.base_pos for q in qs]),
                         np.array([q.base_rot.m for q in qs]), np.array([q.s for q in qs]))
     batched = model.stacked_jacobians(fk)
+    every = every_link_model(model)
     for i, q in enumerate(qs):
         pos, rot = model.fk_arrays(q)
         jac = model.stacked_jacobian(q, fk=(pos, rot))
+        every_jac = every.stacked_jacobian(q, fk=(pos, rot))
         assert np.array_equal(jac, ref_jacobian(model, pos, rot, fp, fo))
         assert np.array_equal(batched[i], jac)
         assert not jac[0:3, 6:].any()
         for row in (1, 2):
-            frame = model.position_target_frames[row]
-            assert np.array_equal(jac[3 * row:3 * row + 3], model.jacobian(q, frame)[:3])
+            l = model.link_index(model.position_target_frames[row])
+            assert np.array_equal(jac[3 * row:3 * row + 3], every_jac[3 * l:3 * l + 3])
             # four segments of spine and four of arm, three joints each
-            moving = model._support[model.link_index(frame)]
+            moving = model._support[l]
             assert moving.sum() == 24
             assert not jac[3 * row:3 * row + 3, 6:][:, ~moving].any()
 
@@ -211,7 +215,7 @@ def test_batched_fk_and_jacobian_match_single_calls(human66, human48):
             pos, rot = model.fk_arrays(q)
             assert np.array_equal(fk[0][i], pos) and np.array_equal(fk[1][i], rot), model.n
             assert np.array_equal(jac[i], model.stacked_jacobian(q)), model.n
-            stacked = model.stacked_forward_kinematics(q)
+            stacked = target_poses(model, q)
             assert np.array_equal(poses.positions[i], stacked.positions), model.n
             assert np.array_equal(poses.rotations[i], stacked.rotations), model.n
 
@@ -219,7 +223,7 @@ def test_batched_fk_and_jacobian_match_single_calls(human66, human48):
 def test_orientation_residual_matches_pose_residual_rows(human66, human48):
     for model, q, _, rng in cases(human66, human48):
         fk = model.fk_arrays(q)
-        rotations = model.stacked_forward_kinematics(q).rotations
+        rotations = target_poses(model, q).rotations
         target_rot = np.array([ref_rotation(a / np.linalg.norm(a), rng.uniform(-3.0, 3.0))
                                for a in rng.normal(size=(model.n_o, 3))])
         stacked = model.pose_residual_arrays(fk, rng.normal(size=(model.n_p, 3)), target_rot)

@@ -7,7 +7,8 @@ import iktrack as ik
 from iktrack import Configuration, Joint, KinematicModel, Link, Rotation, Velocity
 from iktrack.errors import ParseError, UnknownFrame, ValidationError
 
-from conftest import base_only_model, branched_model, rodrigues, single_joint_model
+from conftest import (base_only_model, branched_model, every_link_model, rodrigues,
+                      single_joint_model, target_poses)
 
 
 def perturbed(q, nu, h):
@@ -46,6 +47,14 @@ def fd_stacked_jacobian(model, q, h=1e-6):
                            links[ori, 3:].reshape(-1, model.n + 6)])
 
 
+def link_jacobian(model, q, frame):
+    """The linear then the angular rows of ``frame`` in the stacked Jacobian
+    of ``every_link_model(model)``, (6, n + 6)."""
+    jac = every_link_model(model).stacked_jacobian(q)
+    i, rows = 3 * model.link_index(frame), 3 * len(model.links)
+    return np.vstack([jac[i:i + 3], jac[rows + i:rows + i + 3]])
+
+
 def random_configuration(model, rng, angle, scale):
     return Configuration(rng.normal(size=3), Rotation.about_axis(rng.normal(size=3), angle),
                          rng.normal(scale=scale, size=model.n))
@@ -56,30 +65,32 @@ class TestForwardKinematics:
         rng = np.random.default_rng(0)
         q = Configuration(rng.normal(size=3), Rotation.about_axis(rng.normal(size=3), 0.8),
                           rng.normal(scale=0.4, size=human66.n))
-        pos, rot = human66.forward_kinematics(q, "pelvis")
-        assert np.array_equal(pos, q.base_pos)
-        assert np.array_equal(rot.m, q.base_rot.m)
+        pos, rot = human66.fk_arrays(q)
+        i = human66.link_index("pelvis")
+        assert np.array_equal(pos[i], q.base_pos)
+        assert np.array_equal(rot[i], q.base_rot.m)
 
     def test_single_joint_zero_angle(self):
         m = single_joint_model(offset=(1.0, 0.0, 0.0))
         q = Configuration.zeros(m)
-        pos, rot = m.forward_kinematics(q, "link1")
-        assert np.allclose(pos, [1.0, 0.0, 0.0])
-        assert np.allclose(rot.m, np.eye(3))
+        pos, rot = m.fk_arrays(q)
+        i = m.link_index("link1")
+        assert np.allclose(pos[i], [1.0, 0.0, 0.0])
+        assert np.allclose(rot[i], np.eye(3))
 
     def test_single_joint_quarter_turn(self):
         # child origin rides on the joint; a frame one link beyond it swings
         m = single_joint_model()
         q = Configuration(np.zeros(3), Rotation.identity(), np.array([np.pi / 2, 0.0]))
-        joint_pos, joint_rot = m.forward_kinematics(q, "link1")
-        assert np.allclose(joint_pos, [0.0, 0.0, 0.0], atol=1e-15)
-        tip_pos, tip_rot = m.forward_kinematics(q, "tip")
-        assert np.allclose(tip_pos, [0.0, 1.0, 0.0], atol=1e-12)
-        assert np.allclose(tip_rot.m, rodrigues([0, 0, 1], np.pi / 2), atol=1e-12)
+        pos, rot = m.fk_arrays(q)
+        assert np.allclose(pos[m.link_index("link1")], [0.0, 0.0, 0.0], atol=1e-15)
+        tip = m.link_index("tip")
+        assert np.allclose(pos[tip], [0.0, 1.0, 0.0], atol=1e-12)
+        assert np.allclose(rot[tip], rodrigues([0, 0, 1], np.pi / 2), atol=1e-12)
 
     def test_unknown_frame(self, human66):
         with pytest.raises(UnknownFrame):
-            human66.forward_kinematics(Configuration.zeros(human66), "nope")
+            human66.link_index("nope")
 
     def test_matches_naive_transform_composition(self, human66, human48):
         # walk each tree by hand with homogeneous transforms, for every link
@@ -97,18 +108,20 @@ class TestForwardKinematics:
                 r = r_par @ ik.model.rpy_matrix(j.origin_rpy) @ rodrigues(j.axis, q.s[idx])
                 return p, r
 
+            pos, rot = model.fk_arrays(q)
             for link in model.links:
-                pos, rot = model.forward_kinematics(q, link.name)
+                i = model.link_index(link.name)
                 p_ref, r_ref = naive(link.name)
-                assert np.allclose(pos, p_ref, atol=1e-12), (model.n, link.name)
-                assert np.allclose(rot.m, r_ref, atol=1e-12), (model.n, link.name)
+                assert np.allclose(pos[i], p_ref, atol=1e-12), (model.n, link.name)
+                assert np.allclose(rot[i], r_ref, atol=1e-12), (model.n, link.name)
 
 
 class TestJacobian:
     def test_base_frame_pattern(self, human66):
         q = Configuration.zeros(human66)
-        jac = human66.jacobian(q, "pelvis")
-        assert jac.shape == (6, human66.n + 6)
+        assert every_link_model(human66).stacked_jacobian(q).shape == (
+            6 * len(human66.links), human66.n + 6)
+        jac = link_jacobian(human66, q, "pelvis")
         assert np.array_equal(jac[:3, :3], np.eye(3))
         assert np.array_equal(jac[3:, 3:6], np.eye(3))
         assert np.array_equal(jac[:, 6:], np.zeros((6, human66.n)))
@@ -116,7 +129,7 @@ class TestJacobian:
     def test_single_joint_column(self):
         m = single_joint_model()
         q = Configuration.zeros(m)
-        jac = m.jacobian(q, "tip")
+        jac = link_jacobian(m, q, "tip")
         assert np.allclose(jac[:3, 6], [0.0, 1.0, 0.0])
         assert np.allclose(jac[3:, 6], [0.0, 0.0, 1.0])
 
@@ -124,10 +137,10 @@ class TestJacobian:
         rng = np.random.default_rng(2)
         for model in (human66, human48, branched_model()):
             q = random_configuration(model, rng, 0.9, 0.5)
-            fd = fd_link_jacobians(model, q)
-            for i, link in enumerate(model.links):
-                err = np.abs(model.jacobian(q, link.name) - fd[i]).max()
-                assert err <= 1e-5, (model.n, link.name, err)
+            # every link's linear and angular rows
+            every = every_link_model(model)
+            err = np.abs(every.stacked_jacobian(q) - fd_stacked_jacobian(every, q)).max()
+            assert err <= 1e-5, (model.n, err)
             jac = model.stacked_jacobian(q)
             assert np.abs(jac - fd_stacked_jacobian(model, q)).max() <= 1e-5, model.n
 
@@ -138,8 +151,8 @@ class TestJacobian:
                           rng.normal(scale=0.3, size=human66.n))
         nu = rng.normal(size=human66.n + 6)
         delta = 1e-5
-        p0, _ = human66.stacked_forward_kinematics(q)
-        p1, _ = human66.stacked_forward_kinematics(perturbed(q, nu, delta))
+        p0, _ = target_poses(human66, q)
+        p1, _ = target_poses(human66, perturbed(q, nu, delta))
         predicted = delta * (human66.stacked_jacobian(q) @ nu)[:3 * human66.n_p]
         assert np.allclose((p1 - p0).ravel(), predicted, atol=1e-9)
 
@@ -148,7 +161,7 @@ class TestStackedOperations:
     def test_base_only(self):
         m = base_only_model()
         q = Configuration(np.array([1.0, 2.0, 3.0]), Rotation.identity(), np.zeros(0))
-        stacked = m.stacked_forward_kinematics(q)
+        stacked = target_poses(m, q)
         assert stacked.positions.shape == (1, 3)
         assert np.array_equal(stacked.positions[0], q.base_pos)
         assert stacked.rotations.shape == (0, 3, 3)
@@ -164,26 +177,28 @@ class TestStackedOperations:
         rng = np.random.default_rng(4)
         q = Configuration(rng.normal(size=3), Rotation.identity(),
                           rng.normal(scale=0.4, size=human66.n))
-        a = human66.stacked_forward_kinematics(q)
-        b = permuted.stacked_forward_kinematics(q)
+        a = target_poses(human66, q)
+        b = target_poses(permuted, q)
         assert np.array_equal(a.rotations, b.rotations[::-1])
 
-    def test_blocks_match_per_frame_calls(self, human66, human48):
+    def test_blocks_match_the_every_link_model(self, human66, human48):
+        """Each target frame's pose is its link's in ``fk_arrays``, and its
+        Jacobian rows equal that link's rows on ``every_link_model``, bit for
+        bit, although the position rows there form every joint column."""
         rng = np.random.default_rng(5)
         for model in (human66, human48):
             q = Configuration(rng.normal(size=3), Rotation.about_axis([0, 1, 0], 0.3),
                               rng.normal(scale=0.4, size=model.n))
-            stacked = model.stacked_forward_kinematics(q)
+            stacked = target_poses(model, q)
+            pos, rot = model.fk_arrays(q)
             jac = model.stacked_jacobian(q)
             for i, frame in enumerate(model.position_target_frames):
-                pos, _ = model.forward_kinematics(q, frame)
-                assert np.array_equal(stacked.positions[i], pos)
-                assert np.array_equal(jac[3 * i:3 * i + 3], model.jacobian(q, frame)[:3])
+                assert np.array_equal(stacked.positions[i], pos[model.link_index(frame)])
+                assert np.array_equal(jac[3 * i:3 * i + 3], link_jacobian(model, q, frame)[:3])
             for i, frame in enumerate(model.orientation_target_frames):
-                pos, rot = model.forward_kinematics(q, frame)
-                assert np.array_equal(stacked.rotations[i], rot.m)
+                assert np.array_equal(stacked.rotations[i], rot[model.link_index(frame)])
                 rows = slice(3 * model.n_p + 3 * i, 3 * model.n_p + 3 * i + 3)
-                assert np.array_equal(jac[rows], model.jacobian(q, frame)[3:])
+                assert np.array_equal(jac[rows], link_jacobian(model, q, frame)[3:])
 
 
 class TestModelValidation:
@@ -319,9 +334,9 @@ class TestModelValidation:
         assert m.n_p == 1
 
     def test_serialize_load_identity(self, human48):
-        text = ik.serialize_model(human48)
+        text = human48.serialize()
         again = ik.load_model(text)
-        assert ik.serialize_model(again) == text
+        assert again.serialize() == text
         assert np.array_equal(again.constraint_matrix, human48.constraint_matrix)
         assert np.array_equal(again.config_bounds, human48.config_bounds)
         assert np.array_equal(again.vel_bounds, human48.vel_bounds)
@@ -333,40 +348,40 @@ class TestModelValidation:
                "constraints": {"A": [[1.0]], "b_q": [0.5], "b_nu": ["unbounded"]}}
         m = ik.load_model(json.dumps(doc))
         assert np.isinf(m.vel_bounds[0])
-        again = ik.load_model(ik.serialize_model(m))
+        again = ik.load_model(m.serialize())
         assert np.isinf(again.vel_bounds[0])
 
 
 class TestGeneratedChains:
     def test_structure_counts_66(self, human66):
         assert human66.n == 66
-        assert len(human66.physical_links()) == 23
+        assert len([l for l in human66.links if not l.is_dummy]) == 23
         assert human66.n_o == 23
         assert human66.n_p == 1
         assert len(human66.links) == 67
 
     def test_structure_counts_48(self, human48):
         assert human48.n == 48
-        assert len(human48.physical_links()) == 23
+        assert len([l for l in human48.links if not l.is_dummy]) == 23
         assert all(j.pos_limits is not None for j in human48.joints)
         assert all(j.vel_limit is not None for j in human48.joints)
 
     def test_deterministic_in_seed(self):
-        a = ik.serialize_model(ik.generate_human_chain(66, seed=3))
-        b = ik.serialize_model(ik.generate_human_chain(66, seed=3))
-        c = ik.serialize_model(ik.generate_human_chain(66, seed=4))
+        a = ik.generate_human_chain(66, seed=3).serialize()
+        b = ik.generate_human_chain(66, seed=3).serialize()
+        c = ik.generate_human_chain(66, seed=4).serialize()
         assert a == b
         assert a != c
 
     def test_shared_geometry_across_variants(self, human66, human48):
         # same seed gives the same segment offsets, so streams generated from
         # one variant are meaningful targets for the other
-        q66 = Configuration.zeros(human66)
-        q48 = Configuration.zeros(human48)
-        for frame in human66.physical_links():
-            p66, _ = human66.forward_kinematics(q66, frame)
-            p48, _ = human48.forward_kinematics(q48, frame)
-            assert np.array_equal(p66, p48)
+        p66, _ = human66.fk_arrays(Configuration.zeros(human66))
+        p48, _ = human48.fk_arrays(Configuration.zeros(human48))
+        for link in human66.links:
+            if not link.is_dummy:
+                assert np.array_equal(p66[human66.link_index(link.name)],
+                                      p48[human48.link_index(link.name)])
 
     def test_coupled_constraint_row_present(self, human48):
         m = human48.constraint_matrix.shape[0]

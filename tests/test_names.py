@@ -1,4 +1,5 @@
-"""Every global name the package's code loads is bound at import time.
+"""Every global name the package's code loads is bound at import time, and
+every public name is called by the code that runs, not only by tests.
 
 Python resolves a global only when the line runs, so a typo in a rarely taken
 path surfaces as a ``NameError`` in the middle of a run. This check compiles
@@ -6,9 +7,11 @@ each module's source, walks all its code objects and looks up every
 ``LOAD_GLOBAL``/``LOAD_NAME`` operand in the imported module's namespace and
 in ``builtins``.
 """
+import ast
 import builtins
 import dis
 import importlib
+import pathlib
 import pkgutil
 import types
 
@@ -68,3 +71,60 @@ def test_module_globals_are_bound(name):
 
 def test_exports_are_bound():
     assert [name for name in iktrack.__all__ if not hasattr(iktrack, name)] == []
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# public names that only tests call, each with the reason it stays
+ORACLES = (
+    ("relative_angle", "criterion 3 measures the orientation decay with it"),
+    ("baumgarte_integrate", "criterion 6 folds the integrator with it"),
+    ("solve_unconstrained", "criterion 7 checks the QP against it"),
+    ("mnte", "the acceptance criteria score single samples with it"),
+    ("rmse_angvel", "the single-sample oracle of the batched scoring"),
+    ("Rotation.about_axis", "perfbench's tests build rotations with it"),
+)
+
+
+def pipeline_files():
+    """The package's modules, the tools and the benchmark, without tests."""
+    package = [p for p in (ROOT / "src" / "iktrack").glob("*.py") if p.name != "__init__.py"]
+    bench = [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+    return sorted(package + list((ROOT / "tools").glob("*.py")) + bench)
+
+
+def used_names(paths) -> set[str]:
+    """Every identifier that the files load or store as a name or read as an
+    attribute."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def public_api():
+    """(qualified name, name) of each ``iktrack.__all__`` entry, and of each
+    public method or property of an exported class that is not an exception."""
+    for name in iktrack.__all__:
+        if name.startswith("__"):
+            continue
+        yield name, name
+        obj = getattr(iktrack, name)
+        if isinstance(obj, type) and not issubclass(obj, BaseException):
+            for member, value in vars(obj).items():
+                if not member.startswith("_") and isinstance(
+                        value, (types.FunctionType, classmethod, staticmethod, property)):
+                    yield f"{name}.{member}", member
+
+
+def test_every_public_name_is_called_outside_the_tests():
+    used = used_names(pipeline_files())
+    exempt = {name for name, _ in ORACLES}
+    api = list(public_api())
+    assert [qual for qual, name in api if qual not in exempt and name not in used] == []
+    # an exemption names a public name that still needs it
+    assert sorted(exempt - {qual for qual, name in api if name not in used}) == []

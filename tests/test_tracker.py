@@ -8,10 +8,10 @@ from iktrack import (ActiveSetSolver, BaumgarteConfig, Configuration, GainConfig
                      Rotation, SolverState, TargetSample, tracker)
 from iktrack.errors import QPInfeasible, SchemaMismatch, StaleSample
 from iktrack.tracker import (build_limit_constraints, corrected_velocity,
-                             initial_configuration, pose_residual, step, track)
+                             initial_configuration, step, track)
 
-from conftest import (base_only_model, rodrigues, single_joint_model, static_sample,
-                      unchecked_gains)
+from conftest import (base_only_model, residual_at, rodrigues, single_joint_model,
+                      static_sample, target_poses, unchecked_gains)
 
 DT = 0.01
 
@@ -28,13 +28,13 @@ class TestPoseResidual:
         q = Configuration(rng.normal(size=3), Rotation.about_axis([1, 0, 0], 0.4),
                           rng.normal(scale=0.4, size=human66.n))
         sample = static_sample(human66, q)
-        assert np.abs(pose_residual(human66, q, sample)).max() <= 1e-14
+        assert np.abs(residual_at(human66, q, sample)).max() <= 1e-14
 
     def test_position_block_is_linear_difference(self, human66):
         q = Configuration.zeros(human66)
         sample = static_sample(human66, q)
         sample.positions = sample.positions + np.array([0.1, 0.0, 0.0])
-        r = pose_residual(human66, q, sample)
+        r = residual_at(human66, q, sample)
         assert np.allclose(r[:3], [0.1, 0.0, 0.0])
         assert np.allclose(r[3:], 0.0)
 
@@ -44,13 +44,14 @@ class TestPoseResidual:
         sample = TargetSample(t=0.0, positions=[[0.0, 0.0, 0.0]],
                               rotations=rodrigues([0, 0, 1], np.pi / 2)[None],
                               lin_vels=np.zeros((1, 3)), ang_vels=np.zeros((1, 3)))
-        r = pose_residual(m, q, sample)
+        r = residual_at(m, q, sample)
         assert np.allclose(r, [0, 0, 0, 0, 0, 1], atol=1e-12)
 
     def test_equals_the_residual_step_feeds_back(self, human66):
-        """On a tilted base and bent joints, ``pose_residual`` is the vector
-        ``step()`` feeds back, bit for bit, and its norm is the norm of the
-        rotation errors taken in each estimated frame."""
+        """On a tilted base and bent joints, ``pose_residual_arrays`` at
+        ``fk_arrays(q)`` is the vector ``step()`` feeds back, bit for bit, and
+        its norm is the norm of the rotation errors taken in each estimated
+        frame."""
         rng = np.random.default_rng(8)
         q = Configuration(rng.normal(size=3), Rotation.about_axis([1.0, 2.0, -1.0], 0.7),
                           rng.uniform(-0.4, 0.4, human66.n))
@@ -60,9 +61,9 @@ class TestPoseResidual:
         gains, baumgarte, solver = default_setup(human66)
         _, report = step(SolverState.initial(human66, q), sample, human66, gains,
                          baumgarte, solver)
-        r = pose_residual(human66, q, sample)
+        r = residual_at(human66, q, sample)
         assert np.array_equal(r, report.residual_r)
-        est = human66.stacked_forward_kinematics(q)
+        est = target_poses(human66, q)
         local = np.concatenate(
             [(sample.positions - est.positions).ravel()]
             + [ik.orientation_residual(a, b) for a, b in zip(est.rotations, sample.rotations)])
@@ -72,8 +73,10 @@ class TestPoseResidual:
     def test_count_mismatch(self, human66, human48):
         sample = static_sample(human48, Configuration.zeros(human48))
         sample.positions = sample.positions[:0]  # break n_p
+        gains, baumgarte, solver = default_setup(human66)
+        state = SolverState.initial(human66, Configuration.zeros(human66))
         with pytest.raises(SchemaMismatch):
-            pose_residual(human66, Configuration.zeros(human66), sample)
+            step(state, sample, human66, gains, baumgarte, solver)
 
 
 class TestTargetSampleValidation:
@@ -252,14 +255,14 @@ class TestStep:
         samples = []
         for k in range(300):
             q = truth(k * DT)
-            positions, rotations = human66.stacked_forward_kinematics(q)
+            positions, rotations = target_poses(human66, q)
             vel = human66.stacked_jacobian(q) @ nu
             samples.append(TargetSample(t=k * DT, positions=positions, rotations=rotations,
                                         lin_vels=vel[:3].reshape(-1, 3),
                                         ang_vels=vel[3:].reshape(-1, 3)))
         gains, baumgarte, solver = default_setup(human66)
         result = track(human66, samples, gains, baumgarte, solver, q0=truth(0.0))
-        assert result.completed
+        assert result.error is None
         # the state after the last sample estimates the pose one period later
         error = ik.relative_angle(result.configurations[-1].base_rot, truth(300 * DT).base_rot)
         assert np.degrees(error) <= 0.05
@@ -278,8 +281,8 @@ class TestTrack:
     def test_empty_stream(self, human66):
         gains, baumgarte, _ = default_setup(human66)
         result = track(human66, [], gains, baumgarte)
-        assert len(result) == 0
-        assert result.completed
+        assert len(result.configurations) == 0
+        assert result.error is None
 
     def test_constant_stream_fixed_point(self, human66):
         spec = ik.TrajectorySpec(kind="static_pose", duration=0.1, dt=DT,
@@ -287,7 +290,7 @@ class TestTrack:
         truth, samples = ik.generate_stream(human66, spec)
         gains, baumgarte, _ = default_setup(human66)
         result = track(human66, samples, gains, baumgarte, q0=truth[0][0])
-        assert result.completed
+        assert result.error is None
         for q in result.configurations:
             assert np.abs(q.s - truth[0][0].s).max() <= 1e-8
 
@@ -301,8 +304,8 @@ class TestTrack:
                                   ang_vels=samples[5].ang_vels)
         gains, baumgarte, _ = default_setup(human66)
         result = track(human66, samples, gains, baumgarte)
-        assert not result.completed
-        assert len(result) == 5
+        assert result.error is not None
+        assert len(result.configurations) == 5
         assert "t=99" in result.error
 
     def test_huge_finite_velocity_target_is_recorded(self, human66):
@@ -313,8 +316,8 @@ class TestTrack:
         gains, baumgarte, _ = default_setup(human66)
         with np.errstate(all="ignore"):
             result = track(human66, samples, gains, baumgarte)
-        assert not result.completed
-        assert 5 <= len(result) < len(samples)
+        assert result.error is not None
+        assert 5 <= len(result.configurations) < len(samples)
         assert "non-finite velocity" in result.error
 
     @pytest.mark.parametrize("huge", [1e100, 1e150])
@@ -327,7 +330,7 @@ class TestTrack:
         gains, baumgarte, _ = default_setup(human66)
         with np.errstate(all="ignore"):
             result = track(human66, samples, gains, baumgarte)
-        assert not result.completed
+        assert result.error is not None
         for q in result.configurations:
             assert all(np.isfinite(a).all() for a in (q.base_pos, q.base_rot.m, q.s))
 
@@ -348,11 +351,11 @@ class TestTrack:
             with np.errstate(all="ignore"):
                 result = track(model, samples, gains, baumgarte)
             if kind == "count":
-                assert len(result) == k and "targets" in result.error
+                assert len(result.configurations) == k and "targets" in result.error
             elif kind == "spacing":
-                assert len(result) == max(k, 1) and "dt=" in result.error
+                assert len(result.configurations) == max(k, 1) and "dt=" in result.error
             else:
-                assert len(result) >= k
+                assert len(result.configurations) >= k
 
     def test_continuity_under_velocity_bounds(self, human48):
         # per-step joint motion is capped by dt times the velocity bound
@@ -362,7 +365,7 @@ class TestTrack:
         _, samples = ik.generate_stream(m66, spec)
         gains, baumgarte, _ = default_setup(human48)
         result = track(human48, samples, gains, baumgarte)
-        assert result.completed
+        assert result.error is None
         prev = result.configurations[0].s
         bound = DT * human48.vel_bounds[np.isfinite(human48.vel_bounds)].max()
         for q in result.configurations[1:]:
@@ -426,7 +429,7 @@ def test_tracked_outputs_are_pinned(name, human66, request):
     _, samples = ik.generate_stream(human66, spec)
     gains, baumgarte, _ = default_setup(model)
     result = track(model, samples, gains, baumgarte)
-    assert result.completed and len(result) == 50
+    assert result.error is None and len(result.configurations) == 50
     digest = hashlib.sha256()
     for q, nu in zip(result.configurations, result.velocities):
         for part in (q.base_pos, q.base_rot.m, q.s, nu.stacked()):
@@ -500,7 +503,7 @@ class TestConstantCost:
         _, samples = ik.generate_stream(human66, spec)
         gains, baumgarte, _ = default_setup(human66)
         result = track(human66, samples, gains, baumgarte)
-        assert result.completed
+        assert result.error is None
         times = np.array([r.step_wall_time for r in result.reports])[10:]
         assert times.std() / times.mean() <= 0.25
 
