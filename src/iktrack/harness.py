@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +102,8 @@ def rmse_angvel(model: KinematicModel, q: Configuration, nu: Velocity,
 @dataclass(frozen=True)
 class TrajectorySpec:
     """Recipe for a synthetic target stream. Construction rejects a NaN,
-    infinite or negative number (``InvalidSetting``) and makes ``freq_band``
-    a tuple."""
+    infinite or negative number and a seed that is not a non-negative
+    integer (``InvalidSetting``), and makes ``freq_band`` a tuple."""
 
     kind: str  # static_pose | sinusoidal | random_smooth
     duration: float
@@ -121,6 +122,7 @@ class TrajectorySpec:
             raise InvalidSetting("need duration >= dt")
         check_setting("amplitude", self.amplitude, zero_ok=True)
         check_setting("noise_std", self.noise_std, zero_ok=True)
+        check_setting("seed", self.seed, zero_ok=True, integer=True)
         band = tuple(self.freq_band)
         if len(band) != 2:
             raise InvalidSetting(f"freq_band must hold two frequencies, got {band!r}")
@@ -363,13 +365,32 @@ _RUNNERS = {"dynamical": run_dynamical, "whole-body": run_whole_body,
             "pairwise": run_pairwise}
 
 
+def _check_method(method):
+    if method not in METHODS:
+        raise InvalidSetting(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+def _merged_config(config):
+    """``DEFAULT_CONFIG`` updated by ``config``. ``InvalidSetting`` for a
+    config that is not a mapping, or a key that is neither a default's nor
+    ``dt``, so a misspelt setting is never dropped."""
+    if config is None:
+        config = {}
+    if not isinstance(config, Mapping):
+        raise InvalidSetting(f"config must be a mapping of settings, got {config!r:.40}")
+    for key in config:
+        if key not in DEFAULT_CONFIG and key != "dt":
+            raise InvalidSetting(f"unknown setting {key!r}; expected one of "
+                                 f"{(*DEFAULT_CONFIG, 'dt')}")
+    return {**DEFAULT_CONFIG, **config}
+
+
 def run_method(method, model, samples, config=None):
     """Track a stream with one method; returns per-step configurations,
-    velocities, wall times, and an error string for aborted runs."""
-    if method not in _RUNNERS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    merged = dict(DEFAULT_CONFIG)
-    merged.update(config or {})
+    velocities, wall times, and an error string for aborted runs. An unknown
+    method or setting raises ``InvalidSetting``."""
+    _check_method(method)
+    merged = _merged_config(config)
     if "dt" not in merged:
         merged["dt"] = samples[1].t - samples[0].t if len(samples) > 1 else BaumgarteConfig.dt
     return _RUNNERS[method](model, samples, merged)
@@ -475,11 +496,16 @@ def run_benchmark(models, specs, methods, config=None, transient_discard=TRANSIE
 
     ``models`` and ``specs`` are (id, value) pairs; streams are generated per
     (model, spec) cell. Individual failures are recorded without aborting the
-    sweep, except an ``InvalidSetting``, which aborts it. Returns the records
+    sweep, except an ``InvalidSetting``, which aborts it; an unknown method
+    or setting raises one before any stream is generated. Returns the records
     in declaration order plus the results CSV.
     """
-    merged = dict(DEFAULT_CONFIG)
-    merged.update(config or {})
+    if isinstance(methods, str) or not isinstance(methods, Iterable):
+        raise InvalidSetting(f"methods must be a list of method names, got {methods!r:.40}")
+    methods = list(methods)
+    for method in methods:
+        _check_method(method)
+    merged = _merged_config(config)
     records = []
     for model_id, model in models:
         for spec_id, spec in specs:

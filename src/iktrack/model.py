@@ -21,7 +21,7 @@ import numpy as np
 
 from ._kernels import (axis_factors, depth_layout, fk_levels, pose_residual_kernel,
                        rotations_about_axes, stacked_jacobian_kernel)
-from .errors import ParseError, UnknownFrame, ValidationError
+from .errors import InvalidSetting, ParseError, UnknownFrame, ValidationError, check_setting
 from .so3 import Rotation
 
 AXIS_TOL = 1e-9
@@ -591,9 +591,12 @@ def generate_human_chain(dofs: int, seed: int) -> KinematicModel:
     by zero-length dummy links. The 66-DoF variant is unconstrained; the
     48-DoF variant drops joints per connection, bounds every joint, and adds
     one coupled-joint constraint row. Geometry is jittered +-2% by ``seed``.
+    Other ``dofs``, or a seed that is not a non-negative integer, raise
+    ``InvalidSetting``.
     """
     if dofs not in (66, 48):
-        raise ValueError("dofs must be 66 or 48")
+        raise InvalidSetting(f"dofs must be 66 or 48, got {dofs!r}")
+    check_setting("seed", seed, zero_ok=True, integer=True)
     rng = np.random.default_rng(seed)
     links = [Link("pelvis")]
     joints = []

@@ -184,6 +184,52 @@ def test_bench_bad_setting_is_a_usage_error(model_file, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"config": {"gian": 200}}, "unknown setting 'gian'"),
+    ({"config": 5}, "config must be a mapping of settings, got 5"),
+    ({"methods": ["dynamic"]}, "unknown method 'dynamic'"),
+    ({"methods": "dynamical"}, "methods must be a list of method names"),
+])
+def test_bench_unknown_setting_or_method_is_a_usage_error(model_file, tmp_path, capsys,
+                                                          change, message):
+    """A misspelt setting is not dropped, and a config or method list of the
+    wrong kind is not a traceback: each stops the sweep with one line."""
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({
+        "models": [{"id": "h66", "path": model_file}],
+        "specs": [{"id": "static", "kind": "static_pose", "duration": 0.05,
+                   "dt": 0.01, "amplitude": 0.1, "seed": 3}],
+        "methods": ["dynamical"],
+        **change,
+    }))
+    out_dir = tmp_path / "results"
+    assert main(["bench", "--config", str(config), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: {message}")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text", ['"x"', "1.5", "1e30", "-1", "true"])
+def test_gen_bad_seed_is_bad_spec(model_file, tmp_path, capsys, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "sinusoidal", "duration": 0.3, "dt": 0.01, "amplitude": 0.2, '
+                    f'"seed": {text}}}')
+    out = tmp_path / "stream.jsonl"
+    assert main(["gen", "--model", model_file, "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: bad spec: seed must be")
+    assert not out.exists()
+
+
+def test_models_gen_human_negative_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "model.json"
+    assert main(["models", "gen-human", "--dofs", "66", "--seed", "-1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["usage error: seed must be a non-negative integer, got -1"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, text", [("duration", "NaN"), ("duration", "Infinity"),
                                          ("noise_std", "NaN"), ("noise_std", "-0.1")])
 def test_gen_non_finite_or_negative_spec_value_is_bad_spec(model_file, tmp_path, capsys,

@@ -156,6 +156,13 @@ class TestGenerateStream:
             TrajectorySpec(**fields)
         assert isinstance(exc.value, ik.IkTrackError)
 
+    @pytest.mark.parametrize("seed", ["x", 1.5, 1e30, -1, True, None])
+    def test_spec_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        """A string, float or negative seed would fail in the generator with a
+        raw error, and ``True`` would run as seed 1."""
+        with pytest.raises(ik.InvalidSetting, match="seed must be a non-negative integer"):
+            TrajectorySpec(kind="sinusoidal", duration=0.3, dt=0.01, amplitude=0.2, seed=seed)
+
     def test_spec_holds_freq_band_as_a_tuple(self):
         spec = TrajectorySpec(kind="sinusoidal", duration=0.3, dt=0.01, amplitude=0.2,
                               freq_band=[0.5, 1.5])
@@ -499,6 +506,46 @@ class TestBenchmark:
         records, table = run_benchmark([("h66", human66)], [("static", spec)], [])
         assert records == []
         assert len(table.splitlines()) == 1
+
+    @pytest.mark.parametrize("config, message", [
+        ({"gian": 200.0}, "unknown setting 'gian'"),
+        (5, "config must be a mapping"),
+        ([("gain", 2.0)], "config must be a mapping"),
+    ])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_run_method_rejects_a_setting_it_would_drop(self, human66, config, message,
+                                                        method):
+        spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01,
+                              amplitude=0.1, seed=3)
+        _, stream = ik.generate_stream(human66, spec)
+        with pytest.raises(ik.InvalidSetting, match=message):
+            ik.run_method(method, human66, stream, config)
+
+    @pytest.mark.parametrize("methods, config, message", [
+        (["dynamical", "dynamic"], None, "unknown method 'dynamic'"),
+        ("dynamical", None, "methods must be a list"),
+        (5, None, "methods must be a list"),
+        (["dynamical"], {"max_iter": 3}, "unknown setting 'max_iter'"),
+        (["dynamical"], 5, "config must be a mapping"),
+    ])
+    def test_benchmark_rejects_methods_and_settings_before_generating(
+            self, human66, monkeypatch, methods, config, message):
+        def generate(*_):
+            raise AssertionError("a stream was generated")
+        monkeypatch.setattr(ik.harness, "generate_stream", generate)
+        spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01,
+                              amplitude=0.1, seed=3)
+        with pytest.raises(ik.InvalidSetting, match=message):
+            run_benchmark([("h66", human66)], [("static", spec)], methods, config)
+
+    def test_a_key_of_another_method_is_kept(self, human66):
+        """A sweep shares one config across methods, so the dynamical method
+        accepts the baselines' keys, and ``dt``."""
+        spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01,
+                              amplitude=0.1, seed=3)
+        _, stream = ik.generate_stream(human66, spec)
+        config = {"stop_tol": 1e-5, "max_iters": 5, "lm_lambda0": 1e-2, "dt": 0.01}
+        assert ik.run_method("dynamical", human66, stream, config)[3] is None
 
     def test_cross_product_order(self, human66, human48):
         spec_a = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01,

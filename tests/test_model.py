@@ -383,6 +383,14 @@ class TestGeneratedChains:
                 assert np.array_equal(p66[human66.link_index(link.name)],
                                       p48[human48.link_index(link.name)])
 
+    @pytest.mark.parametrize("dofs, seed, message", [
+        (66, -1, "seed"), (66, "x", "seed"), (48, 1.5, "seed"), (48, True, "seed"),
+        (50, 0, "dofs must be 66 or 48"),
+    ])
+    def test_bad_dofs_or_seed_is_an_invalid_setting(self, dofs, seed, message):
+        with pytest.raises(ik.InvalidSetting, match=message):
+            ik.generate_human_chain(dofs, seed)
+
     def test_coupled_constraint_row_present(self, human48):
         m = human48.constraint_matrix.shape[0]
         assert m == 2 * human48.n + 1
