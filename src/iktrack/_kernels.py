@@ -9,8 +9,10 @@ forward-kinematics walk over tree depths. Forward kinematics and the stacked
 Jacobian also take a leading batch axis of independent configurations: a
 tracking step calls them with a batch of one, stream generation and scoring
 with a chunk of samples. The per-model index arrays and joint-axis factors
-the kernels take are built once by ``KinematicModel``.
+the kernels take are built once by ``KinematicModel``, and forward
+kinematics composes into buffers each model keeps per thread and batch size.
 """
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -125,33 +127,80 @@ def depth_layout(parent, joint_of, axis, origin_r, origin_p, base_idx) -> DepthL
                        origin_r[below, None], origins[:, None], rank)
 
 
-def fk_levels(layout, s, base_p, base_r):
+# buffer sets kept per model and thread: a tracking step's batch of one, a
+# chunk and the last, shorter chunk of a stream
+FK_BUFFER_SETS = 3
+
+
+class FkBuffers(threading.local):
+    """One model's forward-kinematics buffer sets by batch size, each thread
+    seeing only its own, so concurrent calls on one model share no buffer.
+    At most ``FK_BUFFER_SETS`` per thread; the oldest goes first."""
+
+    def __init__(self):
+        self.sets = {}
+
+
+class _FkBufferSet(NamedTuple):
+    """Link-major world and local transforms (link, batch, 4, 4) for one
+    batch size, with the views ``fk_levels`` writes and reads."""
+
+    world: np.ndarray
+    base_r: np.ndarray   # world[0, :, :3, :3]
+    base_p: np.ndarray   # world[0, :, :3, 3]
+    local_r: np.ndarray  # rotation part of every local transform
+    # (parents, parent rows, local transforms, outputs) of each depth; parents
+    # is a view of ``world``, or None where the rows are an index array and
+    # must be gathered anew on each call
+    levels: tuple
+    pos: np.ndarray      # world positions, (batch, link, 3) view
+    rot: np.ndarray      # world rotations, (batch, link, 3, 3) view
+
+
+def _fk_buffer_set(layout, batch):
+    # link-major, so a depth's parents and children are plain slices of the
+    # first axis, whatever the batch size
+    world = np.empty((layout.rank.shape[0], batch, 4, 4))
+    world[0, :, 3] = _HOMOGENEOUS_ROW
+    local = np.empty((layout.joints.shape[0], batch, 4, 4))
+    # translations and homogeneous rows are fixed; each call writes the rotations
+    local[:] = layout.origins
+    levels = tuple((world[par] if isinstance(par, slice) else None, par,
+                    local[a - 1:b - 1], world[a:b]) for a, b, par in layout.levels)
+    return _FkBufferSet(world, world[0, :, :3, :3], world[0, :, :3, 3], local[:, :, :3, :3],
+                        levels, world[:, :, :3, 3].swapaxes(0, 1),
+                        world[:, :, :3, :3].swapaxes(0, 1))
+
+
+def fk_levels(layout, buffers, s, base_p, base_r):
     """World pose of every link for a batch of B configurations, given as
     joint angles ``s`` (B, n), base positions ``base_p`` (B, 3) and base
     rotations ``base_r`` (B, 3, 3). Returns positions (B, L, 3) and rotations
-    (B, L, 3, 3), indexed by link; a single configuration is a batch of one.
+    (B, L, 3, 3), indexed by link, as fresh arrays; a single configuration is
+    a batch of one. ``buffers`` is the model's ``FkBuffers``.
 
     A link's frame sits on its joint: the origin offset is fixed in the
     parent, the joint rotation about its axis acts on the child frame. Each
     depth composes its links' homogeneous transforms onto their parents' in
     one stacked product.
     """
-    batch, k = s.shape[0], layout.joints.shape[0]
-    # link-major (link, batch, 4, 4), so a depth's parents and children are
-    # plain slices of the first axis, whatever the batch size
-    world = np.empty((layout.rank.shape[0], batch, 4, 4))
-    world[0, :, :3, :3] = base_r
-    world[0, :, :3, 3] = base_p
-    world[0, :, 3] = _HOMOGENEOUS_ROW
-    local = np.empty((k, batch, 4, 4))
-    local[:] = layout.origins
-    joint_r = rotations_about_axes(layout.factors, s[:, layout.joints])
-    np.matmul(layout.origin_r, joint_r.swapaxes(0, 1), out=local[:, :, :3, :3])
-    for a, b, par in layout.levels:
-        np.matmul(world[par], local[a - 1:b - 1], out=world[a:b])
-    pos = world[:, :, :3, 3].take(layout.rank, axis=0).swapaxes(0, 1)
-    rot = world[:, :, :3, :3].take(layout.rank, axis=0).swapaxes(0, 1)
-    return np.ascontiguousarray(pos), np.ascontiguousarray(rot)
+    batch = s.shape[0]
+    sets = buffers.sets
+    buf = sets.get(batch)
+    if buf is None:
+        if len(sets) >= FK_BUFFER_SETS:
+            del sets[next(iter(sets))]
+        buf = sets[batch] = _fk_buffer_set(layout, batch)
+    buf.base_r[...] = base_r
+    buf.base_p[...] = base_p
+    joint_r = rotations_about_axes(layout.factors, s.take(layout.joints, axis=1))
+    np.matmul(layout.origin_r, joint_r.swapaxes(0, 1), out=buf.local_r)
+    world = buf.world
+    for parents, rows, local, out in buf.levels:
+        # out given positionally: parsing the keyword is a measurable share
+        # of a product this small
+        np.matmul(world[rows] if parents is None else parents, local, out)
+    return buf.pos.take(layout.rank, axis=1), buf.rot.take(layout.rank, axis=1)
 
 
 def stacked_jacobian_kernel(pos, rot, base_pos, pos_idx, ori_idx, pos_cols, pos_support,

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import (axis_factors, depth_layout, fk_levels, pose_residual_kernel,
-                       rotations_about_axes, stacked_jacobian_kernel)
+from ._kernels import (FkBuffers, axis_factors, depth_layout, fk_levels,
+                       pose_residual_kernel, rotations_about_axes, stacked_jacobian_kernel)
 from .errors import InvalidSetting, ParseError, UnknownFrame, ValidationError, check_setting
 from .so3 import Rotation
 
@@ -88,8 +88,12 @@ class ExtraConstraints:
 class KinematicModel:
     """Validated kinematic tree with precomputed arrays for the kernels.
 
-    Immutable after construction; forward kinematics and Jacobian calls are
-    pure and reentrant, so one instance can be shared across threads.
+    Immutable after construction, so one instance can be shared across
+    threads. Forward kinematics composes into scratch buffers that each
+    thread keeps for itself and that every call overwrites in full; it
+    returns fresh arrays, so its calls, like the Jacobian's, are reentrant
+    and their results depend on their arguments alone. The buffers live and
+    die with the model and are left out of its pickled state.
     """
 
     def __init__(self, links, joints, base_link, position_targets=(),
@@ -197,6 +201,7 @@ class KinematicModel:
         self._base_idx = self._link_index[self.base_link]
         self._layout = depth_layout(self._parent, self._joint_of, self._axis, self._origin_r,
                                     self._origin_p, self._base_idx)
+        self._fk_buffers = FkBuffers()
         # support[l, j]: joint j lies on the path from the base to link l
         self._support = np.zeros((n_links, len(self.joints)), dtype=bool)
         for l in range(n_links):
@@ -251,6 +256,15 @@ class KinematicModel:
             cached = self._limit_rows = (vel_bound_default, G, b_nu)
         return cached[1], cached[2]
 
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_fk_buffers"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._fk_buffers = FkBuffers()
+
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -277,7 +291,7 @@ class KinematicModel:
         """World positions (B, L, 3) and rotations (B, L, 3, 3) of every link
         for B configurations given as stacked arrays: base positions (B, 3),
         base rotation matrices (B, 3, 3) and joint angles (B, n)."""
-        return fk_levels(self._layout, s, base_pos, base_rot)
+        return fk_levels(self._layout, self._fk_buffers, s, base_pos, base_rot)
 
     def fk_arrays(self, q: "Configuration") -> tuple[np.ndarray, np.ndarray]:
         """World position and rotation of every link (kernel layout)."""

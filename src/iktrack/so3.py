@@ -163,7 +163,11 @@ def project_to_so3(a) -> Rotation:
 
 def project_stack_to_so3(a) -> np.ndarray:
     """``project_to_so3`` of each matrix of a (k, 3, 3) stack, as a (k, 3, 3)
-    array of validated rotations."""
+    array of rotations. A non-finite entry is rejected before the SVD, which
+    does not return on an infinite one; on finite input the polar factor is
+    orthonormal to rounding, so it needs no check of its own."""
+    if not np.isfinite(a).all():
+        raise DegenerateMatrix("matrix has a non-finite entry")
     u, sing, vt = np.linalg.svd(a)
     if np.any(sing[:, -1] <= 1e-12) or np.any(np.linalg.det(a) <= 0.0):
         raise DegenerateMatrix("matrix is singular or reflects")
@@ -171,5 +175,4 @@ def project_stack_to_so3(a) -> np.ndarray:
     flip = np.linalg.det(r) < 0.0
     if np.any(flip):
         r[flip] = u[flip] @ np.diag([1.0, 1.0, -1.0]) @ vt[flip]
-    _require_rotations(r)
     return r

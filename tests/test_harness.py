@@ -260,6 +260,21 @@ def test_summary_rejects_a_reflecting_base_inside_a_chunk(human66):
         summarize_run(human66, samples, qs, nus, np.zeros(len(qs)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_scores_reject_a_non_finite_drifting_base(human66, value):
+    spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01, amplitude=0.1, seed=3)
+    truth, samples = generate_stream(human66, spec)
+    qs = [q for q, _ in truth]
+    nus = [nu for _, nu in truth]
+    base = np.eye(3)
+    base[0, 0] = value
+    qs[2] = Configuration(qs[2].base_pos, Rotation.drifting(base), qs[2].s)
+    with pytest.raises(DegenerateMatrix):
+        mnte(human66, qs[2], samples[2])
+    with pytest.raises(DegenerateMatrix):
+        summarize_run(human66, samples, qs, nus, np.zeros(len(qs)))
+
+
 class TestStreamFiles:
     def test_bytes_equal_a_per_element_writer(self, human66, tmp_path):
         spec = TrajectorySpec(kind="random_smooth", duration=0.3, dt=0.01, amplitude=0.3,

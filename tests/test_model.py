@@ -1,10 +1,17 @@
+import copy
+import gc
 import json
+import pickle
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 import iktrack as ik
 from iktrack import Configuration, Joint, KinematicModel, Link, Rotation, Velocity
+from iktrack._kernels import FK_BUFFER_SETS
 from iktrack.errors import ParseError, UnknownFrame, ValidationError
 
 from conftest import (base_only_model, branched_model, every_link_model, rodrigues,
@@ -114,6 +121,91 @@ class TestForwardKinematics:
                 p_ref, r_ref = naive(link.name)
                 assert np.allclose(pos[i], p_ref, atol=1e-12), (model.n, link.name)
                 assert np.allclose(rot[i], r_ref, atol=1e-12), (model.n, link.name)
+
+
+def configuration_batch(model, rng, size):
+    """``fk_batch``'s arguments for ``size`` random configurations."""
+    qs = [random_configuration(model, rng, 1.0, 0.5) for _ in range(size)]
+    return (np.array([q.base_pos for q in qs]), np.array([q.base_rot.m for q in qs]),
+            np.array([q.s for q in qs]))
+
+
+class TestForwardKinematicsBuffers:
+    """Forward kinematics composes into buffers that each model keeps per
+    thread and batch size; what it returns must not depend on them. The
+    branched model has depths whose parents are gathered by index."""
+
+    def test_results_never_alias_a_buffer(self, human66):
+        rng = np.random.default_rng(5)
+        for model in (human66, branched_model()):
+            for size in (1, 3):
+                first = configuration_batch(model, rng, size)
+                second = configuration_batch(model, rng, size)
+                pos, rot = model.fk_batch(*first)
+                kept = pos.copy(), rot.copy()
+                later = model.fk_batch(*second)
+                assert np.array_equal(pos, kept[0]) and np.array_equal(rot, kept[1])
+                expected = later[0].copy(), later[1].copy()
+                for out in (pos, rot, *later):
+                    out[...] = np.nan
+                again = model.fk_batch(*second)
+                assert np.array_equal(again[0], expected[0])
+                assert np.array_equal(again[1], expected[1])
+
+    def test_two_threads_get_the_single_thread_bits(self, human66):
+        rng = np.random.default_rng(6)
+        for model in (human66, branched_model()):
+            # one batch size, so both threads would share a buffer set if
+            # the sets were not per thread
+            args = [configuration_batch(model, rng, 2) for _ in range(2)]
+            expected = [model.fk_batch(*a) for a in args]
+            barrier = threading.Barrier(2)
+            mismatches, done = [0, 0], [False, False]
+
+            def work(i):
+                barrier.wait(timeout=30)
+                for _ in range(300):
+                    pos, rot = model.fk_batch(*args[i])
+                    mismatches[i] += not (np.array_equal(pos, expected[i][0])
+                                          and np.array_equal(rot, expected[i][1]))
+                done[i] = True
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert done == [True, True] and mismatches == [0, 0]
+
+    def test_pickle_and_deepcopy_keep_the_bits(self, human66):
+        rng = np.random.default_rng(7)
+        for model in (human66, branched_model()):
+            args = configuration_batch(model, rng, 4)
+            before = model.fk_batch(*args)
+            for other in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+                after = other.fk_batch(*args)
+                assert np.array_equal(after[0], before[0])
+                assert np.array_equal(after[1], before[1])
+
+    def test_buffer_sets_stay_bounded_and_die_with_the_model(self):
+        model = ik.generate_human_chain(48, seed=7)
+        rng = np.random.default_rng(8)
+        sets = model._fk_buffers.sets
+        for size in range(1, 61):
+            model.fk_batch(*configuration_batch(model, rng, size))
+            assert len(sets) == min(size, FK_BUFFER_SETS) <= 4
+        owner = weakref.ref(model)
+        buffers = [weakref.ref(s.world) for s in sets.values()]
+        del model, sets
+        gc.collect()
+        assert owner() is None
+        assert all(b() is None for b in buffers)
 
 
 class TestJacobian:

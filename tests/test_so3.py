@@ -179,3 +179,14 @@ class TestProjectToSO3:
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateMatrix):
             project_to_so3(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        # numpy's SVD raises a bare LinAlgError on NaN, and never returns on
+        # an infinite entry in the first column
+        for i in range(3):
+            for j in range(3):
+                m = rodrigues([1, 2, 3], 0.5)
+                m[i, j] = value
+                with pytest.raises(DegenerateMatrix):
+                    project_to_so3(m)
