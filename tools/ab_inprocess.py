@@ -15,8 +15,11 @@ are timed in alternation:
 - per sample, one call on each side, the parent first on even samples and
   the change first on odd ones: ``step`` (the dynamical workloads) or
   ``solve_whole_body`` (the whole-body workload), each side following its
-  own state, then ``fk_arrays`` and ``stacked_jacobian`` at the
-  configuration that side's call started from;
+  own state, then ``project_to_so3`` of the base rotation that call
+  produced, ``fk_arrays`` and ``stacked_jacobian`` at the configuration
+  the call started from, and, once ``harness.CHUNK`` samples are in,
+  ``fk_batch`` over the configurations the last ``CHUNK`` calls started
+  from (the batch that ``generate_stream`` and ``summarize_run`` run);
 - per round, the set-up stages once on each side, in the same alternation:
   ``load_model``, ``generate_stream``, ``save_stream``, ``load_stream`` and
   ``summarize_run`` (on one pass of the method, run once beforehand).
@@ -215,20 +218,34 @@ def _solve_key(out):
 
 
 def _per_sample(stages, passes, dynamical):
-    """Alternate the per-sample call, then FK and the Jacobian at the
-    configuration it started from, on every sample of every pair of passes."""
-    method, fk, jac = (stages.setdefault(k, Stage()) for k in
-                       ("step" if dynamical else "solve_whole_body", "fk", "jacobian"))
+    """Alternate the per-sample call, the projection of the base rotation it
+    produced, then FK and the Jacobian at the configuration it started from,
+    and FK over the last ``CHUNK`` such configurations, on every sample of
+    every pair of passes."""
+    method, project, fk, jac, fk_chunk = (stages.setdefault(k, Stage()) for k in (
+        "step" if dynamical else "solve_whole_body", "project_to_so3", "fk", "jacobian",
+        "fk_batch"))
     index = 0
     for pair in passes:
+        chunk = pair["change"].ik.harness.CHUNK
+        history = {side: [] for side in SIDES}
         for i in range(len(pair["parent"].stream)):
             starts = {side: pair[side].q for side in SIDES}
             method.alternate(index, {side: (lambda s=side: pair[s].call(i)) for side in SIDES},
                              key=_step_key if dynamical else _solve_key)
+            project.alternate(index, {side: (lambda s=side: pair[s].ik.project_to_so3(
+                pair[s].q.base_rot.m)) for side in SIDES}, key=lambda r: r.m)
             poses = fk.alternate(index, {side: (lambda s=side: pair[s].model.fk_arrays(starts[s]))
                                          for side in SIDES})
             jac.alternate(index, {side: (lambda s=side: pair[s].model.stacked_jacobian(
                 starts[s], fk=poses[s])) for side in SIDES})
+            for side in SIDES:
+                history[side].append(starts[side])
+            if len(history["parent"]) >= chunk:
+                batch = {side: pair[side].ik.harness._stacked_configurations(
+                    history[side][-chunk:]) for side in SIDES}
+                fk_chunk.alternate(index, {side: (lambda s=side: pair[s].model.fk_batch(
+                    *batch[s])) for side in SIDES})
             index += 1
 
 
