@@ -89,7 +89,7 @@ class KinematicModel:
     """Validated kinematic tree with precomputed arrays for the kernels.
 
     Immutable after construction, so one instance can be shared across
-    threads. Forward kinematics composes into scratch buffers that each
+    threads. Forward kinematics composes into working buffers that each
     thread keeps for itself and that every call overwrites in full; it
     returns fresh arrays, so its calls, like the Jacobian's, are reentrant
     and their results depend on their arguments alone. The buffers live and
