@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import axis_factors, rotation_vectors, rotations_about_axes
-from .errors import DecompositionError, check_setting
+from .errors import DecompositionError, RankDeficient, check_setting
 from .model import Configuration, KinematicModel
-from .qp import ActiveSetSolver, LeastSquaresQP
+from .qp import ActiveSetSolver, LeastSquaresQP, _damped_normal_equations, _solve_normal
 from .so3 import Rotation, orientation_residual, project_to_so3
 from .tracker import TargetSample
 
@@ -64,14 +64,6 @@ class SubsystemReport:
     converged: bool
 
 
-def _damped_step(jac, r, lam):
-    """The Levenberg-Marquardt step: delta solving (J^T J + lam I) delta =
-    J^T r, for a residual r = target - f and the Jacobian J of f."""
-    h = jac.T @ jac
-    h.flat[::h.shape[0] + 1] += lam
-    return np.linalg.solve(h, jac.T @ r)
-
-
 def _damped_gauss_newton(x, evaluate, jacobian, update, cfg):
     """Levenberg-Marquardt on a residual from the iterate ``x``.
 
@@ -89,8 +81,9 @@ def _damped_gauss_newton(x, evaluate, jacobian, update, cfg):
     while err > cfg.stop_tol and iterations < cfg.max_iters:
         iterations += 1
         try:
-            delta = _damped_step(jacobian(x, state), r, lam)
-        except np.linalg.LinAlgError:
+            # the Levenberg-Marquardt step, (J^T J + lam I) delta = J^T r
+            delta = _solve_normal(*_damped_normal_equations(jacobian(x, state), r, lam))
+        except RankDeficient:
             lam *= 10.0
             continue
         candidate = update(x, delta)

@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from .errors import (IkTrackError, InvalidSetting, ParseError, QPInfeasible, SchemaMismatch,
-                     SpecInfeasible, StaleSample, ValidationError)
+from .errors import (IkTrackError, InvalidSetting, ParseError, QPInfeasible, RankDeficient,
+                     SchemaMismatch, SpecInfeasible, StaleSample, ValidationError)
 from .harness import (DEFAULT_CONFIG, METHODS, TrajectorySpec, generate_stream,
                       load_stream, results_csv, run_benchmark, run_method,
                       save_stream, summarize_run)
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     except _DATA_ERRORS as e:
         print(f"data error: {e}", file=sys.stderr)
         return DATA_ERROR
-    except (QPInfeasible, StaleSample) as e:
+    except (QPInfeasible, RankDeficient, StaleSample) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return SOLVER_ERROR
     except IkTrackError as e:

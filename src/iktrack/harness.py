@@ -306,16 +306,11 @@ def load_stream(path) -> TargetStream:
 
 def _velocity_stage(model, q, sample, solver):
     """Differential-kinematics inversion at a solved configuration, under the
-    constant joint-velocity bounds."""
-    jac = model.stacked_jacobian(q)
-    finite = np.isfinite(model.vel_bounds)
-    if np.any(finite):
-        G = np.zeros((int(finite.sum()), model.n + 6))
-        G[:, 6:] = model.constraint_matrix[finite]
-        g = model.vel_bounds[finite]
-    else:
-        G, g = None, None
-    sol = solver.solve(LeastSquaresQP(jac, sample.velocity_stack(), G, g,
+    constant joint-velocity bounds: the model's limit rows, where an unbounded
+    row's stand-in bound, ``GainConfig.vel_bound_default`` (1e3 rad/s), is
+    beyond any human joint speed, so that row does not bind."""
+    G, g = model.limit_rows(GainConfig.vel_bound_default)
+    sol = solver.solve(LeastSquaresQP(model.stacked_jacobian(q), sample.velocity_stack(), G, g,
                                       damping=solver.damping))
     return Velocity.from_stacked(sol.x)
 

@@ -79,12 +79,29 @@ def solve_unconstrained(J, target, damping: float = 0.0) -> np.ndarray:
     return x
 
 
+def _damped_normal_equations(J, b, damping):
+    """The damped normal matrix J^T J + damping I and the right-hand side
+    J^T b of the least-squares fit of J x to b."""
+    h = J.T @ J
+    h.flat[::h.shape[0] + 1] += damping
+    return h, J.T @ b
+
+
+def _solve_normal(h, rhs):
+    """h^-1 rhs for a damped normal matrix h; ``RankDeficient`` when h is
+    singular, as J^T J can be without damping."""
+    try:
+        return np.linalg.solve(h, rhs)
+    except np.linalg.LinAlgError:
+        raise RankDeficient("normal matrix is singular; use a positive damping") from None
+
+
 def _kkt_solve(h, mat, rhs_top, rhs_bot):
     """Solve [h mat^T; mat 0] [x; y] = [rhs_top; rhs_bot]."""
     d = h.shape[0]
     m = mat.shape[0]
     if m == 0:
-        return np.linalg.solve(h, rhs_top), np.zeros(0)
+        return _solve_normal(h, rhs_top), np.zeros(0)
     kkt = np.zeros((d + m, d + m))
     kkt[:d, :d] = h
     kkt[:d, d:] = mat.T
@@ -111,15 +128,11 @@ class ActiveSetSolver:
 
     def solve(self, prob: LeastSquaresQP, warm_start=()) -> QPSolution:
         J, target, G, g = prob.J, prob.target, prob.G, prob.g
-        d = J.shape[1]
-        h = J.T @ J
-        if prob.damping > 0.0:
-            h.flat[::d + 1] += prob.damping
-        c = J.T @ target
+        h, c = _damped_normal_equations(J, target, prob.damping)
         if G.shape[0] == 0:
             # no rows: the damped normal-equation solution is the optimum, and
             # a warm start has nothing to keep
-            x = np.linalg.solve(h, c)
+            x = _solve_normal(h, c)
             active, iterations, status = (), 1, QPStatus.SOLVED
         else:
             x, active, iterations, status = self._active_set(h, c, G, g, warm_start)
@@ -136,24 +149,19 @@ class ActiveSetSolver:
         k = G.shape[0]
         tol = self.tol
         max_iter = 10 * (d + k)
-        work: list[int] = []
         mu: list[float] = []
         # warm start: keep the previous active set where its multipliers stay
         # dual-feasible, otherwise shed rows until they do
-        start = sorted({int(i) for i in warm_start if 0 <= int(i) < k})
-        if start:
-            while start:
-                x, lam = _kkt_solve(h, G[start], c, g[start])
-                if lam.size and lam.min() < -tol:
-                    start.pop(int(np.argmin(lam)))
-                else:
-                    break
-            work = start
-            mu = [float(v) for v in lam] if work else []
-            if not work:
-                x = np.linalg.solve(h, c)
+        work = sorted({int(i) for i in warm_start if 0 <= int(i) < k})
+        while work:
+            x, lam = _kkt_solve(h, G[work], c, g[work])
+            if lam.min() < -tol:
+                work.pop(int(np.argmin(lam)))
+                continue
+            mu = [float(v) for v in lam]
+            break
         else:
-            x = np.linalg.solve(h, c)
+            x = _solve_normal(h, c)
         iterations = 0
         status = QPStatus.MAX_ITERATIONS
         while iterations < max_iter:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (baumgarte_step_kernel, orthonormality_errors, rotation_about_axis,
-                       rotation_residuals)
+from ._kernels import (axis_factors, baumgarte_step_kernel, orthonormality_errors,
+                       rotation_residuals, rotations_about_axes)
 from .errors import DegenerateMatrix, NotARotation, SingularMatrix, check_setting
 
 ORTHONORMALITY_TOL = 1e-9
@@ -69,7 +69,9 @@ class Rotation:
         norm = np.linalg.norm(axis)
         if norm == 0.0:
             raise ValueError("axis must be nonzero")
-        return cls.drifting(rotation_about_axis(axis / norm, float(angle)))
+        axes = (axis / norm).reshape(1, 3)
+        angles = np.full((1, 1), angle, dtype=float)
+        return cls.drifting(rotations_about_axes(axis_factors(axes), angles)[0, 0])
 
     def __repr__(self) -> str:
         return f"Rotation({self.m.tolist()!r})"
@@ -140,14 +142,9 @@ def baumgarte_integrate(r0, omegas, cfg: BaumgarteConfig) -> tuple[np.ndarray, f
     observed at any step.
     """
     r = _mat(r0).copy()
-    omegas = np.ascontiguousarray(omegas, dtype=float)
-    if not np.isfinite(omegas).all():
-        raise ValueError("omega must be finite")
-    if _singular(r):
-        raise SingularMatrix("r0^T r0 is not invertible")
     max_err = 0.0
-    for omega in omegas:
-        r = baumgarte_step_kernel(r, omega, cfg.rho, cfg.dt)
+    for omega in np.asarray(omegas, dtype=float):
+        r = baumgarte_step(r, omega, cfg)
         max_err = max(max_err, orthonormality_error(r))
     return r, max_err
 
@@ -172,6 +169,7 @@ def project_stack_to_so3(a) -> np.ndarray:
     if np.any(sing[:, -1] <= 1e-12) or np.any(np.linalg.det(a) <= 0.0):
         raise DegenerateMatrix("matrix is singular or reflects")
     r = u @ vt
+    # reached where det(a) overflows to +inf although u vt reflects
     flip = np.linalg.det(r) < 0.0
     if np.any(flip):
         r[flip] = u[flip] @ np.diag([1.0, 1.0, -1.0]) @ vt[flip]

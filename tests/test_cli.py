@@ -476,6 +476,18 @@ def test_bad_stream_values_are_parse_errors(path, value, tmp_path):
     assert _solve(model_path, stream, tmp_path) == 2
 
 
+def test_rank_deficient_solve_is_a_solver_failure(model_file, spec_file, tmp_path, monkeypatch,
+                                                 capsys):
+    stream = tmp_path / "stream.jsonl"
+    assert main(["gen", "--model", model_file, "--spec", spec_file, "--out", str(stream)]) == 0
+
+    def singular(*_):
+        raise ik.errors.RankDeficient("normal matrix is singular")
+    monkeypatch.setattr(ik.cli, "run_method", singular)
+    assert _solve(model_file, stream, tmp_path) == 3
+    assert "solver failure: normal matrix is singular" in capsys.readouterr().err
+
+
 def test_huge_finite_target_aborts_as_solver_failure(model_file, spec_file, tmp_path, capsys):
     # a finite angular-velocity target the QP cannot solve in float range
     stream = tmp_path / "stream.jsonl"

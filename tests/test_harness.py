@@ -11,10 +11,12 @@ from iktrack import (Configuration, MetricsSummary, Rotation, TargetSample,
                      TrajectorySpec, Velocity, generate_stream, load_stream, mnte,
                      project_to_so3, results_csv, rmse_angvel, run_benchmark, run_method,
                      save_stream, summarize_run)
-from iktrack.errors import DegenerateMatrix, ParseError, SchemaMismatch, SpecInfeasible
+from iktrack.errors import (DegenerateMatrix, ParseError, RankDeficient, SchemaMismatch,
+                            SpecInfeasible)
 from iktrack.harness import CHUNK, METHODS
 
-from conftest import base_only_model, branched_model, rodrigues, static_sample, target_poses
+from conftest import (base_only_model, branched_model, rodrigues, single_joint_model,
+                      static_sample, target_poses)
 
 
 class TestMetrics:
@@ -273,6 +275,37 @@ def test_scores_reject_a_non_finite_drifting_base(human66, value):
         mnte(human66, qs[2], samples[2])
     with pytest.raises(DegenerateMatrix):
         summarize_run(human66, samples, qs, nus, np.zeros(len(qs)))
+
+
+def finite_row_velocity(model, q, sample, solver):
+    """The velocity stage's QP over the finite-bound limit rows only, leaving
+    out an unbounded row instead of giving it a stand-in bound."""
+    finite = np.isfinite(model.vel_bounds)
+    G = np.zeros((int(finite.sum()), model.n + 6))
+    G[:, 6:] = model.constraint_matrix[finite]
+    return solver.solve(ik.LeastSquaresQP(model.stacked_jacobian(q), sample.velocity_stack(),
+                                          G, model.vel_bounds[finite],
+                                          damping=solver.damping))
+
+
+def test_velocity_stage_equals_the_finite_rows_only(human48):
+    """The whole-body velocity stage keeps the model's unbounded row at its
+    stand-in bound, which never binds: each velocity equals, bit for bit,
+    the QP over the finite-bound rows, on a stream fast enough that they
+    bind."""
+    assert np.isinf(human48.vel_bounds).sum() == 1
+    spec = TrajectorySpec(kind="random_smooth", duration=1.0, dt=0.01, amplitude=0.4,
+                          freq_band=(3.0, 5.0), seed=5)
+    _, stream = generate_stream(human48, spec)
+    qs, nus, _, error = run_method("whole-body", human48, stream)
+    assert error is None
+    solver = ik.ActiveSetSolver()
+    bound = 0
+    for q, nu, sample in zip(qs, nus, stream):
+        sol = finite_row_velocity(human48, q, sample, solver)
+        bound += bool(sol.active_set)
+        assert np.array_equal(nu.stacked(), sol.x)
+    assert bound >= 5
 
 
 class TestStreamFiles:
@@ -574,6 +607,23 @@ class TestBenchmark:
         keys = [(r.model_id, r.trajectory_id, r.method) for r in records]
         assert keys == [(m, s, meth) for m in ("h66", "h48") for s in ("a", "b")
                         for meth in ("dynamical", "pairwise")]
+
+    def test_singular_undamped_solve_is_a_typed_failure(self):
+        """Two same-axis joints on one point with no damping make the normal
+        matrix singular: every method fails with ``RankDeficient``, which the
+        tracker and each cell of a sweep record as the run's failure."""
+        model = single_joint_model(tip_offset=(0.0, 0.0, 0.0))
+        spec = TrajectorySpec(kind="sinusoidal", duration=0.1, dt=0.01, amplitude=0.3, seed=1)
+        _, stream = ik.generate_stream(model, spec)
+        config = {"damping": 0.0}
+        qs, _, _, error = run_method("dynamical", model, stream, config)
+        assert qs == [] and "singular" in error
+        for method in ("whole-body", "pairwise"):
+            with pytest.raises(RankDeficient):
+                run_method(method, model, stream, config)
+        records, _ = run_benchmark([("coincident", model)], [("sin", spec)], METHODS, config)
+        assert [(r.steps, r.failures) for r in records] == [(0, 1)] * len(METHODS)
+        assert all("singular" in r.error for r in records)
 
     def test_failure_recorded_without_abort(self, human48):
         # amplitude beyond the 48-DoF limits makes generation infeasible only

@@ -180,6 +180,14 @@ class TestProjectToSO3:
         with pytest.raises(DegenerateMatrix):
             project_to_so3(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("reflection", [
+        np.diag([1.0, 1.0, -1.0]),
+        2.5 * rodrigues([1, 2, 3], 0.5) @ np.diag([1.0, -1.0, 1.0]),
+    ], ids=["diag", "scaled"])
+    def test_rejects_reflection(self, reflection):
+        with pytest.raises(DegenerateMatrix, match="reflects"):
+            project_to_so3(reflection)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, value):
         # numpy's SVD raises a bare LinAlgError on NaN, and never returns on
