@@ -21,8 +21,9 @@ are timed in alternation:
   ``fk_batch`` over the configurations the last ``CHUNK`` calls started
   from (the batch that ``generate_stream`` and ``summarize_run`` run);
 - per round, the set-up stages once on each side, in the same alternation:
-  ``load_model``, ``generate_stream``, ``save_stream``, ``load_stream`` and
-  ``summarize_run`` (on one pass of the method, run once beforehand).
+  ``load_model``, ``generate_stream``, ``save_stream``, ``load_stream``,
+  ``run_method`` (the workload's method over that stream, compared on its
+  configurations and velocities) and ``summarize_run`` (on that run).
 
 The JSON output holds, per workload and stage, both sides' median and
 quartiles in microseconds, the ratio of the medians (change / parent), the
@@ -257,7 +258,7 @@ def _set_up(stages, iks, spec, fixtures, seed, rounds, workdir):
             texts[key] = fh.read()
     files = {side: os.path.join(workdir, f"{side}.jsonl") for side in SIDES}
     method = "dynamical" if spec["method"] == "dynamical" else "whole-body"
-    runs = {}
+    config = dict(iks["parent"].harness.DEFAULT_CONFIG, dt=DT)
     for r in range(rounds):
         def stage(name, fn, key=lambda out: out):
             return stages.setdefault(name, Stage()).alternate(
@@ -281,11 +282,12 @@ def _set_up(stages, iks, spec, fixtures, seed, rounds, workdir):
             stages["save_stream"].max_abs_diff = math.inf
         loaded = stage("load_stream", lambda s: iks[s].load_stream(files[s]),
                        key=_stream_arrays)
-        if not runs:
-            config = dict(iks["parent"].harness.DEFAULT_CONFIG, dt=DT)
-            runs = {s: iks[s].run_method(method, models[s], loaded[s], config)[:3]
-                    for s in SIDES}
-        stage("summarize_run", lambda s: iks[s].summarize_run(models[s], loaded[s], *runs[s]),
+        runs = stage("run_method",
+                     lambda s: iks[s].run_method(method, models[s], loaded[s], config),
+                     key=lambda run: ([_q_arrays(q) for q in run[0]],
+                                      [nu.stacked() for nu in run[1]]))
+        stage("summarize_run",
+              lambda s: iks[s].summarize_run(models[s], loaded[s], *runs[s][:3]),
               key=lambda m: (m.mnte_series, m.rmse_series))
 
 
