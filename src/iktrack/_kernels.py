@@ -29,9 +29,6 @@ _LO = np.minimum.outer(np.arange(3), np.arange(3))
 _HI = np.maximum.outer(np.arange(3), np.arange(3))
 _RES_I = np.array([2, 0, 1, 1, 2, 0])
 _RES_J = np.array([1, 2, 0, 2, 0, 1])
-# the column pairs (i, j) of r^T r's diagonal, then of its upper triangle
-_GRAM_I = np.array([0, 1, 2, 0, 0, 1])
-_GRAM_J = np.array([0, 1, 2, 1, 2, 2])
 
 
 def skew_stack(v):
@@ -247,14 +244,17 @@ def rotation_residuals(est, target):
 
 def orthonormality_errors(r):
     """Frobenius norm of r[k]^T r[k] - I for each matrix of a (k, 3, 3) stack,
-    from the dot products of its columns: elementwise over the k matrices,
-    which is far cheaper than a stacked 3x3 product on a long stack."""
-    cols = r.transpose(2, 1, 0)  # (column, row, k)
-    p = cols[_GRAM_I] * cols[_GRAM_J]
-    g = p[:, 0] + p[:, 1] + p[:, 2]
-    g[:3] -= 1.0
-    g *= g
-    return np.sqrt(g[0] + g[1] + g[2] + 2.0 * (g[3] + g[4] + g[5]))
+    from the dot products of its columns a, b, c: elementwise over the k
+    matrices, which on a long stack is far cheaper than a stacked 3x3
+    product, and on a single matrix dearer."""
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = r.transpose(1, 2, 0)
+    aa = a0 * a0 + a1 * a1 + a2 * a2 - 1.0
+    bb = b0 * b0 + b1 * b1 + b2 * b2 - 1.0
+    cc = c0 * c0 + c1 * c1 + c2 * c2 - 1.0
+    ab = a0 * b0 + a1 * b1 + a2 * b2
+    ac = a0 * c0 + a1 * c1 + a2 * c2
+    bc = b0 * c0 + b1 * c1 + b2 * c2
+    return np.sqrt(aa * aa + bb * bb + cc * cc + 2.0 * (ab * ab + ac * ac + bc * bc))
 
 
 def determinants(r):

@@ -141,12 +141,12 @@ def baumgarte_integrate(r0, omegas, cfg: BaumgarteConfig) -> tuple[np.ndarray, f
     Returns the final (drifting) matrix and the worst orthonormality error
     observed at any step.
     """
+    omegas = np.asarray(omegas, dtype=float)
+    path = np.empty((len(omegas), 3, 3))
     r = _mat(r0).copy()
-    max_err = 0.0
-    for omega in np.asarray(omegas, dtype=float):
-        r = baumgarte_step(r, omega, cfg)
-        max_err = max(max_err, orthonormality_error(r))
-    return r, max_err
+    for k, omega in enumerate(omegas):
+        r = path[k] = baumgarte_step(r, omega, cfg)
+    return r, float(orthonormality_errors(path).max(initial=0.0))
 
 
 def project_to_so3(a) -> Rotation:
