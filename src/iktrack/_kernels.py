@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import SingularMatrix
+
 # S(v) = v[:, _SKEW_IDX] * _SKEW_SIGN is the cross-product matrix of each row v
 _SKEW_IDX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
 _SKEW_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
@@ -260,7 +262,7 @@ def orthonormality_errors(r):
 def determinants(r):
     """Determinant of each matrix of a (k, 3, 3) stack, as the triple product
     of its columns a . (b x c): elementwise over the k matrices, which is far
-    cheaper than ``np.linalg.det``'s factorisations on a long stack."""
+    cheaper than an LU factorisation of each matrix on a long stack."""
     (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = r.transpose(1, 2, 0)
     return a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
 
@@ -280,7 +282,7 @@ def baumgarte_step_kernel(r_prev, omega, rho, dt):
 
     The Gram matrix g = R^T R, its adjugate and its determinant are formed
     on scalars; g and its adjugate are symmetric, so each off-diagonal entry
-    is formed once.
+    is formed once. Raises ``SingularMatrix`` when det g <= 1e-24 (NaN passes).
     """
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r_prev.tolist()
     w0, w1, w2 = omega.tolist()
@@ -298,6 +300,8 @@ def baumgarte_step_kernel(r_prev, omega, rho, dt):
     a12 = g02 * g01 - g00 * g12
     a22 = g00 * g11 - g01 * g01
     det = g00 * a00 - g01 * (g01 * g22 - g12 * g02) + g02 * a02
+    if det <= 1e-24:
+        raise SingularMatrix("r_prev^T r_prev is not invertible")
     h = 0.5 * rho
     m = np.array([[h * (a00 / det - 1.0), h * (a01 / det) - w2, h * (a02 / det) + w1],
                   [h * (a01 / det) + w2, h * (a11 / det - 1.0), h * (a12 / det) - w0],

@@ -57,7 +57,8 @@ class QPInfeasible(IkTrackError):
 
 
 class NonFiniteSolution(IkTrackError):
-    """A solve overflowed to a non-finite result on finite input."""
+    """A solve overflowed to a non-finite result on finite input, or would turn
+    the base half a turn or more in one sample, more than a stream resolves."""
 
 
 class StaleSample(IkTrackError):

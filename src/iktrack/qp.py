@@ -205,7 +205,5 @@ class ActiveSetSolver:
             if infeasible:
                 status = QPStatus.INFEASIBLE
                 break
-        if status is QPStatus.SOLVED and float(np.max(G @ x - g)) > tol:
-            status = QPStatus.MAX_ITERATIONS
         active = tuple(np.flatnonzero(g - G @ x <= 10.0 * tol).tolist())
         return x, active, iterations, status

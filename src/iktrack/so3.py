@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (axis_factors, baumgarte_step_kernel, orthonormality_errors,
-                       rotation_residuals, rotations_about_axes)
-from .errors import DegenerateMatrix, NotARotation, SingularMatrix, check_setting
+from ._kernels import (axis_factors, baumgarte_step_kernel, determinants,
+                       orthonormality_errors, rotation_residuals, rotations_about_axes)
+from .errors import DegenerateMatrix, NotARotation, check_setting
 
 ORTHONORMALITY_TOL = 1e-9
 
@@ -31,7 +31,7 @@ def _require_rotations(m):
     if not err[worst] <= ORTHONORMALITY_TOL:
         raise NotARotation(
             f"orthonormality error {err[worst]:.3e} exceeds {ORTHONORMALITY_TOL:.0e}")
-    if not np.all(np.linalg.det(m) > 0.0):
+    if not np.all(determinants(m) > 0.0):
         raise NotARotation("determinant is not positive")
 
 
@@ -113,26 +113,18 @@ def relative_angle(a, b) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def _singular(r) -> bool:
-    """|det r| <= 1e-12 for a 3x3 matrix, by cofactor expansion along the
-    first row (False for NaN entries, as for ``np.linalg.det``)."""
-    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
-    return abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) <= 1e-12
-
-
 def baumgarte_step(r_prev, omega, cfg: BaumgarteConfig) -> np.ndarray:
     """Integrate angular velocity over one step, returning a drifting matrix.
 
     The update is explicit Euler on Rdot = R (S(omega) + A) with
     A = (rho/2)((R^T R)^-1 - I); for an orthonormal input A is exactly zero.
+    Raises ``ValueError`` for a non-finite omega and ``SingularMatrix`` when
+    det(R^T R) <= 1e-24; a NaN in R passes into the result.
     """
-    r = _mat(r_prev)
     omega = np.asarray(omega, dtype=float)
     if not np.isfinite(omega).all():
         raise ValueError("omega must be finite")
-    if _singular(r):
-        raise SingularMatrix("r_prev^T r_prev is not invertible")
-    return baumgarte_step_kernel(r, omega, cfg.rho, cfg.dt)
+    return baumgarte_step_kernel(_mat(r_prev), omega, cfg.rho, cfg.dt)
 
 
 def baumgarte_integrate(r0, omegas, cfg: BaumgarteConfig) -> tuple[np.ndarray, float]:
@@ -160,17 +152,13 @@ def project_to_so3(a) -> Rotation:
 
 def project_stack_to_so3(a) -> np.ndarray:
     """``project_to_so3`` of each matrix of a (k, 3, 3) stack, as a (k, 3, 3)
-    array of rotations. A non-finite entry is rejected before the SVD, which
-    does not return on an infinite one; on finite input the polar factor is
-    orthonormal to rounding, so it needs no check of its own."""
+    array of rotations. Raises ``DegenerateMatrix`` on a non-finite entry
+    (before the SVD, which does not return on an infinite one), a singular
+    value at or below 1e-12, or a polar factor u v^T that reflects."""
     if not np.isfinite(a).all():
         raise DegenerateMatrix("matrix has a non-finite entry")
     u, sing, vt = np.linalg.svd(a)
-    if np.any(sing[:, -1] <= 1e-12) or np.any(np.linalg.det(a) <= 0.0):
-        raise DegenerateMatrix("matrix is singular or reflects")
     r = u @ vt
-    # reached where det(a) overflows to +inf although u vt reflects
-    flip = np.linalg.det(r) < 0.0
-    if np.any(flip):
-        r[flip] = u[flip] @ np.diag([1.0, 1.0, -1.0]) @ vt[flip]
+    if np.any(sing[:, -1] <= 1e-12) or np.any(determinants(r) <= 0.0):
+        raise DegenerateMatrix("matrix is singular or reflects")
     return r

@@ -7,6 +7,7 @@ instead of iterating to convergence per sample.
 """
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -267,7 +268,10 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
          gains: GainConfig, baumgarte: BaumgarteConfig,
          solver: ActiveSetSolver) -> tuple[SolverState, StepReport]:
     """Advance the tracker by one sample: exactly one stacked-Jacobian
-    evaluation and one QP solve. The report carries pre-update quantities."""
+    evaluation and one QP solve. The report carries pre-update quantities.
+    Raises ``NonFiniteSolution`` before integrating a velocity that is not
+    finite or turns the base half a turn or more (dt |omega| >= pi): below
+    that, R (I + dt S(omega)) of an orthonormal R has determinant 1 + (dt |omega|)^2."""
     dt = gains.dt
     if abs(baumgarte.dt - dt) > RATE_TOL:
         raise ValueError("baumgarte.dt differs from gains.dt")
@@ -289,6 +293,10 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     if not np.isfinite(nu).all():
         raise NonFiniteSolution(f"step {state.step_index}: the QP returned a non-finite "
                                 "velocity; the targets overflow float arithmetic")
+    turn = dt * math.hypot(*nu[3:6].tolist())
+    if turn >= math.pi:
+        raise NonFiniteSolution(f"step {state.step_index}: the base would turn {turn:.3g} rad "
+                                "in one sample, half a turn or more")
     residual_u = velocity - jac @ nu
     base_pos = state.q.base_pos + dt * nu[0:3]
     # nu carries the base angular velocity in the inertial frame; the

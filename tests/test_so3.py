@@ -113,6 +113,16 @@ class TestBaumgarte:
         with pytest.raises(SingularMatrix):
             baumgarte_step(np.zeros((3, 3)), np.zeros(3), BaumgarteConfig())
 
+    @pytest.mark.parametrize("last, singular", [(1e-13, True), (1e-11, False)])
+    def test_singular_threshold(self, last, singular):
+        # det(R^T R) <= 1e-24, which is |det R| <= 1e-12
+        r = np.diag([1.0, 1.0, last])
+        if singular:
+            with pytest.raises(SingularMatrix):
+                baumgarte_step(r, np.zeros(3), BaumgarteConfig())
+        else:
+            assert np.isfinite(baumgarte_step(r, np.zeros(3), BaumgarteConfig())).all()
+
     def test_rejects_nonfinite_omega(self):
         with pytest.raises(ValueError):
             baumgarte_step(Rotation.identity(), [np.nan, 0, 0], BaumgarteConfig())
@@ -183,7 +193,13 @@ class TestProjectToSO3:
     @pytest.mark.parametrize("reflection", [
         np.diag([1.0, 1.0, -1.0]),
         2.5 * rodrigues([1, 2, 3], 0.5) @ np.diag([1.0, -1.0, 1.0]),
-    ], ids=["diag", "scaled"])
+        # finite, with a reflecting polar factor and a determinant that
+        # overflows to +inf: the base a tracker without the half-turn guard
+        # records on test_cli's huge-target stream
+        np.array([[-7.451789651684191e+186, 4.563381386988721e+188, 1.456417512806618e+188],
+                  [-1.1327652201049282e+196, -1.5008020222015757e+196, -9.999127788300164e+197],
+                  [-2.0207607127873975e+196, 9.997548271408887e+197, -1.4739482341247123e+196]]),
+    ], ids=["diag", "scaled", "huge"])
     def test_rejects_reflection(self, reflection):
         with pytest.raises(DegenerateMatrix, match="reflects"):
             project_to_so3(reflection)

@@ -6,7 +6,7 @@ import pytest
 import iktrack as ik
 from iktrack import (ActiveSetSolver, BaumgarteConfig, Configuration, GainConfig,
                      Rotation, SolverState, TargetSample, tracker)
-from iktrack.errors import QPInfeasible, SchemaMismatch, StaleSample
+from iktrack.errors import NonFiniteSolution, QPInfeasible, SchemaMismatch, StaleSample
 from iktrack.tracker import (build_limit_constraints, corrected_velocity,
                              initial_configuration, step, track)
 
@@ -317,8 +317,38 @@ class TestTrack:
         with np.errstate(all="ignore"):
             result = track(human66, samples, gains, baumgarte)
         assert result.error is not None
-        assert 5 <= len(result.configurations) < len(samples)
-        assert "non-finite velocity" in result.error
+        assert len(result.configurations) == 5
+        assert result.error.startswith("step 5: ") and "half a turn" in result.error
+
+    @pytest.mark.parametrize("turn", [0.9, 1.1])
+    def test_half_turn_guard(self, turn, human66):
+        """Exact targets of a base turning about world z by ``turn`` pi per
+        sample, tracked from the truth: 0.9 pi is tracked, and 1.1 pi raises
+        ``NonFiniteSolution`` at the sample that asks for it, which is not
+        recorded."""
+        nu = np.zeros(human66.n + 6)
+        nu[5] = turn * np.pi / DT
+        samples = []
+        for k in range(2):
+            q = Configuration(np.zeros(3), Rotation.about_axis([0, 0, 1], k * turn * np.pi),
+                              np.zeros(human66.n))
+            positions, rotations = target_poses(human66, q)
+            vel = human66.stacked_jacobian(q) @ nu
+            samples.append(TargetSample(t=k * DT, positions=positions, rotations=rotations,
+                                        lin_vels=vel[:3].reshape(-1, 3),
+                                        ang_vels=vel[3:].reshape(-1, 3)))
+        gains, baumgarte, solver = default_setup(human66)
+        q0 = Configuration.zeros(human66)
+        result = track(human66, samples, gains, baumgarte, solver, q0=q0)
+        if turn < 1.0:
+            assert result.error is None
+            assert len(result.configurations) == 2
+        else:
+            assert result.configurations == []
+            assert result.error.startswith("step 0: ") and "half a turn" in result.error
+            with pytest.raises(NonFiniteSolution, match="half a turn"):
+                step(SolverState.initial(human66, q0), samples[0], human66, gains,
+                     baumgarte, solver)
 
     @pytest.mark.parametrize("huge", [1e100, 1e150])
     def test_no_non_finite_configuration_is_recorded(self, huge, human66):

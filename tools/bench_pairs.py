@@ -17,9 +17,14 @@ sides, the difference of the medians (change minus parent) against the
 parent's interquartile distance and whether it exceeds that distance, and
 the number of pairs the change wins (lower or higher as ``BENCHMARK.json``
 declares the metric), and per side how many runs were not ``correct`` and
-how many samples failed. The workloads and the metrics' directions are read
-from the change checkout's ``BENCHMARK.json``. The JSON summary holds the
-same figures.
+how many samples failed. Each end-to-end metric also gets a no-regression
+verdict against its ``bound``, a fraction of the parent's median: "worse
+beyond bound" when the change's median is worse than the parent's by more
+than that; otherwise "unresolved" when the parent's interquartile distance
+exceeds it and not every change run beats every parent run; otherwise
+"within bound". The workloads, the metrics' directions and the bounds are
+read from the change checkout's ``BENCHMARK.json``. The JSON summary holds
+the same figures.
 """
 import argparse
 import json
@@ -80,6 +85,22 @@ def _directions(declared):
     return {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
 
 
+def verdict(parent, change, bound, higher):
+    """The no-regression verdict of one end-to-end metric over the pairs'
+    parent and change values, with ``bound`` a fraction of the parent's
+    median (see the module docstring)."""
+    median = float(np.median(parent))
+    allowed = bound * abs(median)
+    worse = median - float(np.median(change)) if higher else float(np.median(change)) - median
+    if worse > allowed:
+        return "worse beyond bound"
+    q25, q75 = np.percentile(parent, [25, 75])
+    beats_all = change.min() > parent.max() if higher else change.max() < parent.min()
+    if q75 - q25 > allowed and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 def run_once(checkout, workload, seed, seconds, trace):
     """One benchmark run; returns its JSON result (the last line of its
     standard output)."""
@@ -93,10 +114,13 @@ def run_once(checkout, workload, seed, seconds, trace):
     return json.loads(lines[-1])
 
 
-def summarise(runs, directions):
+def summarise(runs, declared):
     """Per workload and metric, traced runs apart: both sides' median and
-    quartiles over the pairs, and the pairs the change wins; per workload and
-    side, the runs that were not ``correct`` and the samples that failed."""
+    quartiles over the pairs, the pairs the change wins and, for an
+    end-to-end metric, its verdict; per workload and side, the runs that were
+    not ``correct`` and the samples that failed."""
+    directions = _directions(declared)
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     summary = {}
     for workload, trace in dict.fromkeys((r["workload"], r["trace"]) for r in runs):
         by_seed = {}
@@ -125,6 +149,8 @@ def summarise(runs, directions):
                            "difference": difference, "parent_iqr": float(q75 - q25),
                            "exceeds_parent_iqr": bool(abs(difference) > q75 - q25),
                            "change_wins": wins, "pairs": len(pairs)}
+            if name in bounds:
+                entry[name]["verdict"] = verdict(parent, change, bounds[name], higher)
         summary[f"{workload} traced" if trace else workload] = entry
     return summary
 
@@ -144,13 +170,13 @@ def report(summary):
                   f"[{s['change_q25']:.6g}, {s['change_q75']:.6g}]  "
                   f"diff {s['difference']:+.6g} vs IQR {s['parent_iqr']:.6g} "
                   f"({'exceeds' if s['exceeds_parent_iqr'] else 'within'})  "
-                  f"wins {s['change_wins']}/{s['pairs']}")
+                  f"wins {s['change_wins']}/{s['pairs']}"
+                  + (f"  {s['verdict']}" if "verdict" in s else ""))
 
 
 def main(argv=None):
     args = _parse_args(argv)
     workloads = args.workload or [w["name"] for w in args.declared["workloads"]]
-    directions = _directions(args.declared)
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
@@ -176,7 +202,7 @@ def main(argv=None):
                 order += 1
                 print(f"pair {i} {workload} {side}: correct={output['correct']} "
                       f"failed={output['failed']}", file=sys.stderr)
-                doc["summary"] = summarise(doc["runs"], directions)
+                doc["summary"] = summarise(doc["runs"], args.declared)
                 with open(args.out, "w") as fh:
                     json.dump(doc, fh, indent=1)
     report(doc["summary"])
