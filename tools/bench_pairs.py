@@ -91,8 +91,8 @@ def verdict(parent, change, bound, higher):
     median (see the module docstring)."""
     median = float(np.median(parent))
     allowed = bound * abs(median)
-    worse = median - float(np.median(change)) if higher else float(np.median(change)) - median
-    if worse > allowed:
+    worse = float(np.median(change)) - median
+    if (-worse if higher else worse) > allowed:
         return "worse beyond bound"
     q25, q75 = np.percentile(parent, [25, 75])
     beats_all = change.min() > parent.max() if higher else change.max() < parent.min()
