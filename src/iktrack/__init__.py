@@ -18,8 +18,7 @@ from .model import (Configuration, ExtraConstraints, Joint, KinematicModel, Link
                     StackedPose, Velocity, generate_human_chain, load_model)
 from .qp import ActiveSetSolver, LeastSquaresQP, QPSolution, QPStatus, solve_unconstrained
 from .so3 import (BaumgarteConfig, Rotation, baumgarte_integrate, baumgarte_step,
-                  orientation_residual, orthonormality_error, project_to_so3,
-                  relative_angle)
+                  orientation_residual, project_to_so3, relative_angle)
 from .tracker import (GainConfig, SolverState, StepReport, TargetSample, TargetStream,
                       TrackResult,
                       build_limit_constraints, corrected_velocity, initial_configuration,
@@ -32,7 +31,6 @@ __all__ = [
     # so3
     "Rotation", "BaumgarteConfig", "orientation_residual",
     "baumgarte_step", "baumgarte_integrate", "project_to_so3", "relative_angle",
-    "orthonormality_error",
     # model
     "Link", "Joint", "KinematicModel", "Configuration", "Velocity", "StackedPose",
     "ExtraConstraints", "load_model", "generate_human_chain",

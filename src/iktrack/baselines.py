@@ -11,9 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import axis_factors, rotation_vectors, rotations_about_axes
-from .errors import DecompositionError, RankDeficient, check_setting
+from .errors import DecompositionError, QPInfeasible, RankDeficient, check_setting
 from .model import Configuration, KinematicModel
-from .qp import ActiveSetSolver, LeastSquaresQP, _damped_normal_equations, _solve_normal
+from .qp import (ActiveSetSolver, LeastSquaresQP, QPStatus, _damped_normal_equations,
+                 _solve_normal)
 from .so3 import Rotation, orientation_residual, project_to_so3
 from .tracker import TargetSample
 
@@ -100,13 +101,16 @@ def _damped_gauss_newton(x, evaluate, jacobian, update, cfg):
 
 
 def _project_constraints(model, s):
-    """Project the joint vector onto A s <= b_q (covers coupled rows)."""
+    """Project the joint vector onto A s <= b_q (covers coupled rows); raises
+    ``QPInfeasible`` when the rows are inconsistent."""
     a, b = model.constraint_matrix, model.config_bounds
     if a.shape[0] == 0 or np.max(a @ s - b) <= 1e-9:
         return s
     solver = ActiveSetSolver(damping=0.0)
     finite = np.isfinite(b)
     sol = solver.solve(LeastSquaresQP(np.eye(model.n), s, a[finite], b[finite]))
+    if sol.status is QPStatus.INFEASIBLE:
+        raise QPInfeasible("the joint constraints A s <= b_q are inconsistent")
     return sol.x
 
 

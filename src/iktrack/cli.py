@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error (parsing/validation/schema),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -82,8 +83,7 @@ def _cmd_gen(args):
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValidationError("bad spec", "expected an object")
-    unknown = set(raw) - {"kind", "duration", "dt", "amplitude", "freq_band",
-                          "seed", "noise_std"}
+    unknown = set(raw) - {f.name for f in dataclasses.fields(TrajectorySpec)}
     if unknown:
         raise ValidationError("unknown key", f"spec: {sorted(unknown)[0]}")
     if args.seed is not None:

@@ -14,10 +14,10 @@ import numpy as np
 from ._kernels import axis_factors, rotation_vectors, rotations_about_axes
 from .baselines import (InstantaneousConfig, decompose_pairwise, solve_pairwise,
                         solve_whole_body)
-from .errors import (IkTrackError, InvalidSetting, ParseError, SchemaMismatch, SpecInfeasible,
-                     check_setting)
+from .errors import (IkTrackError, InvalidSetting, ParseError, QPInfeasible, SchemaMismatch,
+                     SpecInfeasible, check_setting)
 from .model import Configuration, KinematicModel, Velocity
-from .qp import ActiveSetSolver, LeastSquaresQP
+from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
 from .so3 import BaumgarteConfig, Rotation, project_stack_to_so3
 from .tracker import (GainConfig, TargetSample, TargetStream, _check_counts,
                       initial_configuration, track)
@@ -54,27 +54,20 @@ def _stacked_configurations(qs):
             np.array([q.s for q in qs]))
 
 
-def _mnte_batch(model, qs, target_rot) -> np.ndarray:
-    """mnte of configurations against orientation targets (B, n_o, 3, 3)."""
+def _scores(model, qs, nus, target_rot, target_angvel):
+    """mnte and rmse_angvel of configurations and velocities against targets
+    (B, n_o, 3, 3) and (B, n_o, 3), both from one FK pass with the bases
+    projected onto SO(3). No orientation targets score 0."""
     if model.n_o == 0:
-        return np.zeros(len(qs))
+        return np.zeros(len(qs)), np.zeros(len(qs))
     base_pos, base_rot, s = _stacked_configurations(qs)
     fk = model.fk_batch(base_pos, project_stack_to_so3(base_rot), s)
-    rotations = model.stacked_poses(fk).rotations
-    traces = np.einsum("bkij,bkij->bk", rotations, target_rot)
-    return np.mean(np.maximum((3.0 - traces) / 2.0, 0.0), axis=1)
-
-
-def _rmse_angvel_batch(model, qs, nus, target_angvel) -> np.ndarray:
-    """rmse_angvel of configurations and velocities against angular-velocity
-    targets (B, n_o, 3)."""
-    if model.n_o == 0:
-        return np.zeros(len(qs))
-    jac = model.stacked_jacobians(model.fk_batch(*_stacked_configurations(qs)))
-    vel = (jac @ np.array([nu.stacked() for nu in nus])[:, :, None])[:, :, 0]
-    est = vel[:, 3 * model.n_p:].reshape(len(qs), -1, 3)
-    err = target_angvel - est
-    return np.sqrt(np.mean(np.sum(err * err, axis=2) / 3.0, axis=1))
+    traces = np.einsum("bkij,bkij->bk", model.stacked_poses(fk).rotations, target_rot)
+    mnte_scores = np.mean(np.maximum((3.0 - traces) / 2.0, 0.0), axis=1)
+    nu = np.array([nu.stacked() for nu in nus])
+    vel = (model.stacked_jacobians(fk) @ nu[:, :, None])[:, 3 * model.n_p:, 0]
+    err = target_angvel - vel.reshape(len(qs), -1, 3)
+    return mnte_scores, np.sqrt(np.mean(np.sum(err * err, axis=2) / 3.0, axis=1))
 
 
 def mnte(model: KinematicModel, q: Configuration, sample: TargetSample) -> float:
@@ -86,15 +79,18 @@ def mnte(model: KinematicModel, q: Configuration, sample: TargetSample) -> float
     below 0 by rounding counts as 0.
     """
     sample.check_model(model)
-    return float(_mnte_batch(model, [q], sample.rotations[None])[0])
+    return float(_scores(model, [q], [Velocity.zeros(model)], sample.rotations[None],
+                         sample.ang_vels[None])[0][0])
 
 
 def rmse_angvel(model: KinematicModel, q: Configuration, nu: Velocity,
                 sample: TargetSample) -> float:
     """Root mean squared angular-velocity error over the orientation targets,
-    with the estimate read from the differential kinematics at (q, nu)."""
+    with the estimate read from the differential kinematics at (q, nu), q's
+    base projected onto SO(3) as ``mnte`` scores it."""
     sample.check_model(model)
-    return float(_rmse_angvel_batch(model, [q], [nu], sample.ang_vels[None])[0])
+    return float(_scores(model, [q], [nu], sample.rotations[None],
+                         sample.ang_vels[None])[1][0])
 
 
 # -- trajectory specs and synthetic streams -----------------------------------
@@ -308,10 +304,13 @@ def _velocity_stage(model, q, sample, solver):
     """Differential-kinematics inversion at a solved configuration, under the
     constant joint-velocity bounds: the model's limit rows, where an unbounded
     row's stand-in bound, ``GainConfig.vel_bound_default`` (1e3 rad/s), is
-    beyond any human joint speed, so that row does not bind."""
+    beyond any human joint speed, so that row does not bind. Inconsistent
+    rows raise ``QPInfeasible``."""
     G, g = model.limit_rows(GainConfig.vel_bound_default)
     sol = solver.solve(LeastSquaresQP(model.stacked_jacobian(q), sample.velocity_stack(), G, g,
                                       damping=solver.damping))
+    if sol.status is QPStatus.INFEASIBLE:
+        raise QPInfeasible("the velocity constraints are inconsistent")
     return Velocity.from_stacked(sol.x)
 
 
@@ -458,7 +457,8 @@ class RunRecord:
 def summarize_run(model, stream: TargetStream, qs, nus, times,
                   transient_discard=TRANSIENT_DISCARD) -> MetricsSummary:
     """Per-step metrics of a run: ``qs[i]`` and ``nus[i]`` are scored against
-    sample i of the stream, in chunks of ``CHUNK`` steps."""
+    sample i of the stream, in chunks of ``CHUNK`` steps, both scores at
+    ``qs[i]`` with its base projected onto SO(3)."""
     count = len(qs)
     if count:
         stream.check_model(model)
@@ -466,9 +466,8 @@ def summarize_run(model, stream: TargetStream, qs, nus, times,
     rmse_series = np.zeros(count)
     for lo in range(0, count, CHUNK):
         chunk = slice(lo, min(lo + CHUNK, count))
-        mnte_series[chunk] = _mnte_batch(model, qs[chunk], stream.rotations[chunk])
-        rmse_series[chunk] = _rmse_angvel_batch(model, qs[chunk], nus[chunk],
-                                                stream.ang_vels[chunk])
+        mnte_series[chunk], rmse_series[chunk] = _scores(
+            model, qs[chunk], nus[chunk], stream.rotations[chunk], stream.ang_vels[chunk])
     return MetricsSummary(stream.t[:count], mnte_series, rmse_series,
                           np.asarray(times, dtype=float), transient_discard=transient_discard)
 
@@ -490,10 +489,11 @@ def run_benchmark(models, specs, methods, config=None, transient_discard=TRANSIE
     """Run the full (model x spec x method) grid.
 
     ``models`` and ``specs`` are (id, value) pairs; streams are generated per
-    (model, spec) cell. Individual failures are recorded without aborting the
-    sweep, except an ``InvalidSetting``, which aborts it; an unknown method
-    or setting raises one before any stream is generated. Returns the records
-    in declaration order plus the results CSV.
+    (model, spec) cell. A method's failure is recorded in its cell without
+    aborting the sweep. Two errors abort it: an ``InvalidSetting``, which an
+    unknown method or setting raises before any stream is generated, and the
+    ``SpecInfeasible`` of a stream that cannot be generated. Returns the
+    records in declaration order plus the results CSV.
     """
     if isinstance(methods, str) or not isinstance(methods, Iterable):
         raise InvalidSetting(f"methods must be a list of method names, got {methods!r:.40}")

@@ -17,11 +17,6 @@ from .errors import DegenerateMatrix, NotARotation, check_setting
 ORTHONORMALITY_TOL = 1e-9
 
 
-def orthonormality_error(m) -> float:
-    """Frobenius norm of m^T m - I."""
-    return float(orthonormality_errors(np.asarray(m, dtype=float)[None])[0])
-
-
 def _require_rotations(m):
     """Raise ``NotARotation`` unless every matrix of the (k, 3, 3) stack has
     orthonormality error within ``ORTHONORMALITY_TOL`` and a positive

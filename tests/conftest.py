@@ -132,3 +132,21 @@ def static_sample(model, q, t=0.0):
     return ik.TargetSample(t=t, positions=positions, rotations=rotations,
                            lin_vels=np.zeros((model.n_p, 3)),
                            ang_vels=np.zeros((model.n_o, 3)))
+
+
+def with_extra_rows(model, a, b_q):
+    """``model`` with its extra constraint rows replaced by A s <= b_q, none
+    bounded in velocity."""
+    b_q = np.asarray(b_q, dtype=float)
+    return ik.KinematicModel(model.links, model.joints, model.base_link,
+                             model.position_target_frames, model.orientation_target_frames,
+                             ik.ExtraConstraints(a=a, b_q=b_q, b_nu=np.full(b_q.shape, np.inf)))
+
+
+def inconsistent_model(human48):
+    """human48 with two more rows on l5_z that no angle meets: s <= -0.1 and
+    -s <= -0.1."""
+    ec = human48.extra_constraints
+    row = np.zeros(human48.n)
+    row[[j.name for j in human48.joints].index("l5_z")] = 1.0
+    return with_extra_rows(human48, np.vstack([ec.a, row, -row]), [*ec.b_q, -0.1, -0.1])

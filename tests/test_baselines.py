@@ -6,10 +6,12 @@ import pytest
 import iktrack as ik
 from iktrack import (Configuration, InstantaneousConfig, Rotation, TargetSample,
                      decompose_pairwise, solve_pairwise, solve_whole_body)
-from iktrack.errors import DecompositionError
+from iktrack.errors import DecompositionError, QPInfeasible
+from iktrack.harness import METHODS, run_method
 from iktrack.qp import _damped_normal_equations, _solve_normal
 
-from conftest import hinge_model, residual_at, rodrigues, single_joint_model, static_sample
+from conftest import (hinge_model, inconsistent_model, residual_at, rodrigues,
+                      single_joint_model, static_sample, with_extra_rows)
 
 
 def bisection_oracle(f, lo, hi, tol=1e-12):
@@ -139,6 +141,22 @@ class TestDecomposition:
                               base_link="pelvis", position_targets=(),
                               orientation_targets=human66.orientation_target_frames)
         with pytest.raises(DecompositionError):
+            decompose_pairwise(m)
+
+    def test_base_needs_an_orientation_target(self, human66):
+        m = ik.KinematicModel(links=human66.links, joints=human66.joints,
+                              base_link="pelvis", position_targets=("pelvis",),
+                              orientation_targets=human66.orientation_target_frames[1:])
+        with pytest.raises(DecompositionError, match="base frame needs an orientation target"):
+            decompose_pairwise(m)
+
+    def test_non_base_position_target_rejected(self, human66):
+        frame = human66.orientation_target_frames[1]
+        m = ik.KinematicModel(links=human66.links, joints=human66.joints,
+                              base_link="pelvis", position_targets=("pelvis", frame),
+                              orientation_targets=human66.orientation_target_frames)
+        with pytest.raises(DecompositionError,
+                           match=f"non-base position target '{frame}' is not supported"):
             decompose_pairwise(m)
 
 
@@ -322,3 +340,37 @@ def test_whole_body_without_orientation_targets():
                               InstantaneousConfig(stop_tol=1e-10, max_iters=100))
     assert result.converged
     assert np.linalg.norm(residual_at(m, result.q, sample)) <= 1e-10
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_inconsistent_constraints_are_reported(human48, method):
+    """No configuration meets human48 with two contradictory rows on l5_z:
+    every method reports it and records no configuration."""
+    model = inconsistent_model(human48)
+    spec = ik.TrajectorySpec(kind="sinusoidal", duration=0.1, dt=0.01, amplitude=0.3, seed=5)
+    _, samples = ik.generate_stream(model, spec)
+    if method == "dynamical":
+        qs, _, _, error = run_method(method, model, samples)
+        assert (qs, error) == ([], "step 0: constraints are inconsistent")
+    else:
+        with pytest.raises(QPInfeasible, match="^the joint constraints A s <= b_q are "
+                                               "inconsistent$"):
+            run_method(method, model, samples)
+
+
+@pytest.mark.parametrize("method", ["whole-body", "pairwise"])
+def test_binding_coupled_row_is_met(human48, method):
+    """human48's coupled row l5_z + l5_y <= b_q with b_q lowered to 0.02,
+    which the stream's truth passes by far: every solved configuration meets
+    every row within 1e-9, and some sit on the coupled row, so the
+    projection onto the rows ran."""
+    ec = human48.extra_constraints
+    model = with_extra_rows(human48, ec.a, [0.02])
+    spec = ik.TrajectorySpec(kind="sinusoidal", duration=0.2, dt=0.01, amplitude=0.3, seed=1)
+    truth, samples = ik.generate_stream(model, spec)
+    assert max(float(ec.a[0] @ q.s) for q, _ in truth) > 0.1
+    qs, _, _, error = run_method(method, model, samples)
+    assert error is None and len(qs) == len(samples)
+    viol = np.array([model.constraint_matrix @ q.s - model.config_bounds for q in qs])
+    assert viol.max() <= 1e-9
+    assert np.abs(viol[:, -1]).min() <= 1e-9

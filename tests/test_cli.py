@@ -7,6 +7,8 @@ import pytest
 import iktrack as ik
 from iktrack.cli import main
 
+from conftest import inconsistent_model
+
 
 @pytest.fixture(scope="module")
 def model_file(tmp_path_factory):
@@ -288,6 +290,37 @@ def test_solve_within_transient_discard_says_so(model_file, tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == 101
     err = capsys.readouterr().err
     assert "all 100 samples fall inside the 2 s transient discard" in err
+
+
+def test_gen_unknown_spec_key_is_data_error(model_file, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "sinusoidal", "duration": 0.03, "dt": 0.01,
+                                "amplitude": 0.2, "freq_band": [0.5, 1.5], "seed": 3,
+                                "noise_std": 0.01, "speed": 2.0}))
+    out = tmp_path / "stream.jsonl"
+    assert main(["gen", "--model", model_file, "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: unknown key: spec: speed\n"
+    assert not out.exists()
+
+
+def test_solve_empty_stream_is_data_error(model_file, tmp_path, capsys):
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("")
+    assert _solve(model_file, stream, tmp_path) == 2
+    assert capsys.readouterr().err == f"data error: {stream}: empty stream\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_inconsistent_constraints_are_a_solver_failure(human48, tmp_path, capsys):
+    model = inconsistent_model(human48)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(model.serialize())
+    spec = ik.TrajectorySpec(kind="sinusoidal", duration=0.05, dt=0.01, amplitude=0.3, seed=5)
+    stream = tmp_path / "stream.jsonl"
+    ik.save_stream(stream, ik.generate_stream(model, spec)[1])
+    assert _solve(model_path, stream, tmp_path, method="whole-body") == 3
+    assert capsys.readouterr().err == ("solver failure: the joint constraints A s <= b_q "
+                                       "are inconsistent\n")
 
 
 def small_model_document():

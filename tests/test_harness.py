@@ -13,6 +13,7 @@ from iktrack import (Configuration, MetricsSummary, Rotation, TargetSample,
                      save_stream, summarize_run)
 from iktrack.errors import (DegenerateMatrix, ParseError, RankDeficient, SchemaMismatch,
                             SpecInfeasible)
+from iktrack._kernels import orthonormality_errors
 from iktrack.harness import CHUNK, METHODS
 
 from conftest import (base_only_model, branched_model, rodrigues, single_joint_model,
@@ -140,8 +141,7 @@ class TestGenerateStream:
         _, a = generate_stream(human66, clean)
         _, b = generate_stream(human66, noisy)
         assert not np.array_equal(a[0].positions, b[0].positions)
-        for rot in b[0].rotations:  # still valid rotations
-            assert ik.orthonormality_error(rot) <= 1e-9
+        assert orthonormality_errors(b[0].rotations).max() <= 1e-9  # still rotations
 
     @pytest.mark.parametrize("field, value", [
         ("duration", np.nan), ("duration", np.inf), ("dt", np.nan), ("amplitude", np.nan),
@@ -178,14 +178,15 @@ def pipeline_model(name, request):
 
 
 def per_sample_scores(model, q, nu, sample):
-    """mnte and rmse_angvel of one step from single-configuration kinematics:
-    the estimate's polar-projected rotations against the targets, and the
-    angular rows of J(q) nu against the angular-velocity targets."""
+    """mnte and rmse_angvel of one step from single-configuration kinematics
+    at q with its base rotation polar-projected: the estimate's rotations
+    against the targets, and the angular rows of J nu against the
+    angular-velocity targets."""
     projected = Configuration(q.base_pos, project_to_so3(q.base_rot), q.s)
     rotations = target_poses(model, projected).rotations
     traces = np.einsum("kij,kij->k", rotations, sample.rotations)
     score = float(np.mean(np.maximum((3.0 - traces) / 2.0, 0.0)))
-    est = (model.stacked_jacobian(q) @ nu.stacked())[3 * model.n_p:].reshape(-1, 3)
+    est = (model.stacked_jacobian(projected) @ nu.stacked())[3 * model.n_p:].reshape(-1, 3)
     err = sample.ang_vels - est
     return score, float(np.sqrt(np.mean(np.sum(err * err, axis=1) / 3.0)))
 
@@ -275,6 +276,21 @@ def test_scores_reject_a_non_finite_drifting_base(human66, value):
         mnte(human66, qs[2], samples[2])
     with pytest.raises(DegenerateMatrix):
         summarize_run(human66, samples, qs, nus, np.zeros(len(qs)))
+
+
+def test_no_orientation_targets_score_zero():
+    """A position-only model has no orientation to score: 0 in the summary and
+    in both single-sample scores."""
+    m = base_only_model()
+    spec = TrajectorySpec(kind="sinusoidal", duration=0.05, dt=0.01, amplitude=0.1, seed=3)
+    _, samples = generate_stream(m, spec)
+    qs, nus, times, error = run_method("dynamical", m, samples)
+    assert error is None and len(qs) == 5
+    summary = summarize_run(m, samples, qs, nus, times)
+    assert np.array_equal(summary.mnte_series, np.zeros(5))
+    assert np.array_equal(summary.rmse_series, np.zeros(5))
+    for q, nu, sample in zip(qs, nus, samples):
+        assert (mnte(m, q, sample), rmse_angvel(m, q, nu, sample)) == (0.0, 0.0)
 
 
 def finite_row_velocity(model, q, sample, solver):
@@ -625,15 +641,30 @@ class TestBenchmark:
         assert [(r.steps, r.failures) for r in records] == [(0, 1)] * len(METHODS)
         assert all("singular" in r.error for r in records)
 
-    def test_failure_recorded_without_abort(self, human48):
-        # amplitude beyond the 48-DoF limits makes generation infeasible only
-        # for that model; pair it with a feasible cell
+    def test_failure_recorded_without_abort(self, human66):
+        # pairwise cannot split a model with a position target off the base;
+        # the dynamical cell on the same stream tracks it
+        frame = human66.orientation_target_frames[1]
+        model = ik.KinematicModel(human66.links, human66.joints, human66.base_link,
+                                  position_targets=(human66.base_link, frame),
+                                  orientation_targets=human66.orientation_target_frames)
         spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01,
                               amplitude=0.1, seed=3)
-        m66 = ik.generate_human_chain(66, seed=7)
-        records, table = run_benchmark([("h66", m66)], [("static", spec)],
-                                       ["dynamical", "whole-body"])
-        assert all(r.failures == 0 for r in records)
+        records, table = run_benchmark([("h66", model)], [("static", spec)],
+                                       ["dynamical", "pairwise"])
+        healthy, failed = records
+        assert (healthy.steps, healthy.failures, healthy.error) == (5, 0, None)
+        assert (failed.steps, failed.failures) == (0, 1)
+        assert failed.error == f"non-base position target {frame!r} is not supported"
+        assert [line.split(",")[-2:] for line in table.splitlines()[1:]] == [["5", "0"],
+                                                                             ["0", "1"]]
+
+    def test_infeasible_spec_stops_the_sweep(self, human48):
+        # an amplitude beyond the 48-DoF limits: the stream cannot be made
+        spec = TrajectorySpec(kind="sinusoidal", duration=0.05, dt=0.01,
+                              amplitude=1.0, seed=7)
+        with pytest.raises(SpecInfeasible):
+            run_benchmark([("h48", human48)], [("wide", spec)], ["dynamical"])
 
     def test_deterministic_metrics(self, human66):
         spec = TrajectorySpec(kind="sinusoidal", duration=0.3, dt=0.01,

@@ -93,15 +93,21 @@ def pipeline_files():
     return sorted(package + list((ROOT / "tools").glob("*.py")) + bench)
 
 
+# the benchmark's own modules: a function one of them defines under a public
+# name of the package does not use that name
+BENCH_MODULES = {"refkin", "checks", "speed", "tracing", "bench"}
+
+
 def used_names(paths) -> set[str]:
     """Every identifier that the files load or store as a name or read as an
-    attribute."""
+    attribute, except an attribute read on one of ``BENCH_MODULES``."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and not (
+                    isinstance(node.value, ast.Name) and node.value.id in BENCH_MODULES):
                 names.add(node.attr)
     return names
 

@@ -364,6 +364,37 @@ class TestTrack:
         for q in result.configurations:
             assert all(np.isfinite(a).all() for a in (q.base_pos, q.base_rot.m, q.s))
 
+    def test_overflowing_gain_term_is_a_non_finite_velocity(self, human66):
+        """A finite position target of 1e308 at sample 1: the gain term
+        K (p_target - p) overflows, so the QP's velocity is not finite."""
+        spec = ik.TrajectorySpec(kind="sinusoidal", duration=0.05, dt=DT, amplitude=0.2, seed=3)
+        samples = list(ik.generate_stream(human66, spec)[1])
+        samples[1] = with_fields(samples[1], positions=np.full((human66.n_p, 3), 1e308))
+        gains, baumgarte, _ = default_setup(human66)
+        with np.errstate(all="ignore"):
+            result = track(human66, samples, gains, baumgarte)
+        assert result.error == ("step 1: the QP returned a non-finite velocity; the targets "
+                                "overflow float arithmetic")
+        assert len(result.configurations) == 1
+        assert all(np.isfinite(a).all() for q in result.configurations
+                   for a in (q.base_pos, q.base_rot.m, q.s))
+
+    def test_overflowing_integration_is_a_non_finite_configuration(self, human66):
+        """The base at 1.79e308 and its position targets with it, asked to
+        move at 1e308: the velocity is finite, but the integrated position
+        overflows, so nothing is recorded."""
+        spec = ik.TrajectorySpec(kind="sinusoidal", duration=0.05, dt=DT, amplitude=0.2, seed=3)
+        truth, stream = ik.generate_stream(human66, spec)
+        samples = [with_fields(x, positions=np.full((human66.n_p, 3), 1.79e308),
+                               lin_vels=np.full((human66.n_p, 3), 1e308)) for x in stream]
+        q0 = Configuration(np.full(3, 1.79e308), truth[0][0].base_rot, truth[0][0].s)
+        gains, baumgarte, _ = default_setup(human66)
+        with np.errstate(all="ignore"):
+            result = track(human66, samples, gains, baumgarte, q0=q0)
+        assert result.error == ("step 0: the integrated configuration is not finite; the "
+                                "targets overflow float arithmetic")
+        assert result.configurations == []
+
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", ["human66", "human48"])
     def test_fuzzed_streams_only_record_typed_errors(self, name, seed, human66, request):

@@ -23,7 +23,8 @@ are timed in alternation:
 - per round, the set-up stages once on each side, in the same alternation:
   ``load_model``, ``generate_stream``, ``save_stream``, ``load_stream``,
   ``run_method`` (the workload's method over that stream, compared on its
-  configurations and velocities) and ``summarize_run`` (on that run).
+  configurations and velocities) and ``summarize_run`` (on that run, also
+  compared on its MNTE and RMSE series each on its own, under ``parts``).
 
 The JSON output holds, per workload and stage, both sides' median and
 quartiles in microseconds, the ratio of the medians (change / parent), the
@@ -146,11 +147,12 @@ class Stage:
         self.wins = 0
         self.identical = True
         self.max_abs_diff = 0.0
+        self.parts = {}   # name -> [identical, max_abs_diff] of one part of the output
 
-    def alternate(self, index, calls, key=lambda out: out):
+    def alternate(self, index, calls, key=lambda out: out, parts=None):
         """Run ``calls[side]()`` for both sides, the parent first when
-        ``index`` is even, and compare ``key`` of their outputs; returns both
-        outputs."""
+        ``index`` is even, and compare ``key`` of their outputs, and each of
+        ``parts`` (name -> key) on its own; returns both outputs."""
         out, spent = {}, {}
         for side in SIDES if index % 2 == 0 else SIDES[::-1]:
             start = perf_counter()
@@ -162,6 +164,11 @@ class Stage:
         parent, change = key(out["parent"]), key(out["change"])
         self.identical &= bool(_same(parent, change))
         self.max_abs_diff = max(self.max_abs_diff, _max_abs_diff(parent, change))
+        for name, part in (parts or {}).items():
+            parent, change = part(out["parent"]), part(out["change"])
+            seen = self.parts.setdefault(name, [True, 0.0])
+            seen[0] &= bool(_same(parent, change))
+            seen[1] = max(seen[1], _max_abs_diff(parent, change))
         return out
 
     def summary(self):
@@ -176,6 +183,9 @@ class Stage:
         entry["count"] = len(self.times["parent"])
         entry["identical"] = self.identical
         entry["max_abs_diff"] = self.max_abs_diff
+        if self.parts:
+            entry["parts"] = {name: {"identical": same, "max_abs_diff": diff}
+                              for name, (same, diff) in self.parts.items()}
         return entry
 
 
@@ -260,9 +270,9 @@ def _set_up(stages, iks, spec, fixtures, seed, rounds, workdir):
     method = "dynamical" if spec["method"] == "dynamical" else "whole-body"
     config = dict(iks["parent"].harness.DEFAULT_CONFIG, dt=DT)
     for r in range(rounds):
-        def stage(name, fn, key=lambda out: out):
+        def stage(name, fn, key=lambda out: out, parts=None):
             return stages.setdefault(name, Stage()).alternate(
-                r, {side: (lambda s=side: fn(s)) for side in SIDES}, key)
+                r, {side: (lambda s=side: fn(s)) for side in SIDES}, key, parts)
         models = stage("load_model", lambda s: iks[s].load_model(texts["model"]),
                        key=lambda m: m.serialize())
         sources = {s: iks[s].load_model(texts["source"]) for s in SIDES}
@@ -288,7 +298,9 @@ def _set_up(stages, iks, spec, fixtures, seed, rounds, workdir):
                                       [nu.stacked() for nu in run[1]]))
         stage("summarize_run",
               lambda s: iks[s].summarize_run(models[s], loaded[s], *runs[s][:3]),
-              key=lambda m: (m.mnte_series, m.rmse_series))
+              key=lambda m: (m.mnte_series, m.rmse_series),
+              parts={"mnte_series": lambda m: m.mnte_series,
+                     "rmse_series": lambda m: m.rmse_series})
 
 
 def main(argv=None):
@@ -327,6 +339,9 @@ def main(argv=None):
                       f"faster {s['change_faster']}/{s['count']}  "
                       f"identical {s['identical']}  max_abs_diff {s['max_abs_diff']:.3g}",
                       file=sys.stderr)
+                for part, p in s.get("parts", {}).items():
+                    print(f"{'':14s}   {part:15s} identical {p['identical']}  "
+                          f"max_abs_diff {p['max_abs_diff']:.3g}", file=sys.stderr)
             with open(args.out, "w") as fh:
                 json.dump(doc, fh, indent=1)
     return 0
