@@ -64,8 +64,8 @@ def _scores(model, qs, nus, target_rot, target_angvel):
     fk = model.fk_batch(base_pos, project_stack_to_so3(base_rot), s)
     traces = np.einsum("bkij,bkij->bk", model.stacked_poses(fk).rotations, target_rot)
     mnte_scores = np.mean(np.maximum((3.0 - traces) / 2.0, 0.0), axis=1)
-    nu = np.array([nu.stacked() for nu in nus])
-    vel = (model.stacked_jacobians(fk) @ nu[:, :, None])[:, 3 * model.n_p:, 0]
+    stacked = np.array([nu.stacked() for nu in nus])
+    vel = (model.stacked_jacobians(fk) @ stacked[:, :, None])[:, 3 * model.n_p:, 0]
     err = target_angvel - vel.reshape(len(qs), -1, 3)
     return mnte_scores, np.sqrt(np.mean(np.sum(err * err, axis=2) / 3.0, axis=1))
 
