@@ -71,6 +71,20 @@ def rotation_vectors(v):
     return rotations_about_axes(axis_factors(axes), angles[None])[0]
 
 
+def rotation_vector(v):
+    """``rotation_vectors`` of one vector ``v`` (3,) on floats, bit for bit: each
+    entry takes the stack kernel's operations in its order, the products with
+    0.0 that set the signs of zeros included (s (a * -1.0) is added as -s a)."""
+    # v . v by the dot routine of the stack's matmul; cos and sin on one element
+    angle = np.sqrt(np.dot(v, v)[None])
+    (c,), (s,), (theta,) = np.cos(angle).tolist(), np.sin(angle).tolist(), angle.tolist()
+    a0, a1, a2 = (x / max(theta, 1e-30) for x in v.tolist())
+    t, z, sz = 1.0 - c, c * 0.0, s * (a0 * 0.0)
+    return np.array([[t * a0 * a0 + sz + c, t * a0 * a1 - s * a2 + z, t * a0 * a2 + s * a1 + z],
+                     [t * a0 * a1 + s * a2 + z, t * a1 * a1 + sz + c, t * a1 * a2 - s * a0 + z],
+                     [t * a0 * a2 - s * a1 + z, t * a1 * a2 + s * a0 + z, t * a2 * a2 + sz + c]])
+
+
 class DepthLayout(NamedTuple):
     """A tree's links sorted by depth, base first, with what forward
     kinematics needs of each link below the base (row k is sorted link k + 1).

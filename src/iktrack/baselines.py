@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import axis_factors, rotation_vectors, rotations_about_axes
+from ._kernels import axis_factors, rotation_vector, rotations_about_axes
 from .errors import DecompositionError, QPInfeasible, RankDeficient, check_setting
 from .model import Configuration, KinematicModel
-from .qp import (ActiveSetSolver, LeastSquaresQP, QPStatus, _damped_normal_equations,
+from .qp import (ActiveSetSolver, LeastSquaresQP, QPStatus, _damped, _normal_equations,
                  _solve_normal)
 from .so3 import Rotation, orientation_residual, project_to_so3
 from .tracker import TargetSample
@@ -79,11 +79,14 @@ def _damped_gauss_newton(x, evaluate, jacobian, update, cfg):
     err = math.sqrt(r.dot(r))
     lam = cfg.lm_lambda0
     iterations = 0
+    normal = None  # J^T J and J^T r at x, formed once per accepted iterate
     while err > cfg.stop_tol and iterations < cfg.max_iters:
         iterations += 1
+        if normal is None:
+            normal = _normal_equations(jacobian(x, state), r)
         try:
             # the Levenberg-Marquardt step, (J^T J + lam I) delta = J^T r
-            delta = _solve_normal(*_damped_normal_equations(jacobian(x, state), r, lam))
+            delta = _solve_normal(_damped(normal[0].copy(), lam), normal[1])
         except RankDeficient:
             lam *= 10.0
             continue
@@ -91,7 +94,7 @@ def _damped_gauss_newton(x, evaluate, jacobian, update, cfg):
         new_r, new_state = evaluate(candidate)
         new_err = math.sqrt(new_r.dot(new_r))
         if new_err < err:
-            x, r, state, err = candidate, new_r, new_state, new_err
+            x, r, state, err, normal = candidate, new_r, new_state, new_err, None
             lam = max(lam / 3.0, 1e-12)
         else:
             lam *= 10.0
@@ -131,8 +134,9 @@ def solve_whole_body(model: KinematicModel, sample: TargetSample, q_init: Config
         return model.stacked_jacobian(q, fk=fk)
 
     def update(q, delta):
-        rot = rotation_vectors(delta[None, 3:6])[0] @ q.base_rot.m
-        s = np.clip(q.s + delta[6:], model._pos_lo, model._pos_hi)
+        rot = rotation_vector(delta[3:6]) @ q.base_rot.m
+        # np.clip's values, NaN included, without its Python wrapper
+        s = np.minimum(np.maximum(q.s + delta[6:], model._pos_lo), model._pos_hi)
         return Configuration(q.base_pos + delta[0:3], Rotation.drifting(rot),
                              _project_constraints(model, s))
 

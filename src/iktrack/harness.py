@@ -326,15 +326,20 @@ def run_dynamical(model, samples, config):
 
 
 def _run_instantaneous(model, samples, config, solve_fn):
+    """Solve each sample from the last; the first ``IkTrackError`` stops the
+    run, which returns the samples it completed and the error, as ``track``."""
     cfg = InstantaneousConfig(stop_tol=config["stop_tol"], max_iters=config["max_iters"],
                               lm_lambda0=config["lm_lambda0"])
     solver = ActiveSetSolver(damping=config["damping"])
     qs, nus, times = [], [], []
     q = initial_configuration(model, samples[0]) if len(samples) else None
-    for sample in samples:
+    for i, sample in enumerate(samples):
         t0 = time.perf_counter()
-        q = solve_fn(sample, q, cfg)
-        nu = _velocity_stage(model, q, sample, solver)
+        try:
+            q = solve_fn(sample, q, cfg)
+            nu = _velocity_stage(model, q, sample, solver)
+        except IkTrackError as e:
+            return qs, nus, times, f"step {i}: {e}"
         times.append(time.perf_counter() - t0)
         qs.append(q)
         nus.append(nu)
@@ -489,9 +494,10 @@ def run_benchmark(models, specs, methods, config=None, transient_discard=TRANSIE
     """Run the full (model x spec x method) grid.
 
     ``models`` and ``specs`` are (id, value) pairs; streams are generated per
-    (model, spec) cell. A method's failure is recorded in its cell without
-    aborting the sweep. Two errors abort it: an ``InvalidSetting``, which an
-    unknown method or setting raises before any stream is generated, and the
+    (model, spec) cell. A method's failure is recorded in its cell, with the
+    steps it completed. Two errors abort the sweep: an ``InvalidSetting``,
+    which an unknown method or setting or an unstable rho raises before any
+    stream is generated (a gain past its guard, in the first cell), and the
     ``SpecInfeasible`` of a stream that cannot be generated. Returns the
     records in declaration order plus the results CSV.
     """
@@ -501,6 +507,8 @@ def run_benchmark(models, specs, methods, config=None, transient_discard=TRANSIE
     for method in methods:
         _check_method(method)
     merged = _merged_config(config)
+    for _, spec in specs:  # rho's stability guard, at every sample spacing
+        BaumgarteConfig(rho=merged["rho"], dt=merged.get("dt", spec.dt))
     records = []
     for model_id, model in models:
         for spec_id, spec in specs:

@@ -79,12 +79,21 @@ def solve_unconstrained(J, target, damping: float = 0.0) -> np.ndarray:
     return x
 
 
-def _damped_normal_equations(J, b, damping):
-    """The damped normal matrix J^T J + damping I and the right-hand side
-    J^T b of the least-squares fit of J x to b."""
-    h = J.T @ J
+def _normal_equations(J, b):
+    """J^T J and J^T b, the normal equations of the least-squares fit of J x to b."""
+    return J.T @ J, J.T @ b
+
+
+def _damped(h, damping):
+    """h + damping I, written into the normal matrix h."""
     h.flat[::h.shape[0] + 1] += damping
-    return h, J.T @ b
+    return h
+
+
+def _damped_normal_equations(J, b, damping):
+    """``_normal_equations`` with the normal matrix damped: J^T J + damping I."""
+    h, rhs = _normal_equations(J, b)
+    return _damped(h, damping), rhs
 
 
 def _solve_normal(h, rhs):

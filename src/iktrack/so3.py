@@ -6,13 +6,14 @@ number of threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import (axis_factors, baumgarte_step_kernel, determinants,
                        orthonormality_errors, rotation_residuals, rotations_about_axes)
-from .errors import DegenerateMatrix, NotARotation, check_setting
+from .errors import DegenerateMatrix, InvalidSetting, NotARotation, check_setting
 
 ORTHONORMALITY_TOL = 1e-9
 
@@ -75,7 +76,8 @@ class Rotation:
 @dataclass(frozen=True)
 class BaumgarteConfig:
     """Integration step and gain pulling the integrated matrix back toward
-    orthonormality."""
+    orthonormality. The Euler step scales the Gram error by about 1 - rho dt,
+    so the guard rho * dt <= 1 keeps it decaying without overshoot."""
 
     rho: float = 10.0
     dt: float = 0.01
@@ -83,6 +85,9 @@ class BaumgarteConfig:
     def __post_init__(self):
         check_setting("rho", self.rho)
         check_setting("dt", self.dt)
+        if not self.rho * self.dt <= 1.0:
+            raise InvalidSetting(f"stability guard: rho * dt must be <= 1, got "
+                                 f"{self.rho!r} * {self.dt!r}")
 
 
 def _mat(r) -> np.ndarray:
@@ -140,9 +145,19 @@ def project_to_so3(a) -> Rotation:
     """Nearest rotation in Frobenius norm (polar factor).
 
     Diagnostics and final-output sanitation only; the integration loop relies
-    on the drift-correction term instead.
-    """
-    return Rotation.drifting(project_stack_to_so3(_mat(a)[None])[0])
+    on the drift-correction term instead. ``project_stack_to_so3`` of one
+    matrix, bit for bit and error for error, its checks made on floats."""
+    a = _mat(a)
+    if not all(map(math.isfinite, a.ravel().tolist())):
+        raise DegenerateMatrix("matrix has a non-finite entry")
+    u, sing, vt = np.linalg.svd(a)
+    r = u @ vt
+    # the determinant as ``determinants`` forms it, a . (b x c) of the columns
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = r.tolist()
+    if (sing[-1] <= 1e-12 or a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2)
+            + a2 * (b0 * c1 - b1 * c0) <= 0.0):
+        raise DegenerateMatrix("matrix is singular or reflects")
+    return Rotation.drifting(r)
 
 
 def project_stack_to_so3(a) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 import iktrack as ik
 from iktrack import (Configuration, InstantaneousConfig, Rotation, TargetSample,
                      decompose_pairwise, solve_pairwise, solve_whole_body)
-from iktrack.errors import DecompositionError, QPInfeasible
+from iktrack.errors import DecompositionError
 from iktrack.harness import METHODS, run_method
 from iktrack.qp import _damped_normal_equations, _solve_normal
 
@@ -349,13 +349,11 @@ def test_inconsistent_constraints_are_reported(human48, method):
     model = inconsistent_model(human48)
     spec = ik.TrajectorySpec(kind="sinusoidal", duration=0.1, dt=0.01, amplitude=0.3, seed=5)
     _, samples = ik.generate_stream(model, spec)
+    qs, _, _, error = run_method(method, model, samples)
     if method == "dynamical":
-        qs, _, _, error = run_method(method, model, samples)
         assert (qs, error) == ([], "step 0: constraints are inconsistent")
     else:
-        with pytest.raises(QPInfeasible, match="^the joint constraints A s <= b_q are "
-                                               "inconsistent$"):
-            run_method(method, model, samples)
+        assert (qs, error) == ([], "step 0: the joint constraints A s <= b_q are inconsistent")
 
 
 @pytest.mark.parametrize("method", ["whole-body", "pairwise"])

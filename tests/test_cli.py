@@ -168,6 +168,45 @@ def test_bad_solve_flag_is_a_usage_error(model_file, spec_file, tmp_path, capsys
     assert not out.exists()
 
 
+def test_unstable_rho_is_a_usage_error(tmp_path, capsys):
+    """rho * dt past 1 makes the drift correction overshoot: exit 1 with one
+    line, before either file (neither exists) is read."""
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--model", str(tmp_path / "model.json"), "--stream",
+                 str(tmp_path / "stream.jsonl"), "--method", "dynamical", "--rho", "210",
+                 "--dt", "0.01", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: stability guard: rho * dt must be <= 1, got 210.0 * 0.01"]
+    assert not out.exists()
+
+
+def test_rho_at_the_guard_runs(model_file, spec_file, tmp_path):
+    stream = tmp_path / "stream.jsonl"
+    main(["gen", "--model", model_file, "--spec", spec_file, "--out", str(stream)])
+    assert main(["solve", "--model", model_file, "--stream", str(stream), "--method",
+                 "dynamical", "--rho", "100", "--dt", "0.01",
+                 "--out", str(tmp_path / "o.csv")]) == 0
+
+
+def test_bench_unstable_rho_is_a_usage_error(model_file, tmp_path, capsys, monkeypatch):
+    def generate(*_):
+        raise AssertionError("a stream was generated")
+    monkeypatch.setattr(ik.harness, "generate_stream", generate)
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({
+        "models": [{"id": "h66", "path": model_file}],
+        "specs": [{"id": "static", "kind": "static_pose", "duration": 0.05,
+                   "dt": 0.01, "amplitude": 0.1, "seed": 3}],
+        "methods": ["whole-body"],
+        "config": {"rho": 210.0},
+    }))
+    out_dir = tmp_path / "results"
+    assert main(["bench", "--config", str(config), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: stability guard: rho * dt must be <= 1, got 210.0 * 0.01"]
+    assert not out_dir.exists()
+
+
 def test_bench_bad_setting_is_a_usage_error(model_file, tmp_path, capsys):
     """A bad setting under ``config`` stops the sweep with one line; it is
     not recorded as a failed cell."""
@@ -319,8 +358,9 @@ def test_inconsistent_constraints_are_a_solver_failure(human48, tmp_path, capsys
     stream = tmp_path / "stream.jsonl"
     ik.save_stream(stream, ik.generate_stream(model, spec)[1])
     assert _solve(model_path, stream, tmp_path, method="whole-body") == 3
-    assert capsys.readouterr().err == ("solver failure: the joint constraints A s <= b_q "
+    assert capsys.readouterr().err == ("aborted: step 0: the joint constraints A s <= b_q "
                                        "are inconsistent\n")
+    assert (tmp_path / "o.csv").read_text() == "step,t,mnte,rmse_angvel,step_time_ms\n"
 
 
 def small_model_document():

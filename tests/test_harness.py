@@ -11,7 +11,7 @@ from iktrack import (Configuration, MetricsSummary, Rotation, TargetSample,
                      TrajectorySpec, Velocity, generate_stream, load_stream, mnte,
                      project_to_so3, results_csv, rmse_angvel, run_benchmark, run_method,
                      save_stream, summarize_run)
-from iktrack.errors import (DegenerateMatrix, ParseError, RankDeficient, SchemaMismatch,
+from iktrack.errors import (DegenerateMatrix, ParseError, QPInfeasible, SchemaMismatch,
                             SpecInfeasible)
 from iktrack._kernels import orthonormality_errors
 from iktrack.harness import CHUNK, METHODS
@@ -626,8 +626,8 @@ class TestBenchmark:
 
     def test_singular_undamped_solve_is_a_typed_failure(self):
         """Two same-axis joints on one point with no damping make the normal
-        matrix singular: every method fails with ``RankDeficient``, which the
-        tracker and each cell of a sweep record as the run's failure."""
+        matrix singular: every method fails with ``RankDeficient``, which
+        every run and each cell of a sweep record as the run's failure."""
         model = single_joint_model(tip_offset=(0.0, 0.0, 0.0))
         spec = TrajectorySpec(kind="sinusoidal", duration=0.1, dt=0.01, amplitude=0.3, seed=1)
         _, stream = ik.generate_stream(model, spec)
@@ -635,11 +635,40 @@ class TestBenchmark:
         qs, _, _, error = run_method("dynamical", model, stream, config)
         assert qs == [] and "singular" in error
         for method in ("whole-body", "pairwise"):
-            with pytest.raises(RankDeficient):
-                run_method(method, model, stream, config)
+            qs, _, _, error = run_method(method, model, stream, config)
+            assert (qs, error) == ([], "step 0: normal matrix is singular; use a positive "
+                                       "damping")
         records, _ = run_benchmark([("coincident", model)], [("sin", spec)], METHODS, config)
         assert [(r.steps, r.failures) for r in records] == [(0, 1)] * len(METHODS)
         assert all("singular" in r.error for r in records)
+
+    def test_baseline_abort_keeps_completed_samples(self, human66, monkeypatch):
+        """A whole-body run whose solve fails at sample 3 returns the three
+        samples it completed, bit for bit, and the error, as a dynamical run
+        does; a sweep records those three steps."""
+        spec = TrajectorySpec(kind="sinusoidal", duration=0.1, dt=0.01, amplitude=0.3, seed=5)
+        _, stream = ik.generate_stream(human66, spec)
+        full = run_method("whole-body", human66, stream)
+        solve, calls = ik.harness.solve_whole_body, []
+
+        def failing(model, sample, q, cfg):
+            calls.append(sample)
+            if len(calls) == 4:
+                raise QPInfeasible("the joint constraints A s <= b_q are inconsistent")
+            return solve(model, sample, q, cfg)
+
+        monkeypatch.setattr(ik.harness, "solve_whole_body", failing)
+        qs, nus, times, error = run_method("whole-body", human66, stream)
+        assert error == "step 3: the joint constraints A s <= b_q are inconsistent"
+        assert (len(qs), len(nus), len(times)) == (3, 3, 3)
+        for q, nu, q_full, nu_full in zip(qs, nus, full[0], full[1]):
+            for a, b in zip((q.base_pos, q.base_rot.m, q.s, nu.stacked()),
+                            (q_full.base_pos, q_full.base_rot.m, q_full.s, nu_full.stacked())):
+                assert np.array_equal(a, b)
+        calls.clear()
+        records, table = run_benchmark([("h66", human66)], [("sin", spec)], ["whole-body"])
+        assert (records[0].steps, records[0].failures, records[0].error) == (3, 1, error)
+        assert table.splitlines()[1].split(",")[-2:] == ["3", "1"]
 
     def test_failure_recorded_without_abort(self, human66):
         # pairwise cannot split a model with a position target off the base;

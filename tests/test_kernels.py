@@ -7,6 +7,8 @@ equal bit for bit. On a tree with tilted origins and oblique axes the
 stacked products may round differently from the per-link ones, so that case
 is compared within a few ulps.
 """
+import itertools
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,28 @@ def test_determinants_match_linalg():
         ref = np.linalg.det(m)
         assert np.array_equal(np.sign(det), np.sign(ref))
         assert np.allclose(det, ref, rtol=1e-12, atol=0.0)
+
+
+def test_rotation_vector_matches_the_stack_kernel():
+    """The exp map of one vector on floats gives the bits of the stack kernel
+    on a stack of one, signed zeros included, on 100,000 vectors: a length
+    of 1e-12, lengths from 1e-13 to 30, lengths within 1e-6 of pi and
+    lengths beyond 2 pi, and every vector with at most one nonzero entry and
+    zeros of either sign, where the c * 0.0 terms set an entry's sign."""
+    rng = np.random.default_rng(22)
+    dirs = rng.normal(size=(100_000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    lengths = np.concatenate([10.0 ** rng.uniform(-13.0, np.log10(30.0), 70_000),
+                              np.pi + rng.uniform(-1e-6, 1e-6, 15_000),
+                              rng.uniform(2.0 * np.pi, 30.0, 15_000)])
+    lengths[:100] = 1e-12
+    v = dirs * lengths[:, None]
+    values = (0.0, -0.0, 1e-12, -1e-12, 0.5, -0.5, np.pi, -np.pi, 7.0, -7.0)
+    axial = [u for u in itertools.product(values, repeat=3) if np.count_nonzero(u) <= 1]
+    v[100:100 + len(axial)] = axial
+    one = np.array([_kernels.rotation_vector(x) for x in v])
+    stack = np.array([_kernels.rotation_vectors(v[k:k + 1])[0] for k in range(v.shape[0])])
+    assert np.array_equal(one.view(np.uint64), stack.view(np.uint64))
 
 
 def test_batched_fk_and_jacobian_match_single_calls(human66, human48):

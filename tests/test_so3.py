@@ -5,6 +5,7 @@ import iktrack as ik
 from iktrack import (BaumgarteConfig, Rotation, baumgarte_integrate, baumgarte_step,
                      orientation_residual, project_to_so3)
 from iktrack._kernels import orthonormality_errors, skew_stack
+from iktrack.so3 import project_stack_to_so3
 from iktrack.errors import DegenerateMatrix, NotARotation, SingularMatrix
 
 from conftest import rodrigues
@@ -203,6 +204,41 @@ class TestProjectToSO3:
     def test_rejects_reflection(self, reflection):
         with pytest.raises(DegenerateMatrix, match="reflects"):
             project_to_so3(reflection)
+
+    def test_matches_the_stack_projection(self):
+        """One matrix and a stack of one give the same bits, or the same
+        error and message: general matrices (about half reflect), scaled
+        rotations, signed zeros, singular values at and just past 1e-12, and
+        NaN or infinite entries."""
+        rng = np.random.default_rng(22)
+        cases = list(rng.normal(size=(300, 3, 3)))
+        cases += [rng.uniform(0.5, 2.0) * rodrigues(rng.normal(size=3), rng.uniform(0.0, 4.0))
+                  for _ in range(100)]
+        r = rodrigues([1, 2, 3], 0.5)
+        signed_zeros = np.array([[1.0, -0.0, 0.0], [0.0, 1.0, -0.0], [-0.0, 0.0, 1.0]])
+        cases += [np.zeros((3, 3)), -np.eye(3), signed_zeros, -signed_zeros,
+                  np.diag([1.0, 1.0, 1e-12]), np.diag([1.0, 1.0, 1.0000001e-12]),
+                  np.diag([1.0, 1.0, -1e-12]), np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 2.0])]
+        for value in (np.nan, np.inf, -np.inf):
+            for i in range(3):
+                for j in range(3):
+                    m = r.copy()
+                    m[i, j] = value
+                    cases.append(m)
+        errors = 0
+        for m in cases:
+            try:
+                expected = project_stack_to_so3(m[None])[0]
+            except DegenerateMatrix as e:
+                errors += 1
+                with pytest.raises(DegenerateMatrix) as exc:
+                    project_to_so3(m)
+                assert str(exc.value) == str(e)
+            else:
+                out = project_to_so3(m).m
+                assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        # both outcomes are well exercised
+        assert 100 < errors < len(cases) - 100
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, value):
