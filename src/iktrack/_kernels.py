@@ -3,14 +3,14 @@ exponentials, forward kinematics by tree depth, stacked frame Jacobians from
 a joint-support mask, batched rotation residuals, orthonormality errors and
 determinants, and drift-corrected rotation integration.
 
-Every kernel is vectorised numpy over whole stacks of links, joints or
-target frames; the only Python-level loop left in a tracking step is the
-forward-kinematics walk over tree depths. Forward kinematics and the stacked
-Jacobian also take a leading batch axis of independent configurations: a
-tracking step calls them with a batch of one, stream generation and scoring
-with a chunk of samples. The per-model index arrays and joint-axis factors
-the kernels take are built once by ``KinematicModel``, and forward
-kinematics composes into buffers each model keeps per thread and batch size.
+The kernels are vectorised numpy over stacks of links, joints or target
+frames, bar the Baumgarte step and the exp map of one vector, on floats; a
+step's one Python loop is the FK walk over depths. Forward kinematics and the
+stacked Jacobian also take a leading batch axis of independent configurations:
+a tracking step calls them with a batch of one, stream generation and scoring
+with a chunk of samples. The per-model index arrays and joint-axis factors the
+kernels take are built once by ``KinematicModel``, and forward kinematics
+composes into buffers each model keeps per thread and batch size.
 """
 import threading
 from typing import NamedTuple
