@@ -497,9 +497,9 @@ def run_benchmark(models, specs, methods, config=None, transient_discard=TRANSIE
     (model, spec) cell. A method's failure is recorded in its cell, with the
     steps it completed. Two errors abort the sweep: an ``InvalidSetting``,
     which an unknown method or setting or an unstable rho raises before any
-    stream is generated (a gain past its guard, in the first cell), and the
-    ``SpecInfeasible`` of a stream that cannot be generated. Returns the
-    records in declaration order plus the results CSV.
+    stream is generated (a gain past its guard, in the first dynamical
+    cell), and the ``SpecInfeasible`` of a stream that cannot be generated.
+    Returns the records in declaration order plus the results CSV.
     """
     if isinstance(methods, str) or not isinstance(methods, Iterable):
         raise InvalidSetting(f"methods must be a list of method names, got {methods!r:.40}")
