@@ -54,25 +54,25 @@ def _cmd_solve(args):
     samples.check_spacing(args.dt, name="--dt")
     config = {"gain": args.gain, "limit_slope": args.gain_limit, "rho": args.rho,
               "dt": args.dt}
-    qs, nus, times, error = run_method(args.method, model, samples, config)
-    metrics = summarize_run(model, samples, qs, nus, times)
+    run = run_method(args.method, model, samples, config)
+    metrics = summarize_run(model, samples, run)
     with open(args.out, "w") as fh:
         fh.write("step,t,mnte,rmse_angvel,step_time_ms\n")
-        for i in range(len(qs)):
+        for i in range(len(run.step_time)):
             fh.write(f"{i},{samples[i].t!r},{float(metrics.mnte_series[i])!r},"
                      f"{float(metrics.rmse_series[i])!r},"
                      f"{float(metrics.time_series[i] * 1e3)!r}\n")
     print(f"method={args.method} gain={args.gain} gain_limit={args.gain_limit} "
           f"dt={args.dt} rho={args.rho}")
-    print(f"steps={len(qs)} mnte_median={metrics.mnte_stats.median:.6g} "
+    print(f"steps={len(run.step_time)} mnte_median={metrics.mnte_stats.median:.6g} "
           f"rmse_median={metrics.rmse_stats.median:.6g} "
           f"time_median_ms={metrics.time_stats.median * 1e3:.6g}")
-    if qs and not metrics.steady_window().any():
-        print(f"note: all {len(qs)} samples fall inside the "
+    if len(run.step_time) and not metrics.steady_window().any():
+        print(f"note: all {len(run.step_time)} samples fall inside the "
               f"{metrics.transient_discard:g} s transient discard, so the medians "
               f"are undefined; the per-step CSV holds every sample", file=sys.stderr)
-    if error is not None:
-        print(f"aborted: {error}", file=sys.stderr)
+    if run.error is not None:
+        print(f"aborted: {run.error}", file=sys.stderr)
         return SOLVER_ERROR
     return 0
 

@@ -19,7 +19,7 @@ from .errors import (IkTrackError, InvalidSetting, ParseError, QPInfeasible, Sch
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
 from .so3 import BaumgarteConfig, Rotation, project_stack_to_so3
-from .tracker import (GainConfig, TargetSample, TargetStream, _check_counts,
+from .tracker import (GainConfig, TargetSample, TargetStream, TrackResult, _check_counts,
                       initial_configuration, track)
 
 METHODS = ("dynamical", "whole-body", "pairwise")
@@ -47,27 +47,27 @@ TRANSIENT_DISCARD = 2.0
 CHUNK = 25
 
 
-def _stacked_configurations(qs):
-    """Base positions (B, 3), base rotation matrices (B, 3, 3) and joint
-    angles (B, n) of a sequence of configurations."""
-    return (np.array([q.base_pos for q in qs]), np.array([q.base_rot.m for q in qs]),
-            np.array([q.s for q in qs]))
-
-
-def _scores(model, qs, nus, target_rot, target_angvel):
-    """mnte and rmse_angvel of configurations and velocities against targets
-    (B, n_o, 3, 3) and (B, n_o, 3), both from one FK pass with the bases
-    projected onto SO(3). No orientation targets score 0."""
+def _scores(model, base_pos, base_rot, s, nu, target_rot, target_angvel):
+    """mnte and rmse_angvel of configurations (B, 3), (B, 3, 3), (B, n) and
+    velocities (B, 6 + n) against targets (B, n_o, 3, 3) and (B, n_o, 3),
+    both from one FK pass with the bases projected onto SO(3). No
+    orientation targets score 0."""
     if model.n_o == 0:
-        return np.zeros(len(qs)), np.zeros(len(qs))
-    base_pos, base_rot, s = _stacked_configurations(qs)
+        return np.zeros(len(s)), np.zeros(len(s))
     fk = model.fk_batch(base_pos, project_stack_to_so3(base_rot), s)
     traces = np.einsum("bkij,bkij->bk", model.stacked_poses(fk).rotations, target_rot)
     mnte_scores = np.mean(np.maximum((3.0 - traces) / 2.0, 0.0), axis=1)
-    stacked = np.array([nu.stacked() for nu in nus])
-    vel = (model.stacked_jacobians(fk) @ stacked[:, :, None])[:, 3 * model.n_p:, 0]
-    err = target_angvel - vel.reshape(len(qs), -1, 3)
+    vel = (model.stacked_jacobians(fk) @ nu[:, :, None])[:, 3 * model.n_p:, 0]
+    err = target_angvel - vel.reshape(len(s), -1, 3)
     return mnte_scores, np.sqrt(np.mean(np.sum(err * err, axis=2) / 3.0, axis=1))
+
+
+def _sample_scores(model, q, nu, sample):
+    """``_scores`` of one configuration and stacked velocity against one
+    sample."""
+    sample.check_model(model)
+    return _scores(model, q.base_pos[None], q.base_rot.m[None], q.s[None], nu[None],
+                   sample.rotations[None], sample.ang_vels[None])
 
 
 def mnte(model: KinematicModel, q: Configuration, sample: TargetSample) -> float:
@@ -78,9 +78,7 @@ def mnte(model: KinematicModel, q: Configuration, sample: TargetSample) -> float
     drifting base the trace of the raw matrix can exceed 3. A term that reads
     below 0 by rounding counts as 0.
     """
-    sample.check_model(model)
-    return float(_scores(model, [q], [Velocity.zeros(model)], sample.rotations[None],
-                         sample.ang_vels[None])[0][0])
+    return float(_sample_scores(model, q, np.zeros(6 + model.n), sample)[0][0])
 
 
 def rmse_angvel(model: KinematicModel, q: Configuration, nu: Velocity,
@@ -88,9 +86,7 @@ def rmse_angvel(model: KinematicModel, q: Configuration, nu: Velocity,
     """Root mean squared angular-velocity error over the orientation targets,
     with the estimate read from the differential kinematics at (q, nu), q's
     base projected onto SO(3) as ``mnte`` scores it."""
-    sample.check_model(model)
-    return float(_scores(model, [q], [nu], sample.rotations[None],
-                         sample.ang_vels[None])[1][0])
+    return float(_sample_scores(model, q, nu.stacked(), sample)[1][0])
 
 
 # -- trajectory specs and synthetic streams -----------------------------------
@@ -311,57 +307,39 @@ def _velocity_stage(model, q, sample, solver):
                                       damping=solver.damping))
     if sol.status is QPStatus.INFEASIBLE:
         raise QPInfeasible("the velocity constraints are inconsistent")
-    return Velocity.from_stacked(sol.x)
+    return sol.x
 
 
-def run_dynamical(model, samples, config):
-    gains = GainConfig.build(model, dt=config["dt"], gain=config["gain"],
-                             limit_slope=config["limit_slope"],
-                             vel_bound_default=config["vel_bound_default"])
-    baumgarte = BaumgarteConfig(rho=config["rho"], dt=config["dt"])
-    solver = ActiveSetSolver(damping=config["damping"])
-    result = track(model, samples, gains, baumgarte, solver=solver)
-    times = [r.step_wall_time for r in result.reports]
-    return result.configurations, result.velocities, times, result.error
+def _dynamical_settings(config, dt):
+    """The gains and drift correction of a merged config at sample spacing
+    ``dt``; ``InvalidSetting`` past either stability guard."""
+    return (GainConfig(gain=config["gain"], limit_slope=config["limit_slope"],
+                       vel_bound_default=config["vel_bound_default"], dt=dt),
+            BaumgarteConfig(rho=config["rho"], dt=dt))
 
 
-def _run_instantaneous(model, samples, config, solve_fn):
-    """Solve each sample from the last; the first ``IkTrackError`` stops the
-    run, which returns the samples it completed and the error, as ``track``."""
+def _run_instantaneous(method, model, samples, config, solver):
+    """Solve each sample from the last with the method's per-sample solve;
+    the first ``IkTrackError`` stops the run, which returns the samples it
+    completed and the error, as ``track``."""
     cfg = InstantaneousConfig(stop_tol=config["stop_tol"], max_iters=config["max_iters"],
                               lm_lambda0=config["lm_lambda0"])
-    solver = ActiveSetSolver(damping=config["damping"])
-    qs, nus, times = [], [], []
-    q = initial_configuration(model, samples[0]) if len(samples) else None
+    subsystems = decompose_pairwise(model) if method == "pairwise" else None
+    steps = []
+    q = None
     for i, sample in enumerate(samples):
-        t0 = time.perf_counter()
         try:
-            q = solve_fn(sample, q, cfg)
+            q = initial_configuration(model, sample) if q is None else q
+            t0 = time.perf_counter()
+            if subsystems is None:
+                q = solve_whole_body(model, sample, q, cfg).q
+            else:
+                q = solve_pairwise(model, sample, q, cfg, subsystems=subsystems)[0]
             nu = _velocity_stage(model, q, sample, solver)
         except IkTrackError as e:
-            return qs, nus, times, f"step {i}: {e}"
-        times.append(time.perf_counter() - t0)
-        qs.append(q)
-        nus.append(nu)
-    return qs, nus, times, None
-
-
-def run_whole_body(model, samples, config):
-    return _run_instantaneous(model, samples, config,
-                              lambda sample, q, cfg: solve_whole_body(model, sample, q, cfg).q)
-
-
-def run_pairwise(model, samples, config):
-    subsystems = decompose_pairwise(model)
-
-    def solve_fn(sample, q, cfg):
-        return solve_pairwise(model, sample, q, cfg, subsystems=subsystems)[0]
-
-    return _run_instantaneous(model, samples, config, solve_fn)
-
-
-_RUNNERS = {"dynamical": run_dynamical, "whole-body": run_whole_body,
-            "pairwise": run_pairwise}
+            return TrackResult.of_steps(model, steps, f"step {i}: {e}")
+        steps.append((q, nu, time.perf_counter() - t0))
+    return TrackResult.of_steps(model, steps)
 
 
 def _check_method(method):
@@ -384,15 +362,19 @@ def _merged_config(config):
     return {**DEFAULT_CONFIG, **config}
 
 
-def run_method(method, model, samples, config=None):
-    """Track a stream with one method; returns per-step configurations,
-    velocities, wall times, and an error string for aborted runs. An unknown
-    method or setting raises ``InvalidSetting``."""
+def run_method(method, model, samples, config=None) -> TrackResult:
+    """Track a stream with one method; returns its ``TrackResult``, with the
+    error set for a run that stopped early. An unknown method or setting
+    raises ``InvalidSetting``."""
     _check_method(method)
     merged = _merged_config(config)
     if "dt" not in merged:
         merged["dt"] = samples[1].t - samples[0].t if len(samples) > 1 else BaumgarteConfig.dt
-    return _RUNNERS[method](model, samples, merged)
+    solver = ActiveSetSolver(damping=merged["damping"])
+    if method != "dynamical":
+        return _run_instantaneous(method, model, samples, merged, solver)
+    gains, baumgarte = _dynamical_settings(merged, merged["dt"])
+    return track(model, samples, gains, baumgarte, solver=solver)
 
 
 # -- summaries and the benchmark sweep -----------------------------------------
@@ -459,12 +441,12 @@ class RunRecord:
     error: str | None = None
 
 
-def summarize_run(model, stream: TargetStream, qs, nus, times,
+def summarize_run(model, stream: TargetStream, run: TrackResult,
                   transient_discard=TRANSIENT_DISCARD) -> MetricsSummary:
-    """Per-step metrics of a run: ``qs[i]`` and ``nus[i]`` are scored against
-    sample i of the stream, in chunks of ``CHUNK`` steps, both scores at
-    ``qs[i]`` with its base projected onto SO(3)."""
-    count = len(qs)
+    """Per-step metrics of a run: row i of ``run`` is scored against sample i
+    of the stream, in chunks of ``CHUNK`` steps, both scores at its
+    configuration with the base projected onto SO(3)."""
+    count = len(run.step_time)
     if count:
         stream.check_model(model)
     mnte_series = np.zeros(count)
@@ -472,22 +454,23 @@ def summarize_run(model, stream: TargetStream, qs, nus, times,
     for lo in range(0, count, CHUNK):
         chunk = slice(lo, min(lo + CHUNK, count))
         mnte_series[chunk], rmse_series[chunk] = _scores(
-            model, qs[chunk], nus[chunk], stream.rotations[chunk], stream.ang_vels[chunk])
-    return MetricsSummary(stream.t[:count], mnte_series, rmse_series,
-                          np.asarray(times, dtype=float), transient_discard=transient_discard)
+            model, run.base_pos[chunk], run.base_rot[chunk], run.s[chunk], run.nu[chunk],
+            stream.rotations[chunk], stream.ang_vels[chunk])
+    return MetricsSummary(stream.t[:count], mnte_series, rmse_series, run.step_time,
+                          transient_discard=transient_discard)
 
 
 def _bench_cell(method, model_id, model, trajectory_id, samples, config, transient_discard):
     try:
-        qs, nus, times, error = run_method(method, model, samples, config)
+        run = run_method(method, model, samples, config)
     except InvalidSetting:
         raise  # a bad setting is the sweep's error, not the cell's
     except IkTrackError as e:
-        qs, nus, times, error = [], [], [], str(e)
-    metrics = summarize_run(model, samples, qs, nus, times, transient_discard)
+        run = TrackResult.of_steps(model, [], str(e))
+    metrics = summarize_run(model, samples, run, transient_discard)
     return RunRecord(method=method, model_id=model_id, trajectory_id=trajectory_id,
-                     config=dict(config or {}), metrics=metrics, steps=len(qs),
-                     failures=0 if error is None else 1, error=error)
+                     config=dict(config or {}), metrics=metrics, steps=len(run.step_time),
+                     failures=0 if run.error is None else 1, error=run.error)
 
 
 def run_benchmark(models, specs, methods, config=None, transient_discard=TRANSIENT_DISCARD):
@@ -496,9 +479,9 @@ def run_benchmark(models, specs, methods, config=None, transient_discard=TRANSIE
     ``models`` and ``specs`` are (id, value) pairs; streams are generated per
     (model, spec) cell. A method's failure is recorded in its cell, with the
     steps it completed. Two errors abort the sweep: an ``InvalidSetting``,
-    which an unknown method or setting or an unstable rho raises before any
-    stream is generated (a gain past its guard, in the first dynamical
-    cell), and the ``SpecInfeasible`` of a stream that cannot be generated.
+    which an unknown method or setting or a gain or rho past its stability
+    guard raises before any stream is generated, and the ``SpecInfeasible``
+    of a stream that cannot be generated.
     Returns the records in declaration order plus the results CSV.
     """
     if isinstance(methods, str) or not isinstance(methods, Iterable):
@@ -507,8 +490,8 @@ def run_benchmark(models, specs, methods, config=None, transient_discard=TRANSIE
     for method in methods:
         _check_method(method)
     merged = _merged_config(config)
-    for _, spec in specs:  # rho's stability guard, at every sample spacing
-        BaumgarteConfig(rho=merged["rho"], dt=merged.get("dt", spec.dt))
+    for _, spec in specs:  # the stability guards, at every sample spacing
+        _dynamical_settings(merged, merged.get("dt", spec.dt))
     records = []
     for model_id, model in models:
         for spec_id, spec in specs:

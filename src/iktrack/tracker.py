@@ -207,7 +207,6 @@ class SolverState:
     q: Configuration
     nu: Velocity
     last_active_set: tuple[int, ...] = ()
-    step_index: int = 0
     t: float | None = None
 
     @classmethod
@@ -288,15 +287,15 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     problem = LeastSquaresQP(jac, v_star, G, g, damping=solver.damping)
     solution = solver.solve(problem, warm_start=state.last_active_set)
     if solution.status is QPStatus.INFEASIBLE:
-        raise QPInfeasible(f"step {state.step_index}: constraints are inconsistent")
+        raise QPInfeasible("constraints are inconsistent")
     nu = solution.x
     if not np.isfinite(nu).all():
-        raise NonFiniteSolution(f"step {state.step_index}: the QP returned a non-finite "
-                                "velocity; the targets overflow float arithmetic")
+        raise NonFiniteSolution("the QP returned a non-finite velocity; the targets "
+                                "overflow float arithmetic")
     turn = dt * math.hypot(*nu[3:6].tolist())
     if turn >= math.pi:
-        raise NonFiniteSolution(f"step {state.step_index}: the base would turn {turn:.3g} rad "
-                                "in one sample, half a turn or more")
+        raise NonFiniteSolution(f"the base would turn {turn:.3g} rad in one sample, half a "
+                                "turn or more")
     residual_u = velocity - jac @ nu
     base_pos = state.q.base_pos + dt * nu[0:3]
     # nu carries the base angular velocity in the inertial frame; the
@@ -304,8 +303,8 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     base_rot = baumgarte_step(state.q.base_rot, state.q.base_rot.m.T @ nu[3:6], baumgarte)
     s = state.q.s + dt * nu[6:]
     if not np.isfinite(np.concatenate((base_pos, base_rot.ravel(), s))).all():
-        raise NonFiniteSolution(f"step {state.step_index}: the integrated configuration is "
-                                "not finite; the targets overflow float arithmetic")
+        raise NonFiniteSolution("the integrated configuration is not finite; the targets "
+                                "overflow float arithmetic")
     new_q = Configuration(base_pos=base_pos, base_rot=Rotation.drifting(base_rot), s=s)
     wall = time.perf_counter() - t_start
     active = (g - G @ nu <= ACTIVE_TOL) if G.shape[0] else np.zeros(0, dtype=bool)
@@ -313,17 +312,36 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
                         qp_status=solution.status, step_wall_time=wall,
                         constraint_active=active)
     new_state = SolverState(q=new_q, nu=Velocity.from_stacked(nu),
-                            last_active_set=solution.active_set,
-                            step_index=state.step_index + 1, t=sample.t)
+                            last_active_set=solution.active_set, t=sample.t)
     return new_state, report
 
 
 @dataclass(eq=False)
 class TrackResult:
-    configurations: list
-    velocities: list
-    reports: list
+    """A run of any method as arrays over time, row i for sample i:
+    ``base_pos`` (T, 3), ``base_rot`` (T, 3, 3), ``s`` (T, n), ``nu``
+    (T, 6 + n) and ``step_time`` (T,) in seconds, with ``error`` set when the
+    run stopped before its last sample."""
+
+    base_pos: np.ndarray
+    base_rot: np.ndarray
+    s: np.ndarray
+    nu: np.ndarray
+    step_time: np.ndarray
     error: str | None = None
+
+    @classmethod
+    def of_steps(cls, model: KinematicModel, steps, error: str | None = None) -> "TrackResult":
+        """The record of ``steps``, one (configuration, stacked velocity, wall
+        time) per completed sample; the shapes hold for no steps too."""
+        def stack(values, *tail):
+            return np.array(list(values), dtype=float).reshape(len(steps), *tail)
+
+        return cls(stack((q.base_pos for q, _, _ in steps), 3),
+                   stack((q.base_rot.m for q, _, _ in steps), 3, 3),
+                   stack((q.s for q, _, _ in steps), model.n),
+                   stack((nu for _, nu, _ in steps), 6 + model.n),
+                   stack(t for _, _, t in steps), error)
 
 
 def track(model: KinematicModel, stream, gains: GainConfig,
@@ -331,22 +349,21 @@ def track(model: KinematicModel, stream, gains: GainConfig,
           q0: Configuration | None = None) -> TrackResult:
     """Fold ``step`` over a fixed-rate sample stream.
 
-    Every sample is consumed exactly once; the first ``IkTrackError`` aborts
-    and the partial results are returned with the error recorded.
+    Every sample is consumed exactly once; the first ``IkTrackError`` aborts,
+    and the steps before it are returned with the error recorded as
+    ``step <i>: <message>``.
     """
-    result = TrackResult([], [], [])
+    steps, error = [], None
     solver = solver if solver is not None else ActiveSetSolver()
     state = None
-    for sample in stream:
+    for i, sample in enumerate(stream):
         try:
             if state is None:
                 start = q0 if q0 is not None else initial_configuration(model, sample)
                 state = SolverState.initial(model, start)
             state, report = step(state, sample, model, gains, baumgarte, solver)
         except IkTrackError as e:
-            result.error = str(e)
+            error = f"step {i}: {e}"
             break
-        result.configurations.append(state.q)
-        result.velocities.append(state.nu)
-        result.reports.append(report)
-    return result
+        steps.append((state.q, state.nu.stacked(), report.step_wall_time))
+    return TrackResult.of_steps(model, steps, error)

@@ -92,6 +92,17 @@ def unchecked_gains(model, dt, gain):
     return gains
 
 
+def run_configurations(run):
+    """The configurations of a ``TrackResult``, one per row."""
+    return [ik.Configuration(p, ik.Rotation.drifting(r), s)
+            for p, r, s in zip(run.base_pos, run.base_rot, run.s)]
+
+
+def run_velocities(run):
+    """The velocities of a ``TrackResult``, one per row."""
+    return [ik.Velocity.from_stacked(nu) for nu in run.nu]
+
+
 def rodrigues(axis, angle):
     """Independent axis-angle rotation for oracles."""
     a = np.asarray(axis, float)

@@ -15,7 +15,8 @@ from iktrack import (ActiveSetSolver, BaumgarteConfig, Configuration, GainConfig
                      Rotation, SolverState, TargetSample, TrajectorySpec)
 from iktrack.qp import LeastSquaresQP, QPStatus, solve_unconstrained
 
-from conftest import base_only_model, rodrigues, static_sample, unchecked_gains
+from conftest import (base_only_model, rodrigues, run_configurations, static_sample,
+                      unchecked_gains)
 from test_model import fd_stacked_jacobian
 from test_qp import enumerate_active_sets, random_feasible_instance
 
@@ -36,8 +37,20 @@ def criterion(label):
 def track_mnte(model, samples, gains):
     result = ik.track(model, samples, gains, BG)
     assert result.error is None, result.error
-    return np.array([ik.mnte(model, result.configurations[i], samples[i])
+    qs = run_configurations(result)
+    return np.array([ik.mnte(model, qs[i], samples[i])
                      for i in range(len(samples))]), result
+
+
+def fold_step(model, samples, gains, q0=None):
+    """(state, report) of each ``ik.step`` that ``ik.track`` folds over the
+    samples, from ``q0`` or the first sample's initial configuration."""
+    if q0 is None:
+        q0 = ik.initial_configuration(model, samples[0])
+    state, solver = SolverState.initial(model, q0), ActiveSetSolver()
+    for sample in samples:
+        state, report = ik.step(state, sample, model, gains, BG, solver)
+        yield state, report
 
 
 def test_criterion_01_static_pose_convergence(human66):
@@ -91,9 +104,8 @@ def test_criterion_03_decay_law(human66):
         q0 = Configuration(truth[0][0].base_pos + np.array([0.2, 0.0, 0.0]),
                            truth[0][0].base_rot, truth[0][0].s)
         gains = GainConfig.build(human66, dt=DT, gain=2.0)
-        result = ik.track(human66, samples[:51], gains, BG, q0=q0)
-        assert result.error is None
-        pos_norms = [float(np.linalg.norm(r.residual_r[:3])) for r in result.reports]
+        pos_norms = [float(np.linalg.norm(r.residual_r[:3]))
+                     for _, r in fold_step(human66, samples[:51], gains, q0=q0)]
         expected = 1.0 - 2.0 * DT
         for a, b in zip(pos_norms, pos_norms[1:]):
             if a <= 1e-6:
@@ -134,11 +146,10 @@ def test_criterion_04_constraint_containment(human48):
             spec = TrajectorySpec(kind="random_smooth", duration=20.0, dt=DT,
                                   amplitude=1.0, freq_band=(0.3, 1.0), seed=seed)
             _, samples = ik.generate_stream(source, spec)
-            result = ik.track(human48, samples, gains, BG)
-            assert result.error is None, result.error
-            worst = max(float(np.max(a @ q.s - b_q)) for q in result.configurations)
+            steps = list(fold_step(human48, samples, gains))
+            worst = max(float(np.max(a @ state.q.s - b_q)) for state, _ in steps)
             assert worst <= 1e-3
-            assert any(r.constraint_active.any() for r in result.reports)
+            assert any(r.constraint_active.any() for _, r in steps)
 
 
 def test_criterion_05_jacobian_correctness(human66):
@@ -198,10 +209,10 @@ def test_criterion_08_method_comparison(human66):
                               amplitude=0.5, freq_band=(1.5, 3.0), seed=9)
         _, samples = ik.generate_stream(human66, spec)
         config = {"stop_tol": 1e-5}
-        _, _, t_dyn, err_d = ik.run_method("dynamical", human66, samples, config)
-        _, _, t_wb, err_w = ik.run_method("whole-body", human66, samples, config)
-        assert err_d is None and err_w is None
-        t_dyn, t_wb = np.asarray(t_dyn), np.asarray(t_wb)
+        dyn = ik.run_method("dynamical", human66, samples, config)
+        wb = ik.run_method("whole-body", human66, samples, config)
+        assert dyn.error is None and wb.error is None
+        t_dyn, t_wb = dyn.step_time, wb.step_time
         med_dyn, med_wb = np.median(t_dyn), np.median(t_wb)
         spread_dyn = (np.percentile(t_dyn, 75) - np.percentile(t_dyn, 25)) / med_dyn
         spread_wb = (np.percentile(t_wb, 75) - np.percentile(t_wb, 25)) / med_wb
@@ -221,11 +232,11 @@ def test_criterion_09_tracking_accuracy(human48):
         spec = TrajectorySpec(kind="sinusoidal", duration=8.0, dt=DT,
                               amplitude=0.08, freq_band=(0.5, 1.5), seed=21)
         _, samples = ik.generate_stream(source, spec)
-        qd, nd, td, err_d = ik.run_method("dynamical", human48, samples)
-        qw, nw, tw, err_w = ik.run_method("whole-body", human48, samples)
-        assert err_d is None and err_w is None
-        m_dyn = ik.summarize_run(human48, samples, qd, nd, td, transient_discard=2.0)
-        m_wb = ik.summarize_run(human48, samples, qw, nw, tw, transient_discard=2.0)
+        dyn = ik.run_method("dynamical", human48, samples)
+        wb = ik.run_method("whole-body", human48, samples)
+        assert dyn.error is None and wb.error is None
+        m_dyn = ik.summarize_run(human48, samples, dyn, transient_discard=2.0)
+        m_wb = ik.summarize_run(human48, samples, wb, transient_discard=2.0)
         print(f"  dynamical MNTE {m_dyn.mnte_stats.median:.2e}, "
               f"RMSE {m_dyn.rmse_stats.median:.3f} rad/s "
               f"(whole-body {m_wb.rmse_stats.median:.3f} rad/s)")

@@ -11,7 +11,7 @@ from iktrack.harness import METHODS, run_method
 from iktrack.qp import _damped_normal_equations, _solve_normal
 
 from conftest import (hinge_model, inconsistent_model, residual_at, rodrigues,
-                      single_joint_model, static_sample, with_extra_rows)
+                      run_configurations, single_joint_model, static_sample, with_extra_rows)
 
 
 def bisection_oracle(f, lo, hi, tol=1e-12):
@@ -349,7 +349,8 @@ def test_inconsistent_constraints_are_reported(human48, method):
     model = inconsistent_model(human48)
     spec = ik.TrajectorySpec(kind="sinusoidal", duration=0.1, dt=0.01, amplitude=0.3, seed=5)
     _, samples = ik.generate_stream(model, spec)
-    qs, _, _, error = run_method(method, model, samples)
+    run = run_method(method, model, samples)
+    qs, error = run_configurations(run), run.error
     if method == "dynamical":
         assert (qs, error) == ([], "step 0: constraints are inconsistent")
     else:
@@ -367,7 +368,8 @@ def test_binding_coupled_row_is_met(human48, method):
     spec = ik.TrajectorySpec(kind="sinusoidal", duration=0.2, dt=0.01, amplitude=0.3, seed=1)
     truth, samples = ik.generate_stream(model, spec)
     assert max(float(ec.a[0] @ q.s) for q, _ in truth) > 0.1
-    qs, _, _, error = run_method(method, model, samples)
+    run = run_method(method, model, samples)
+    qs, error = run_configurations(run), run.error
     assert error is None and len(qs) == len(samples)
     viol = np.array([model.constraint_matrix @ q.s - model.config_bounds for q in qs])
     assert viol.max() <= 1e-9

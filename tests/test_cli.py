@@ -188,7 +188,14 @@ def test_rho_at_the_guard_runs(model_file, spec_file, tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 0
 
 
-def test_bench_unstable_rho_is_a_usage_error(model_file, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("setting, message", [
+    ({"rho": 210.0}, "stability guard: rho * dt must be <= 1, got 210.0 * 0.01"),
+    ({"gain": 200.0}, "stability guard: gain * dt must be <= 1, got 200.0 * 0.01"),
+], ids=["rho", "gain"])
+def test_bench_unstable_rho_is_a_usage_error(model_file, tmp_path, capsys, monkeypatch,
+                                             setting, message):
+    """A gain or rho past its guard stops a sweep that runs no dynamical
+    method, before any stream is generated."""
     def generate(*_):
         raise AssertionError("a stream was generated")
     monkeypatch.setattr(ik.harness, "generate_stream", generate)
@@ -198,12 +205,11 @@ def test_bench_unstable_rho_is_a_usage_error(model_file, tmp_path, capsys, monke
         "specs": [{"id": "static", "kind": "static_pose", "duration": 0.05,
                    "dt": 0.01, "amplitude": 0.1, "seed": 3}],
         "methods": ["whole-body"],
-        "config": {"rho": 210.0},
+        "config": setting,
     }))
     out_dir = tmp_path / "results"
     assert main(["bench", "--config", str(config), "--out", str(out_dir)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "usage error: stability guard: rho * dt must be <= 1, got 210.0 * 0.01"]
+    assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
     assert not out_dir.exists()
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -16,8 +17,8 @@ from iktrack.errors import (DegenerateMatrix, ParseError, QPInfeasible, SchemaMi
 from iktrack._kernels import orthonormality_errors
 from iktrack.harness import CHUNK, METHODS
 
-from conftest import (base_only_model, branched_model, rodrigues, single_joint_model,
-                      static_sample, target_poses)
+from conftest import (base_only_model, branched_model, rodrigues, run_configurations,
+                      run_velocities, single_joint_model, static_sample, target_poses)
 
 
 class TestMetrics:
@@ -238,44 +239,47 @@ class TestChunkedPipeline:
         spec = TrajectorySpec(kind="random_smooth", duration=0.01 * length, dt=0.01,
                               amplitude=0.3, seed=15)
         _, samples = generate_stream(model, spec)
-        qs, nus, times, _ = run_method("dynamical", model, samples)
+        tracked = run_method("dynamical", model, samples)
         # a drifting base: scaled and sheared off SO(3), as the integrator may leave it
         rng = np.random.default_rng(length)
-        drifting = [Configuration(q.base_pos, Rotation.drifting(
-            q.base_rot.m @ (1.01 * np.eye(3) + 0.003 * rng.normal(size=(3, 3)))), q.s)
-            for q in qs]
-        for run in (qs, drifting):
-            summary = summarize_run(model, samples, run, nus, times)
-            for i, (q, nu, sample) in enumerate(zip(run, nus, samples)):
+        drifting = dataclasses.replace(tracked, base_rot=np.array([
+            r @ (1.01 * np.eye(3) + 0.003 * rng.normal(size=(3, 3)))
+            for r in tracked.base_rot]).reshape(-1, 3, 3))
+        nus = run_velocities(tracked)
+        for run in (tracked, drifting):
+            summary = summarize_run(model, samples, run)
+            for i, (q, nu, sample) in enumerate(zip(run_configurations(run), nus, samples)):
                 expected = per_sample_scores(model, q, nu, sample)
                 assert (summary.mnte_series[i], summary.rmse_series[i]) == expected
                 assert (mnte(model, q, sample), rmse_angvel(model, q, nu, sample)) == expected
 
 
+def truth_run(model, truth):
+    """The ground truth of ``generate_stream`` as a ``TrackResult`` with zero
+    step times."""
+    return ik.TrackResult.of_steps(model, [(q, nu.stacked(), 0.0) for q, nu in truth])
+
+
 def test_summary_rejects_a_reflecting_base_inside_a_chunk(human66):
     spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01, amplitude=0.1, seed=3)
     truth, samples = generate_stream(human66, spec)
-    qs = [q for q, _ in truth]
-    nus = [nu for _, nu in truth]
-    qs[2] = Configuration(qs[2].base_pos, Rotation.drifting(np.diag([1.0, 1.0, -1.0])),
-                          qs[2].s)
+    run = truth_run(human66, truth)
+    run.base_rot[2] = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(DegenerateMatrix):
-        summarize_run(human66, samples, qs, nus, np.zeros(len(qs)))
+        summarize_run(human66, samples, run)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_scores_reject_a_non_finite_drifting_base(human66, value):
     spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01, amplitude=0.1, seed=3)
     truth, samples = generate_stream(human66, spec)
-    qs = [q for q, _ in truth]
-    nus = [nu for _, nu in truth]
-    base = np.eye(3)
-    base[0, 0] = value
-    qs[2] = Configuration(qs[2].base_pos, Rotation.drifting(base), qs[2].s)
+    run = truth_run(human66, truth)
+    run.base_rot[2] = np.eye(3)
+    run.base_rot[2, 0, 0] = value
     with pytest.raises(DegenerateMatrix):
-        mnte(human66, qs[2], samples[2])
+        mnte(human66, run_configurations(run)[2], samples[2])
     with pytest.raises(DegenerateMatrix):
-        summarize_run(human66, samples, qs, nus, np.zeros(len(qs)))
+        summarize_run(human66, samples, run)
 
 
 def test_no_orientation_targets_score_zero():
@@ -284,9 +288,10 @@ def test_no_orientation_targets_score_zero():
     m = base_only_model()
     spec = TrajectorySpec(kind="sinusoidal", duration=0.05, dt=0.01, amplitude=0.1, seed=3)
     _, samples = generate_stream(m, spec)
-    qs, nus, times, error = run_method("dynamical", m, samples)
+    run = run_method("dynamical", m, samples)
+    qs, nus, error = run_configurations(run), run_velocities(run), run.error
     assert error is None and len(qs) == 5
-    summary = summarize_run(m, samples, qs, nus, times)
+    summary = summarize_run(m, samples, run)
     assert np.array_equal(summary.mnte_series, np.zeros(5))
     assert np.array_equal(summary.rmse_series, np.zeros(5))
     for q, nu, sample in zip(qs, nus, samples):
@@ -313,7 +318,8 @@ def test_velocity_stage_equals_the_finite_rows_only(human48):
     spec = TrajectorySpec(kind="random_smooth", duration=1.0, dt=0.01, amplitude=0.4,
                           freq_band=(3.0, 5.0), seed=5)
     _, stream = generate_stream(human48, spec)
-    qs, nus, _, error = run_method("whole-body", human48, stream)
+    run = run_method("whole-body", human48, stream)
+    qs, nus, error = run_configurations(run), run_velocities(run), run.error
     assert error is None
     solver = ik.ActiveSetSolver()
     bound = 0
@@ -562,7 +568,10 @@ class TestBenchmark:
         spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01,
                               amplitude=0.1, seed=3)
         _, stream = ik.generate_stream(human66, spec)
-        assert ik.run_method(method, human66, stream[:0]) == ([], [], [], None)
+        run = ik.run_method(method, human66, stream[:0])
+        shapes = [a.shape for a in (run.base_pos, run.base_rot, run.s, run.nu, run.step_time)]
+        assert (shapes, run.error) == ([(0, 3), (0, 3, 3), (0, human66.n),
+                                        (0, 6 + human66.n), (0,)], None)
 
     def test_empty_method_list(self, human66):
         spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01,
@@ -609,7 +618,7 @@ class TestBenchmark:
                               amplitude=0.1, seed=3)
         _, stream = ik.generate_stream(human66, spec)
         config = {"stop_tol": 1e-5, "max_iters": 5, "lm_lambda0": 1e-2, "dt": 0.01}
-        assert ik.run_method("dynamical", human66, stream, config)[3] is None
+        assert ik.run_method("dynamical", human66, stream, config).error is None
 
     def test_cross_product_order(self, human66, human48):
         spec_a = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01,
@@ -632,15 +641,27 @@ class TestBenchmark:
         spec = TrajectorySpec(kind="sinusoidal", duration=0.1, dt=0.01, amplitude=0.3, seed=1)
         _, stream = ik.generate_stream(model, spec)
         config = {"damping": 0.0}
-        qs, _, _, error = run_method("dynamical", model, stream, config)
-        assert qs == [] and "singular" in error
-        for method in ("whole-body", "pairwise"):
-            qs, _, _, error = run_method(method, model, stream, config)
-            assert (qs, error) == ([], "step 0: normal matrix is singular; use a positive "
-                                       "damping")
+        for method in METHODS:
+            run = run_method(method, model, stream, config)
+            assert (len(run.step_time), run.error) == (
+                0, "step 0: normal matrix is singular; use a positive damping")
         records, _ = run_benchmark([("coincident", model)], [("sin", spec)], METHODS, config)
         assert [(r.steps, r.failures) for r in records] == [(0, 1)] * len(METHODS)
         assert all("singular" in r.error for r in records)
+
+    @pytest.mark.parametrize("method", ["dynamical", "whole-body"])
+    def test_targets_the_model_lacks_stop_the_run_at_step_0(self, human66, method):
+        """A stream with one orientation target more than the model declares
+        stops a run of either method at sample 0, with the error recorded,
+        not raised."""
+        model = ik.KinematicModel(human66.links, human66.joints, human66.base_link,
+                                  position_targets=human66.position_target_frames,
+                                  orientation_targets=human66.orientation_target_frames[:-1])
+        spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01, amplitude=0.1, seed=3)
+        _, stream = ik.generate_stream(human66, spec)
+        run = run_method(method, model, stream)
+        assert (len(run.step_time), run.error) == (
+            0, "step 0: sample has 1 position / 23 orientation targets, model declares 1 / 22")
 
     def test_baseline_abort_keeps_completed_samples(self, human66, monkeypatch):
         """A whole-body run whose solve fails at sample 3 returns the three
@@ -658,12 +679,13 @@ class TestBenchmark:
             return solve(model, sample, q, cfg)
 
         monkeypatch.setattr(ik.harness, "solve_whole_body", failing)
-        qs, nus, times, error = run_method("whole-body", human66, stream)
+        run = run_method("whole-body", human66, stream)
+        error = run.error
         assert error == "step 3: the joint constraints A s <= b_q are inconsistent"
-        assert (len(qs), len(nus), len(times)) == (3, 3, 3)
-        for q, nu, q_full, nu_full in zip(qs, nus, full[0], full[1]):
-            for a, b in zip((q.base_pos, q.base_rot.m, q.s, nu.stacked()),
-                            (q_full.base_pos, q_full.base_rot.m, q_full.s, nu_full.stacked())):
+        assert (len(run.s), len(run.nu), len(run.step_time)) == (3, 3, 3)
+        for k in range(3):
+            for a, b in zip((run.base_pos[k], run.base_rot[k], run.s[k], run.nu[k]),
+                            (full.base_pos[k], full.base_rot[k], full.s[k], full.nu[k])):
                 assert np.array_equal(a, b)
         calls.clear()
         records, table = run_benchmark([("h66", human66)], [("sin", spec)], ["whole-body"])

@@ -23,8 +23,9 @@ are timed in alternation:
 - per round, the set-up stages once on each side, in the same alternation:
   ``load_model``, ``generate_stream``, ``save_stream``, ``load_stream``,
   ``run_method`` (the workload's method over that stream, compared on its
-  configurations and velocities) and ``summarize_run`` (on that run, also
-  compared on its MNTE and RMSE series each on its own, under ``parts``).
+  record's configuration and velocity arrays) and ``summarize_run`` (on that
+  run, also compared on its MNTE and RMSE series each on its own, under
+  ``parts``).
 
 The JSON output holds, per workload and stage, both sides' median and
 quartiles in microseconds, the ratio of the medians (change / parent), the
@@ -253,8 +254,8 @@ def _per_sample(stages, passes, dynamical):
             for side in SIDES:
                 history[side].append(starts[side])
             if len(history["parent"]) >= chunk:
-                batch = {side: pair[side].ik.harness._stacked_configurations(
-                    history[side][-chunk:]) for side in SIDES}
+                batch = {side: [np.array(part) for part in zip(
+                    *map(_q_arrays, history[side][-chunk:]))] for side in SIDES}
                 fk_chunk.alternate(index, {side: (lambda s=side: pair[s].model.fk_batch(
                     *batch[s])) for side in SIDES})
             index += 1
@@ -294,10 +295,9 @@ def _set_up(stages, iks, spec, fixtures, seed, rounds, workdir):
                        key=_stream_arrays)
         runs = stage("run_method",
                      lambda s: iks[s].run_method(method, models[s], loaded[s], config),
-                     key=lambda run: ([_q_arrays(q) for q in run[0]],
-                                      [nu.stacked() for nu in run[1]]))
+                     key=lambda run: (run.base_pos, run.base_rot, run.s, run.nu))
         stage("summarize_run",
-              lambda s: iks[s].summarize_run(models[s], loaded[s], *runs[s][:3]),
+              lambda s: iks[s].summarize_run(models[s], loaded[s], runs[s]),
               key=lambda m: (m.mnte_series, m.rmse_series),
               parts={"mnte_series": lambda m: m.mnte_series,
                      "rmse_series": lambda m: m.rmse_series})
