@@ -211,7 +211,7 @@ def _solve_subsystem(model, sub, target_rel, s_init, cfg):
         return rel.T @ axes.T  # 3 x n_sub
 
     def update(s, delta):
-        return np.clip(s + delta, lo, hi)
+        return np.minimum(np.maximum(s + delta, lo), hi)
 
     s, err, iterations = _damped_gauss_newton(s_init[idx], evaluate, jacobian, update, cfg)
     return s, SubsystemReport(tip_frame=sub.tip_frame, iterations=iterations,

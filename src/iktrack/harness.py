@@ -310,20 +310,22 @@ def _velocity_stage(model, q, sample, solver):
     return sol.x
 
 
-def _dynamical_settings(config, dt):
-    """The gains and drift correction of a merged config at sample spacing
-    ``dt``; ``InvalidSetting`` past either stability guard."""
+def _settings(config, dt):
+    """The gains, drift correction, QP solver and iterative-baseline settings
+    of a merged config at sample spacing ``dt``; ``InvalidSetting`` for a
+    value out of range or past a stability guard."""
     return (GainConfig(gain=config["gain"], limit_slope=config["limit_slope"],
                        vel_bound_default=config["vel_bound_default"], dt=dt),
-            BaumgarteConfig(rho=config["rho"], dt=dt))
+            BaumgarteConfig(rho=config["rho"], dt=dt),
+            ActiveSetSolver(damping=config["damping"]),
+            InstantaneousConfig(stop_tol=config["stop_tol"], max_iters=config["max_iters"],
+                                lm_lambda0=config["lm_lambda0"]))
 
 
-def _run_instantaneous(method, model, samples, config, solver):
+def _run_instantaneous(method, model, samples, cfg, solver):
     """Solve each sample from the last with the method's per-sample solve;
     the first ``IkTrackError`` stops the run, which returns the samples it
     completed and the error, as ``track``."""
-    cfg = InstantaneousConfig(stop_tol=config["stop_tol"], max_iters=config["max_iters"],
-                              lm_lambda0=config["lm_lambda0"])
     subsystems = decompose_pairwise(model) if method == "pairwise" else None
     steps = []
     q = None
@@ -364,16 +366,15 @@ def _merged_config(config):
 
 def run_method(method, model, samples, config=None) -> TrackResult:
     """Track a stream with one method; returns its ``TrackResult``, with the
-    error set for a run that stopped early. An unknown method or setting
-    raises ``InvalidSetting``."""
+    error set for a run that stopped early. An unknown method, or a setting
+    of any method unknown or out of range, raises ``InvalidSetting``."""
     _check_method(method)
     merged = _merged_config(config)
     if "dt" not in merged:
         merged["dt"] = samples[1].t - samples[0].t if len(samples) > 1 else BaumgarteConfig.dt
-    solver = ActiveSetSolver(damping=merged["damping"])
+    gains, baumgarte, solver, cfg = _settings(merged, merged["dt"])
     if method != "dynamical":
-        return _run_instantaneous(method, model, samples, merged, solver)
-    gains, baumgarte = _dynamical_settings(merged, merged["dt"])
+        return _run_instantaneous(method, model, samples, cfg, solver)
     return track(model, samples, gains, baumgarte, solver=solver)
 
 
@@ -383,18 +384,13 @@ def run_method(method, model, samples, config=None) -> TrackResult:
 class SeriesStats:
     median: float
     p95: float
-    iqr: float
-    mean: float
-    count: int
 
     @classmethod
     def of(cls, values) -> "SeriesStats":
         values = np.asarray(values, dtype=float)
         if values.size == 0:
-            return cls(math.nan, math.nan, math.nan, math.nan, 0)
-        q25, q75 = np.percentile(values, [25.0, 75.0])
-        return cls(median=float(np.median(values)), p95=float(np.percentile(values, 95.0)),
-                   iqr=float(q75 - q25), mean=float(values.mean()), count=int(values.size))
+            return cls(math.nan, math.nan)
+        return cls(median=float(np.median(values)), p95=float(np.percentile(values, 95.0)))
 
 
 @dataclass(eq=False)
@@ -479,9 +475,9 @@ def run_benchmark(models, specs, methods, config=None, transient_discard=TRANSIE
     ``models`` and ``specs`` are (id, value) pairs; streams are generated per
     (model, spec) cell. A method's failure is recorded in its cell, with the
     steps it completed. Two errors abort the sweep: an ``InvalidSetting``,
-    which an unknown method or setting or a gain or rho past its stability
-    guard raises before any stream is generated, and the ``SpecInfeasible``
-    of a stream that cannot be generated.
+    which an unknown method, a setting unknown or out of range, or a gain or
+    rho past its stability guard raises before any stream is generated, and
+    the ``SpecInfeasible`` of a stream that cannot be generated.
     Returns the records in declaration order plus the results CSV.
     """
     if isinstance(methods, str) or not isinstance(methods, Iterable):
@@ -490,8 +486,8 @@ def run_benchmark(models, specs, methods, config=None, transient_discard=TRANSIE
     for method in methods:
         _check_method(method)
     merged = _merged_config(config)
-    for _, spec in specs:  # the stability guards, at every sample spacing
-        _dynamical_settings(merged, merged.get("dt", spec.dt))
+    for _, spec in specs:  # every setting, at every sample spacing
+        _settings(merged, merged.get("dt", spec.dt))
     records = []
     for model_id, model in models:
         for spec_id, spec in specs:

@@ -22,7 +22,6 @@ from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
 from .so3 import BaumgarteConfig, Rotation, baumgarte_step
 
 RATE_TOL = 1e-9
-ACTIVE_TOL = 1e-6
 
 
 _FIELDS = ("t", "positions", "rotations", "lin_vels", "ang_vels")
@@ -217,15 +216,13 @@ class SolverState:
 @dataclass(eq=False)
 class StepReport:
     """Pre-update diagnostics for one step: the pose residual r fed back
-    (``KinematicModel.pose_residual_arrays``), the velocity residual
-    u = v - J nu, the QP's status,
-    the step's wall time and which limit rows ended active."""
+    (``KinematicModel.pose_residual_arrays``), the QP's status and the
+    step's wall time. The limit rows that ended active are the new state's
+    ``last_active_set``."""
 
     residual_r: np.ndarray
-    residual_u: np.ndarray
     qp_status: QPStatus
     step_wall_time: float
-    constraint_active: np.ndarray
 
 
 def initial_configuration(model: KinematicModel, sample: TargetSample) -> Configuration:
@@ -239,12 +236,9 @@ def initial_configuration(model: KinematicModel, sample: TargetSample) -> Config
 
 
 def corrected_velocity(sample: TargetSample, residual: np.ndarray,
-                       gains: GainConfig, velocity: np.ndarray | None = None) -> np.ndarray:
-    """Velocity targets with the residual fed back through the gain; ``velocity``
-    is ``sample.velocity_stack()`` when the caller already holds it."""
-    if velocity is None:
-        velocity = sample.velocity_stack()
-    return velocity + gains.gain * residual
+                       gains: GainConfig) -> np.ndarray:
+    """Velocity targets with the residual fed back through the gain."""
+    return sample.velocity_stack() + gains.gain * residual
 
 
 def build_limit_constraints(model: KinematicModel, q: Configuration,
@@ -273,7 +267,7 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     that, R (I + dt S(omega)) of an orthonormal R has determinant 1 + (dt |omega|)^2."""
     dt = gains.dt
     if abs(baumgarte.dt - dt) > RATE_TOL:
-        raise ValueError("baumgarte.dt differs from gains.dt")
+        raise InvalidSetting("baumgarte.dt differs from gains.dt")
     sample.check_model(model)
     if state.t is not None and abs(sample.t - state.t - dt) > RATE_TOL:
         raise StaleSample(f"sample at t={sample.t} after state t={state.t}, dt={dt}")
@@ -281,8 +275,7 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     fk = model.fk_arrays(state.q)
     residual = model.pose_residual_arrays(fk, sample.positions, sample.rotations)
     jac = model.stacked_jacobian(state.q, fk=fk)
-    velocity = sample.velocity_stack()
-    v_star = corrected_velocity(sample, residual, gains, velocity)
+    v_star = corrected_velocity(sample, residual, gains)
     G, g = build_limit_constraints(model, state.q, gains)
     problem = LeastSquaresQP(jac, v_star, G, g, damping=solver.damping)
     solution = solver.solve(problem, warm_start=state.last_active_set)
@@ -296,7 +289,6 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     if turn >= math.pi:
         raise NonFiniteSolution(f"the base would turn {turn:.3g} rad in one sample, half a "
                                 "turn or more")
-    residual_u = velocity - jac @ nu
     base_pos = state.q.base_pos + dt * nu[0:3]
     # nu carries the base angular velocity in the inertial frame; the
     # integrator steps R + dt R S(omega), so it takes omega in the base frame
@@ -306,11 +298,8 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
         raise NonFiniteSolution("the integrated configuration is not finite; the targets "
                                 "overflow float arithmetic")
     new_q = Configuration(base_pos=base_pos, base_rot=Rotation.drifting(base_rot), s=s)
-    wall = time.perf_counter() - t_start
-    active = (g - G @ nu <= ACTIVE_TOL) if G.shape[0] else np.zeros(0, dtype=bool)
-    report = StepReport(residual_r=residual, residual_u=residual_u,
-                        qp_status=solution.status, step_wall_time=wall,
-                        constraint_active=active)
+    report = StepReport(residual_r=residual, qp_status=solution.status,
+                        step_wall_time=time.perf_counter() - t_start)
     new_state = SolverState(q=new_q, nu=Velocity.from_stacked(nu),
                             last_active_set=solution.active_set, t=sample.t)
     return new_state, report
@@ -351,7 +340,8 @@ def track(model: KinematicModel, stream, gains: GainConfig,
 
     Every sample is consumed exactly once; the first ``IkTrackError`` aborts,
     and the steps before it are returned with the error recorded as
-    ``step <i>: <message>``.
+    ``step <i>: <message>``. An ``InvalidSetting`` is the caller's error, not
+    a sample's, and is raised.
     """
     steps, error = [], None
     solver = solver if solver is not None else ActiveSetSolver()
@@ -362,6 +352,8 @@ def track(model: KinematicModel, stream, gains: GainConfig,
                 start = q0 if q0 is not None else initial_configuration(model, sample)
                 state = SolverState.initial(model, start)
             state, report = step(state, sample, model, gains, baumgarte, solver)
+        except InvalidSetting:
+            raise
         except IkTrackError as e:
             error = f"step {i}: {e}"
             break

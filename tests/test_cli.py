@@ -191,11 +191,14 @@ def test_rho_at_the_guard_runs(model_file, spec_file, tmp_path):
 @pytest.mark.parametrize("setting, message", [
     ({"rho": 210.0}, "stability guard: rho * dt must be <= 1, got 210.0 * 0.01"),
     ({"gain": 200.0}, "stability guard: gain * dt must be <= 1, got 200.0 * 0.01"),
-], ids=["rho", "gain"])
+    ({"stop_tol": -1}, "stop_tol must be a positive finite number, got -1"),
+    ({"damping": -1}, "damping must be a non-negative finite number, got -1"),
+], ids=["rho", "gain", "stop_tol", "damping"])
 def test_bench_unstable_rho_is_a_usage_error(model_file, tmp_path, capsys, monkeypatch,
                                              setting, message):
-    """A gain or rho past its guard stops a sweep that runs no dynamical
-    method, before any stream is generated."""
+    """A setting out of range, or a gain or rho past its guard, stops a
+    sweep before any stream is generated, whether or not a method reads it:
+    the sweep here runs no dynamical method."""
     def generate(*_):
         raise AssertionError("a stream was generated")
     monkeypatch.setattr(ik.harness, "generate_stream", generate)

@@ -6,7 +6,8 @@ import pytest
 import iktrack as ik
 from iktrack import (ActiveSetSolver, BaumgarteConfig, Configuration, GainConfig,
                      Rotation, SolverState, TargetSample, tracker)
-from iktrack.errors import NonFiniteSolution, QPInfeasible, SchemaMismatch, StaleSample
+from iktrack.errors import (InvalidSetting, NonFiniteSolution, QPInfeasible, SchemaMismatch,
+                            StaleSample)
 from iktrack.tracker import (build_limit_constraints, corrected_velocity,
                              initial_configuration, step, track)
 
@@ -225,6 +226,19 @@ class TestStep:
         with pytest.raises(StaleSample):
             step(state, static_sample(human66, q, t=0.5), human66,
                  gains, baumgarte, solver)
+
+    def test_mismatched_sample_spacing_is_a_setting_error(self, human66):
+        """Gains and drift correction at different sample spacings are the
+        caller's error: ``step`` raises it, and ``track`` raises it rather
+        than recording it as the first sample's."""
+        gains, baumgarte = GainConfig(dt=0.01), BaumgarteConfig(dt=0.02)
+        q = Configuration.zeros(human66)
+        sample = static_sample(human66, q)
+        with pytest.raises(InvalidSetting, match="^baumgarte.dt differs from gains.dt$"):
+            step(SolverState.initial(human66, q), sample, human66, gains, baumgarte,
+                 ActiveSetSolver())
+        with pytest.raises(InvalidSetting, match="^baumgarte.dt differs from gains.dt$"):
+            track(human66, [sample], gains, baumgarte)
 
     def test_infeasible_constraints_propagate(self):
         m = single_joint_model(pos_limits=(-0.5, 0.5), vel_limit=1.0)

@@ -22,9 +22,13 @@ verdict against its ``bound``, a fraction of the parent's median: "worse
 beyond bound" when the change's median is worse than the parent's by more
 than that; otherwise "unresolved" when the parent's interquartile distance
 exceeds it and not every change run beats every parent run; otherwise
-"within bound". The workloads, the metrics' directions and the bounds are
-read from the change checkout's ``BENCHMARK.json``. The JSON summary holds
-the same figures.
+"within bound". Every metric also gets a gain verdict: "met" when the change
+wins at least nine tenths of the pairs (ties counting for neither side), its
+median is better than the parent's by more than the parent's interquartile
+distance, and it failed no more samples than the parent on that workload;
+otherwise "not met". The workloads, the metrics' directions and the bounds
+are read from the change checkout's ``BENCHMARK.json``. The JSON summary
+holds the same figures.
 """
 import argparse
 import json
@@ -101,6 +105,16 @@ def verdict(parent, change, bound, higher):
     return "within bound"
 
 
+def gain(parent, change, higher, parent_failed, change_failed):
+    """The gain verdict of one metric over the pairs' parent and change
+    values and each side's failed samples (see the module docstring)."""
+    wins = np.sum(change > parent if higher else change < parent)
+    q25, q75 = np.percentile(parent, [25, 75])
+    better = float(np.median(change) - np.median(parent)) * (1 if higher else -1)
+    met = 10 * wins >= 9 * len(parent) and better > q75 - q25 and change_failed <= parent_failed
+    return "met" if met else "not met"
+
+
 def run_once(checkout, workload, seed, seconds, trace):
     """One benchmark run; returns its JSON result (the last line of its
     standard output)."""
@@ -148,7 +162,10 @@ def summarise(runs, declared):
                            "change_q75": float(np.percentile(change, 75)),
                            "difference": difference, "parent_iqr": float(q75 - q25),
                            "exceeds_parent_iqr": bool(abs(difference) > q75 - q25),
-                           "change_wins": wins, "pairs": len(pairs)}
+                           "change_wins": wins, "pairs": len(pairs),
+                           "gain": gain(parent, change, higher,
+                                        entry["parent"]["failed_samples"],
+                                        entry["change"]["failed_samples"])}
             if name in bounds:
                 entry[name]["verdict"] = verdict(parent, change, bounds[name], higher)
         summary[f"{workload} traced" if trace else workload] = entry
@@ -170,7 +187,7 @@ def report(summary):
                   f"[{s['change_q25']:.6g}, {s['change_q75']:.6g}]  "
                   f"diff {s['difference']:+.6g} vs IQR {s['parent_iqr']:.6g} "
                   f"({'exceeds' if s['exceeds_parent_iqr'] else 'within'})  "
-                  f"wins {s['change_wins']}/{s['pairs']}"
+                  f"wins {s['change_wins']}/{s['pairs']}  gain {s['gain']}"
                   + (f"  {s['verdict']}" if "verdict" in s else ""))
 
 
