@@ -7,7 +7,7 @@ import json
 import math
 import time
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .errors import (IkTrackError, InvalidSetting, ParseError, QPInfeasible, Sch
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
 from .so3 import BaumgarteConfig, Rotation, project_stack_to_so3
-from .tracker import (GainConfig, TargetSample, TargetStream, TrackResult, _check_counts,
-                      initial_configuration, track)
+from .tracker import GainConfig, TargetSample, TargetStream, TrackResult, _check_counts, track
 
 METHODS = ("dynamical", "whole-body", "pairwise")
 
@@ -296,13 +295,13 @@ def load_stream(path) -> TargetStream:
 
 # -- per-method runners ----------------------------------------------------------
 
-def _velocity_stage(model, q, sample, solver):
+def _velocity_stage(model, q, sample, gains, solver):
     """Differential-kinematics inversion at a solved configuration, under the
     constant joint-velocity bounds: the model's limit rows, where an unbounded
-    row's stand-in bound, ``GainConfig.vel_bound_default`` (1e3 rad/s), is
-    beyond any human joint speed, so that row does not bind. Inconsistent
+    row's stand-in bound, ``gains.vel_bound_default`` (1e3 rad/s by default),
+    is beyond any human joint speed, so that row does not bind. Inconsistent
     rows raise ``QPInfeasible``."""
-    G, g = model.limit_rows(GainConfig.vel_bound_default)
+    G, g = model.limit_rows(gains.vel_bound_default)
     sol = solver.solve(LeastSquaresQP(model.stacked_jacobian(q), sample.velocity_stack(), G, g,
                                       damping=solver.damping))
     if sol.status is QPStatus.INFEASIBLE:
@@ -320,28 +319,6 @@ def _settings(config, dt):
             ActiveSetSolver(damping=config["damping"]),
             InstantaneousConfig(stop_tol=config["stop_tol"], max_iters=config["max_iters"],
                                 lm_lambda0=config["lm_lambda0"]))
-
-
-def _run_instantaneous(method, model, samples, cfg, solver):
-    """Solve each sample from the last with the method's per-sample solve;
-    the first ``IkTrackError`` stops the run, which returns the samples it
-    completed and the error, as ``track``."""
-    subsystems = decompose_pairwise(model) if method == "pairwise" else None
-    steps = []
-    q = None
-    for i, sample in enumerate(samples):
-        try:
-            q = initial_configuration(model, sample) if q is None else q
-            t0 = time.perf_counter()
-            if subsystems is None:
-                q = solve_whole_body(model, sample, q, cfg).q
-            else:
-                q = solve_pairwise(model, sample, q, cfg, subsystems=subsystems)[0]
-            nu = _velocity_stage(model, q, sample, solver)
-        except IkTrackError as e:
-            return TrackResult.of_steps(model, steps, f"step {i}: {e}")
-        steps.append((q, nu, time.perf_counter() - t0))
-    return TrackResult.of_steps(model, steps)
 
 
 def _check_method(method):
@@ -373,9 +350,22 @@ def run_method(method, model, samples, config=None) -> TrackResult:
     if "dt" not in merged:
         merged["dt"] = samples[1].t - samples[0].t if len(samples) > 1 else BaumgarteConfig.dt
     gains, baumgarte, solver, cfg = _settings(merged, merged["dt"])
-    if method != "dynamical":
-        return _run_instantaneous(method, model, samples, cfg, solver)
-    return track(model, samples, gains, baumgarte, solver=solver)
+    if method == "dynamical":
+        return track(model, samples, gains, baumgarte, solver=solver)
+    subsystems = decompose_pairwise(model) if method == "pairwise" else None
+
+    def advance(q, sample):
+        """Solve a sample from the last configuration with the method's
+        per-sample solve, then its velocity."""
+        t0 = time.perf_counter()
+        if subsystems is None:
+            q = solve_whole_body(model, sample, q, cfg).q
+        else:
+            q = solve_pairwise(model, sample, q, cfg, subsystems=subsystems)[0]
+        nu = _velocity_stage(model, q, sample, gains, solver)
+        return q, nu, time.perf_counter() - t0
+
+    return TrackResult.of_run(model, samples, advance)
 
 
 # -- summaries and the benchmark sweep -----------------------------------------
@@ -462,7 +452,7 @@ def _bench_cell(method, model_id, model, trajectory_id, samples, config, transie
     except InvalidSetting:
         raise  # a bad setting is the sweep's error, not the cell's
     except IkTrackError as e:
-        run = TrackResult.of_steps(model, [], str(e))
+        run = replace(TrackResult.of_run(model, [], None), error=str(e))
     metrics = summarize_run(model, samples, run, transient_discard)
     return RunRecord(method=method, model_id=model_id, trajectory_id=trajectory_id,
                      config=dict(config or {}), metrics=metrics, steps=len(run.step_time),

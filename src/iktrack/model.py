@@ -142,8 +142,9 @@ class KinematicModel:
                     raise ValidationError("inverted limits", j.name)
             if j.vel_limit is not None and not j.vel_limit > 0.0:
                 raise ValidationError("non-positive velocity limit", j.name)
-        # every non-base link needs a parent; walking to the base must not cycle
-        for name in known:
+        # every non-base link needs a parent; walking to the base must not
+        # cycle. Walked in declaration order, so the first bad link is named
+        for name in names:
             if name == self.base_link:
                 continue
             if name not in child_of:

@@ -320,42 +320,46 @@ class TrackResult:
     error: str | None = None
 
     @classmethod
-    def of_steps(cls, model: KinematicModel, steps, error: str | None = None) -> "TrackResult":
-        """The record of ``steps``, one (configuration, stacked velocity, wall
-        time) per completed sample; the shapes hold for no steps too."""
-        def stack(values, *tail):
-            return np.array(list(values), dtype=float).reshape(len(steps), *tail)
-
-        return cls(stack((q.base_pos for q, _, _ in steps), 3),
-                   stack((q.base_rot.m for q, _, _ in steps), 3, 3),
-                   stack((q.s for q, _, _ in steps), model.n),
-                   stack((nu for _, nu, _ in steps), 6 + model.n),
-                   stack(t for _, _, t in steps), error)
+    def of_run(cls, model: KinematicModel, samples, advance,
+               q0: Configuration | None = None) -> "TrackResult":
+        """The one loop from a sized sample sequence to a record. The start
+        configuration is ``q0``, or sample 0's ``initial_configuration``;
+        ``advance(q, sample)`` returns the next (configuration, stacked
+        velocity, seconds), row i of the record. The first ``IkTrackError``
+        stops the run, keeping the rows before it, with ``error`` set to
+        ``step <i>: <message>``; an ``InvalidSetting`` is the caller's
+        error, not a sample's, and is raised."""
+        count, n = len(samples), model.n
+        base_pos, base_rot, s = np.empty((count, 3)), np.empty((count, 3, 3)), np.empty((count, n))
+        nu, step_time = np.empty((count, 6 + n)), np.empty(count)
+        q, error = q0, None
+        for i, sample in enumerate(samples):
+            try:
+                q = initial_configuration(model, sample) if q is None else q
+                q, nu[i], step_time[i] = advance(q, sample)
+            except InvalidSetting:
+                raise
+            except IkTrackError as e:
+                count, error = i, f"step {i}: {e}"
+                break
+            base_pos[i], base_rot[i], s[i] = q.base_pos, q.base_rot.m, q.s
+        return cls(base_pos[:count], base_rot[:count], s[:count], nu[:count],
+                   step_time[:count], error)
 
 
 def track(model: KinematicModel, stream, gains: GainConfig,
           baumgarte: BaumgarteConfig, solver: ActiveSetSolver | None = None,
           q0: Configuration | None = None) -> TrackResult:
-    """Fold ``step`` over a fixed-rate sample stream.
-
-    Every sample is consumed exactly once; the first ``IkTrackError`` aborts,
-    and the steps before it are returned with the error recorded as
-    ``step <i>: <message>``. An ``InvalidSetting`` is the caller's error, not
-    a sample's, and is raised.
-    """
-    steps, error = [], None
+    """Fold ``step`` over a fixed-rate sample sequence (a ``TargetStream`` or
+    a list) through ``TrackResult.of_run``: every sample is consumed exactly
+    once, and the first ``IkTrackError`` ends the run."""
     solver = solver if solver is not None else ActiveSetSolver()
     state = None
-    for i, sample in enumerate(stream):
-        try:
-            if state is None:
-                start = q0 if q0 is not None else initial_configuration(model, sample)
-                state = SolverState.initial(model, start)
-            state, report = step(state, sample, model, gains, baumgarte, solver)
-        except InvalidSetting:
-            raise
-        except IkTrackError as e:
-            error = f"step {i}: {e}"
-            break
-        steps.append((state.q, state.nu.stacked(), report.step_wall_time))
-    return TrackResult.of_steps(model, steps, error)
+
+    def advance(q, sample):
+        nonlocal state
+        state, report = step(state or SolverState.initial(model, q), sample, model, gains,
+                             baumgarte, solver)
+        return state.q, state.nu.stacked(), report.step_wall_time
+
+    return TrackResult.of_run(model, stream, advance, q0)

@@ -359,6 +359,22 @@ def test_solve_empty_stream_is_data_error(model_file, tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_pairwise_without_a_base_orientation_target_is_data_error(human66, tmp_path, capsys):
+    """Pairwise reads the base's pose off its targets; a model without a base
+    orientation target cannot be split, and ``solve`` says so and exits 2."""
+    model = ik.KinematicModel(human66.links, human66.joints, human66.base_link,
+                              position_targets=human66.position_target_frames,
+                              orientation_targets=[f for f in human66.orientation_target_frames
+                                                   if f != human66.base_link])
+    model_path = tmp_path / "model.json"
+    model_path.write_text(model.serialize())
+    spec = ik.TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01, amplitude=0.1, seed=3)
+    stream = tmp_path / "stream.jsonl"
+    ik.save_stream(stream, ik.generate_stream(model, spec)[1])
+    assert _solve(model_path, stream, tmp_path, method="pairwise") == 2
+    assert capsys.readouterr().err == "error: base frame needs an orientation target\n"
+
+
 def test_inconsistent_constraints_are_a_solver_failure(human48, tmp_path, capsys):
     model = inconsistent_model(human48)
     model_path = tmp_path / "model.json"

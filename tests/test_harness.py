@@ -166,6 +166,16 @@ class TestGenerateStream:
         with pytest.raises(ik.InvalidSetting, match="seed must be a non-negative integer"):
             TrajectorySpec(kind="sinusoidal", duration=0.3, dt=0.01, amplitude=0.2, seed=seed)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "walk"}, "unknown trajectory kind 'walk'"),
+        ({"duration": 0.005}, "need duration >= dt"),
+    ])
+    def test_spec_rejects_an_unknown_kind_or_less_than_one_sample(self, fields, message):
+        fields = {"kind": "sinusoidal", "duration": 0.3, "dt": 0.01, "amplitude": 0.2, **fields}
+        with pytest.raises(ik.InvalidSetting) as exc:
+            TrajectorySpec(**fields)
+        assert str(exc.value) == message
+
     def test_spec_holds_freq_band_as_a_tuple(self):
         spec = TrajectorySpec(kind="sinusoidal", duration=0.3, dt=0.01, amplitude=0.2,
                               freq_band=[0.5, 1.5])
@@ -257,7 +267,10 @@ class TestChunkedPipeline:
 def truth_run(model, truth):
     """The ground truth of ``generate_stream`` as a ``TrackResult`` with zero
     step times."""
-    return ik.TrackResult.of_steps(model, [(q, nu.stacked(), 0.0) for q, nu in truth])
+    return ik.TrackResult(np.array([q.base_pos for q, _ in truth]),
+                          np.array([q.base_rot.m for q, _ in truth]),
+                          np.array([q.s for q, _ in truth]),
+                          np.array([nu.stacked() for _, nu in truth]), np.zeros(len(truth)))
 
 
 def test_summary_rejects_a_reflecting_base_inside_a_chunk(human66):
@@ -328,6 +341,24 @@ def test_velocity_stage_equals_the_finite_rows_only(human48):
         bound += bool(sol.active_set)
         assert np.array_equal(nu.stacked(), sol.x)
     assert bound >= 5
+
+
+def test_vel_bound_default_bounds_the_whole_body_velocity(human48, human66):
+    """``vel_bound_default`` is the stand-in bound of the whole-body velocity
+    stage, as of the tracker's limit rows: on human48 retargeting a human66
+    stream, 0.05 rad/s holds the model's unbounded row and changes the
+    velocities, which the default bound leaves past it; the configurations
+    do not move."""
+    spec = TrajectorySpec(kind="random_smooth", duration=1.0, dt=0.01, amplitude=1.0,
+                          freq_band=(0.3, 1.0), seed=5)
+    _, stream = generate_stream(human66, spec)
+    default = run_method("whole-body", human48, stream)
+    slow = run_method("whole-body", human48, stream, {"vel_bound_default": 0.05})
+    assert (default.error, slow.error) == (None, None)
+    assert np.array_equal(slow.s, default.s)
+    G, g = human48.limit_rows(0.05)
+    assert (slow.nu @ G.T <= g + 1e-9).all()
+    assert not (default.nu @ G.T <= g + 1e-9).all()
 
 
 class TestStreamFiles:

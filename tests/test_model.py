@@ -1,7 +1,10 @@
 import copy
 import gc
 import json
+import os
+import pathlib
 import pickle
+import subprocess
 import sys
 import threading
 import weakref
@@ -293,6 +296,22 @@ class TestStackedOperations:
                 assert np.array_equal(jac[rows], link_jacobian(model, q, frame)[3:])
 
 
+def model_document(links, joints, **fields):
+    """A model document with base link ``b``; ``joints`` are (name, parent,
+    child) triples about the z axis, or such a triple and the joint's extra
+    fields."""
+    def joint(entry):
+        (name, parent, child), extra = entry if len(entry) == 2 else (entry, {})
+        return {"name": name, "parent": parent, "child": child, "axis": [0, 0, 1], **extra}
+
+    return json.dumps({"base_link": "b", "links": [{"name": n} for n in links],
+                       "joints": [joint(e) for e in joints], **fields})
+
+
+# links b a c d e, the joints a -> c and c -> a: two faults, a cycle through a
+# and c and the disconnected links d and e
+CYCLE_AND_DISCONNECTED = model_document("bacde", [("j1", "a", "c"), ("j2", "c", "a")])
+
 class TestModelValidation:
     def test_minimal_base_only_document(self):
         m = ik.load_model(json.dumps({"base_link": "b", "links": [{"name": "b"}], "joints": []}))
@@ -321,6 +340,47 @@ class TestModelValidation:
                         Joint("j2", "x", "y", axis=[0, 0, 1]),
                         Joint("j3", "y", "x", axis=[0, 0, 1])],
                 base_link="b")
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: ik.load_model(model_document("bxy", [("j", "b", "x"), ("j", "x", "y")])),
+         ValidationError, "duplicate joint: j"),
+        (lambda: ik.load_model(model_document("bx", [("j", "zz", "x")])),
+         ValidationError, "unknown parent link: j: zz"),
+        (lambda: ik.load_model(model_document("bx", [("j", "x", "b")])),
+         ValidationError, "base link has a parent: j"),
+        (lambda: ik.load_model(model_document("bx", [(("j", "b", "x"), {"vel_limit": 0.0})])),
+         ValidationError, "non-positive velocity limit: j"),
+        (lambda: ik.load_model(model_document("bc", [])),
+         ValidationError, "disconnected link: c"),
+        (lambda: ik.load_model(model_document("bxy", [("j1", "x", "y"), ("j2", "y", "x")])),
+         ValidationError, "cycle: x"),
+        (lambda: KinematicModel([Link("b"), Link("x")],
+                                [Joint("j", "b", "x", axis=[0, 0, 1])], "b",
+                                extra_constraints=ik.ExtraConstraints(
+                                    a=[[1.0, 1.0]], b_q=[1.0], b_nu=[1.0])),
+         ValidationError, "constraint shape: A must have 1 columns"),
+        (lambda: ik.load_model(model_document("bx", [("j", "b", "x")], constraints={
+            "A": [[float("nan")]], "b_q": [1.0], "b_nu": [1.0]})),
+         ValidationError, "non-finite constraint: A"),
+        (lambda: ik.load_model("[]"), ParseError, "top-level value must be an object"),
+    ], ids=["duplicate-joint", "unknown-parent", "base-with-parent", "zero-vel-limit",
+            "disconnected", "cycle", "constraint-columns", "nan-constraint", "top-level-array"])
+    def test_rejection_messages(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_first_bad_link_is_named_in_declaration_order(self):
+        """The validator walks the links as declared, so the message does not
+        depend on the interpreter's string hash seed."""
+        src = pathlib.Path(ik.__file__).resolve().parents[1]
+        code = ("import sys, iktrack\ntry:\n    iktrack.load_model(sys.argv[1])\n"
+                "except iktrack.ValidationError as e:\n    print(e)\n")
+        for seed in ("0", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+            proc = subprocess.run([sys.executable, "-c", code, CYCLE_AND_DISCONNECTED],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert (seed, proc.stdout.strip()) == (seed, "cycle: a"), proc.stderr
 
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValidationError, match="non-unit axis"):

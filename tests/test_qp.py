@@ -4,8 +4,11 @@ import itertools
 import numpy as np
 import pytest
 
+import iktrack as ik
 from iktrack.errors import RankDeficient
 from iktrack.qp import (ActiveSetSolver, LeastSquaresQP, QPStatus, solve_unconstrained)
+
+from conftest import hinge_model
 
 
 def enumerate_active_sets(J, target, G, g, damping):
@@ -108,6 +111,43 @@ class TestSolveBasics:
             assert np.abs(h @ sol.x - c + (ga.T @ mu if act else 0.0)).max() <= 1e-6
             if act:
                 assert mu.min() >= -1e-6
+
+
+class TestSingularKKT:
+    """Two opposite rows active at once make the KKT matrix singular; the
+    solve falls back to a least-squares solution of it."""
+
+    @pytest.fixture
+    def lstsq_calls(self, monkeypatch):
+        calls, lstsq = [], np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        return calls
+
+    def test_opposite_rows_fall_back_to_least_squares(self, lstsq_calls):
+        prob = LeastSquaresQP(np.eye(1), np.array([1.0]), np.array([[1.0], [-1.0]]),
+                              np.array([0.0, 0.0]), damping=1e-6)
+        sol = ActiveSetSolver().solve(prob, warm_start=(0, 1))
+        assert len(lstsq_calls) == 1
+        assert sol.status is QPStatus.SOLVED
+        assert np.array_equal(sol.x, [0.0])
+        assert sol.active_set == (0, 1)
+
+    def test_a_joint_with_equal_limits_is_held(self, lstsq_calls):
+        """A hinge whose limits are both 0 tracks a moving arm: every step
+        after the first warm-starts with both limit rows and takes the
+        fallback, and the joint stays at 0."""
+        spec = ik.TrajectorySpec(kind="sinusoidal", duration=1.0, dt=0.01, amplitude=0.5,
+                                 seed=1)
+        _, stream = ik.generate_stream(hinge_model(), spec)
+        run = ik.run_method("dynamical", hinge_model(pos_limits=(0.0, 0.0)), stream)
+        assert run.error is None and len(run.s) == 100
+        assert len(lstsq_calls) == 99
+        assert np.array_equal(run.s, np.zeros((100, 1)))
 
 
 class TestOracleEquivalence:

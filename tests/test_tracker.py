@@ -299,6 +299,37 @@ class TestTrack:
         assert len(result.step_time) == 0
         assert result.error is None
 
+    def test_of_run_folds_any_advance(self, human66):
+        """``TrackResult.of_run`` hands ``advance`` the start configuration
+        and then each configuration it returned, writes row i of what it
+        returns, and stops at the first ``IkTrackError`` with the rows
+        before it; an ``InvalidSetting`` is raised."""
+        spec = ik.TrajectorySpec(kind="static_pose", duration=0.05, dt=DT, amplitude=0.1,
+                                 seed=3)
+        samples = list(ik.generate_stream(human66, spec)[1])
+        q0, seen = Configuration.zeros(human66), []
+
+        def advance(q, sample):
+            seen.append(q)
+            if sample.t >= 3 * DT - 1e-12:
+                raise QPInfeasible("no room")
+            moved = Configuration(q.base_pos + 1.0, q.base_rot, q.s)
+            return moved, np.full(6 + human66.n, sample.t), 2.0 * sample.t
+
+        run = ik.TrackResult.of_run(human66, samples, advance, q0)
+        assert run.error == "step 3: no room"
+        assert [q.base_pos[0] for q in seen] == [0.0, 1.0, 2.0, 3.0]
+        assert np.array_equal(run.base_pos, np.repeat([[1.0], [2.0], [3.0]], 3, axis=1))
+        assert np.array_equal(run.nu[:, 0], [0.0, DT, 2 * DT])
+        assert np.array_equal(run.step_time, [0.0, 2 * DT, 4 * DT])
+        assert (run.base_rot.shape, run.s.shape) == ((3, 3, 3), (3, human66.n))
+
+        def bad_setting(q, sample):
+            raise InvalidSetting("gain must be a positive finite number, got -1")
+
+        with pytest.raises(InvalidSetting):
+            ik.TrackResult.of_run(human66, samples, bad_setting)
+
     def test_constant_stream_fixed_point(self, human66):
         spec = ik.TrajectorySpec(kind="static_pose", duration=0.1, dt=DT,
                                  amplitude=0.1, seed=3)

@@ -23,9 +23,10 @@ are timed in alternation:
 - per round, the set-up stages once on each side, in the same alternation:
   ``load_model``, ``generate_stream``, ``save_stream``, ``load_stream``,
   ``run_method`` (the workload's method over that stream, compared on its
-  record's configuration and velocity arrays) and ``summarize_run`` (on that
-  run, also compared on its MNTE and RMSE series each on its own, under
-  ``parts``).
+  record's configuration and velocity arrays and its ``error``, so a run
+  that stops early must stop at the same sample with the same message) and
+  ``summarize_run`` (on that run, also compared on its MNTE and RMSE series
+  each on its own, under ``parts``).
 
 The JSON output holds, per workload and stage, both sides' median and
 quartiles in microseconds, the ratio of the medians (change / parent), the
@@ -295,7 +296,7 @@ def _set_up(stages, iks, spec, fixtures, seed, rounds, workdir):
                        key=_stream_arrays)
         runs = stage("run_method",
                      lambda s: iks[s].run_method(method, models[s], loaded[s], config),
-                     key=lambda run: (run.base_pos, run.base_rot, run.s, run.nu))
+                     key=lambda run: (run.base_pos, run.base_rot, run.s, run.nu, run.error))
         stage("summarize_run",
               lambda s: iks[s].summarize_run(models[s], loaded[s], runs[s]),
               key=lambda m: (m.mnte_series, m.rmse_series),
