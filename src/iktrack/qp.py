@@ -55,7 +55,6 @@ class LeastSquaresQP:
 @dataclass(eq=False)
 class QPSolution:
     x: np.ndarray
-    objective: float
     active_set: tuple[int, ...]
     iterations: int
     status: QPStatus
@@ -90,12 +89,6 @@ def _damped(h, damping):
     return h
 
 
-def _damped_normal_equations(J, b, damping):
-    """``_normal_equations`` with the normal matrix damped: J^T J + damping I."""
-    h, rhs = _normal_equations(J, b)
-    return _damped(h, damping), rhs
-
-
 def _solve_normal(h, rhs):
     """h^-1 rhs for a damped normal matrix h; ``RankDeficient`` when h is
     singular, as J^T J can be without damping."""
@@ -106,7 +99,7 @@ def _solve_normal(h, rhs):
 
 
 def _kkt_solve(h, mat, rhs_top, rhs_bot):
-    """Solve [h mat^T; mat 0] [x; y] = [rhs_top; rhs_bot]."""
+    """Solve [h mat^T; mat 0] [x; y] = [rhs_top; rhs_bot]; ``RankDeficient`` if singular."""
     d = h.shape[0]
     m = mat.shape[0]
     if m == 0:
@@ -119,7 +112,7 @@ def _kkt_solve(h, mat, rhs_top, rhs_bot):
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
-        sol, _, _, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        raise RankDeficient("KKT matrix is singular") from None
     return sol[:d], sol[d:]
 
 
@@ -136,34 +129,36 @@ class ActiveSetSolver:
         self.damping = damping
 
     def solve(self, prob: LeastSquaresQP, warm_start=()) -> QPSolution:
-        J, target, G, g = prob.J, prob.target, prob.G, prob.g
-        h, c = _damped_normal_equations(J, target, prob.damping)
-        if G.shape[0] == 0:
+        h, c = _normal_equations(prob.J, prob.target)
+        h = _damped(h, prob.damping)
+        if prob.G.shape[0] == 0:
             # no rows: the damped normal-equation solution is the optimum, and
             # a warm start has nothing to keep
             x = _solve_normal(h, c)
             active, iterations, status = (), 1, QPStatus.SOLVED
         else:
-            x, active, iterations, status = self._active_set(h, c, G, g, warm_start)
-        resid = J @ x - target
-        objective = 0.5 * float(resid @ resid) + 0.5 * prob.damping * float(x @ x)
-        return QPSolution(x=x, objective=objective, active_set=active,
-                          iterations=iterations, status=status)
+            x, active, iterations, status = self._active_set(h, c, prob.G, prob.g, warm_start)
+        return QPSolution(x=x, active_set=active, iterations=iterations, status=status)
 
     def _active_set(self, h, c, G, g, warm_start):
         """Dual active-set iterations for k >= 1 rows from the unconstrained
-        minimum h^-1 c; returns x, the active rows, the iteration count and
-        the status."""
+        minimum h^-1 c; returns x, the final working set (a row joins it only
+        when independent of its rows), the iteration count and the status."""
         d = h.shape[0]
         k = G.shape[0]
         tol = self.tol
         max_iter = 10 * (d + k)
         mu: list[float] = []
         # warm start: keep the previous active set where its multipliers stay
-        # dual-feasible, otherwise shed rows until they do
+        # dual-feasible, otherwise shed rows until they do; rows whose KKT
+        # matrix is singular are dropped, and the solve starts cold
         work = sorted({int(i) for i in warm_start if 0 <= int(i) < k})
         while work:
-            x, lam = _kkt_solve(h, G[work], c, g[work])
+            try:
+                x, lam = _kkt_solve(h, G[work], c, g[work])
+            except RankDeficient:
+                work = []
+                continue
             if lam.min() < -tol:
                 work.pop(int(np.argmin(lam)))
                 continue
@@ -214,5 +209,4 @@ class ActiveSetSolver:
             if infeasible:
                 status = QPStatus.INFEASIBLE
                 break
-        active = tuple(np.flatnonzero(g - G @ x <= 10.0 * tol).tolist())
-        return x, active, iterations, status
+        return x, tuple(work), iterations, status

@@ -246,15 +246,16 @@ def build_limit_constraints(model: KinematicModel, q: Configuration,
     """Velocity-space constraints G nu <= g realizing the configuration
     limits: the admissible joint velocity shrinks through a tanh profile as a
     row approaches its configuration bound, reaching zero at the bound and
-    turning negative past it. G depends on the model alone and is returned
-    read-only.
+    turning negative past it, and is never more than the velocity that lands
+    on the bound in one sample, margin / dt. G depends on the model alone and
+    is returned read-only.
     """
     G, b_nu = model.limit_rows(gains.vel_bound_default)
     if G.shape[0] == 0:
         return G, np.zeros(0)
     margin = model.config_bounds - model.constraint_matrix @ q.s
-    g = np.tanh(gains.limit_slope * margin) * b_nu
-    return G, g
+    shaped = np.tanh(gains.limit_slope * margin) * b_nu
+    return G, np.minimum(shaped, np.maximum(margin, 0.0) / gains.dt)
 
 
 def step(state: SolverState, sample: TargetSample, model: KinematicModel,

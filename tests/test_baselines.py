@@ -8,7 +8,7 @@ from iktrack import (Configuration, InstantaneousConfig, Rotation, TargetSample,
                      decompose_pairwise, solve_pairwise, solve_whole_body)
 from iktrack.errors import DecompositionError
 from iktrack.harness import METHODS, run_method
-from iktrack.qp import _damped_normal_equations, _solve_normal
+from iktrack.qp import _damped, _normal_equations, _solve_normal
 
 from conftest import (hinge_model, inconsistent_model, residual_at, rodrigues,
                       run_configurations, single_joint_model, static_sample, with_extra_rows)
@@ -298,7 +298,8 @@ def test_damped_step_matches_normal_equations():
         J = rng.normal(size=(rows, cols))
         r = rng.normal(size=rows)
         for lam in (1e-12, 1e-3, 0.3, 1e4):
-            step = _solve_normal(*_damped_normal_equations(J, r, lam))
+            h, rhs = _normal_equations(J, r)
+            step = _solve_normal(_damped(h, lam), rhs)
             assert np.array_equal(step, damped_step_oracle(J, r, lam))
 
 

@@ -11,8 +11,9 @@ from iktrack.errors import (InvalidSetting, NonFiniteSolution, QPInfeasible, Sch
 from iktrack.tracker import (build_limit_constraints, corrected_velocity,
                              initial_configuration, step, track)
 
-from conftest import (base_only_model, residual_at, rodrigues, run_configurations,
-                      single_joint_model, static_sample, target_poses, unchecked_gains)
+from conftest import (base_only_model, hinge_model, residual_at, rodrigues,
+                      run_configurations, single_joint_model, static_sample, target_poses,
+                      unchecked_gains)
 
 DT = 0.01
 
@@ -164,9 +165,22 @@ class TestLimitConstraints:
         gains = GainConfig.build(human48, dt=DT, vel_bound_default=123.0)
         q = Configuration.zeros(human48)
         _, g = build_limit_constraints(human48, q, gains)
-        # the coupled row has an unbounded velocity entry and sits far from
-        # its configuration bound
-        assert abs(g[-1] - 123.0 * np.tanh(10.0 * 0.9)) <= 1e-9
+        # the coupled row has an unbounded velocity entry and sits 0.9 from
+        # its configuration bound, so the step that lands on the bound,
+        # 0.9 / dt = 90, is smaller than the stand-in's 123 tanh(10 * 0.9)
+        assert abs(g[-1] - min(123.0 * np.tanh(10.0 * 0.9), 0.9 / DT)) <= 1e-9
+        assert abs(g[-1] - 90.0) <= 1e-9
+
+    def test_limits_hold_at_the_sample_rate(self):
+        """A hinge with limits +-0.3 and no velocity limit tracks an arm
+        swinging 0.5 rad: the stand-in bound of 1e3 rad/s alone would carry
+        the joint past its limit in one sample, so its rows are also bounded
+        by margin / dt."""
+        spec = ik.TrajectorySpec(kind="sinusoidal", duration=5.0, dt=DT, amplitude=0.5, seed=1)
+        _, stream = ik.generate_stream(hinge_model(), spec)
+        run = ik.run_method("dynamical", hinge_model(pos_limits=(-0.3, 0.3)), stream)
+        assert run.error is None and len(run.s) == 500
+        assert np.abs(run.s).max() <= 0.3 + 1e-12
 
     def test_rows_built_once_per_model_and_read_only(self, human48):
         q = Configuration.zeros(human48)

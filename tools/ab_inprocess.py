@@ -13,7 +13,9 @@ generated from seed ``seed * STREAMS + i`` as perfbench does, and the stages
 are timed in alternation:
 
 - per sample, one call on each side, the parent first on even samples and
-  the change first on odd ones: ``step`` (the dynamical workloads) or
+  the change first on odd ones: ``step`` (the dynamical workloads; compared
+  on the new state's configuration, velocity and ``last_active_set``, the
+  warm start it hands on, and the residual fed back) or
   ``solve_whole_body`` (the whole-body workload), each side following its
   own state, then ``project_to_so3`` of the base rotation that call
   produced, ``fk_arrays`` and ``stacked_jacobian`` at the configuration
@@ -223,7 +225,7 @@ class Pass:
 
 def _step_key(out):
     state, report = out
-    return _q_arrays(state.q), state.nu.stacked(), report.residual_r
+    return _q_arrays(state.q), state.nu.stacked(), report.residual_r, state.last_active_set
 
 
 def _solve_key(out):
