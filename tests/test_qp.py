@@ -144,10 +144,11 @@ class TestSingularKKT:
         _, stream = ik.generate_stream(hinge_model(), spec)
         model = hinge_model(pos_limits=(0.0, 0.0))
         gains = ik.GainConfig.build(model, dt=0.01)
-        baumgarte = ik.BaumgarteConfig(dt=0.01)
+        baumgarte, solver = ik.BaumgarteConfig(dt=0.01), ActiveSetSolver()
         state = ik.SolverState.initial(model, ik.initial_configuration(model, stream[0]))
+        assert len(stream) == 100
         for sample in stream:
-            state, _ = ik.step(state, sample, model, gains, baumgarte, ActiveSetSolver())
+            state, _ = ik.step(state, sample, model, gains, baumgarte, solver)
             assert np.array_equal(state.q.s, [0.0])
             assert len(state.last_active_set) <= 1
 
