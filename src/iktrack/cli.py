@@ -15,12 +15,11 @@ import numpy as np
 
 from .errors import (IkTrackError, InvalidSetting, ParseError, QPInfeasible, RankDeficient,
                      SchemaMismatch, SpecInfeasible, StaleSample, ValidationError)
-from .harness import (DEFAULT_CONFIG, METHODS, TrajectorySpec, generate_stream,
-                      load_stream, results_csv, run_benchmark, run_method,
+from .harness import (DEFAULT_CONFIG, METHODS, TrajectorySpec, _merged_config, _settings,
+                      generate_stream, load_stream, run_benchmark, run_method,
                       save_stream, summarize_run)
 from .model import generate_human_chain, load_model
 from .so3 import BaumgarteConfig
-from .tracker import GainConfig
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -43,17 +42,16 @@ def _load_model_file(path):
 
 
 def _cmd_solve(args):
-    # the flags are checked for every method, before any file is read
-    GainConfig(gain=args.gain, limit_slope=args.gain_limit, dt=args.dt)
-    BaumgarteConfig(rho=args.rho, dt=args.dt)
+    config = {"gain": args.gain, "limit_slope": args.gain_limit, "rho": args.rho,
+              "dt": args.dt}
+    # the flags are checked as run_method checks them, before any file is read
+    _settings(_merged_config(config), args.dt)
     model = _load_model_file(args.model)
     samples = load_stream(args.stream)
     if not samples:
         raise ParseError(f"{args.stream}: empty stream")
     samples.check_model(model)
     samples.check_spacing(args.dt, name="--dt")
-    config = {"gain": args.gain, "limit_slope": args.gain_limit, "rho": args.rho,
-              "dt": args.dt}
     run = run_method(args.method, model, samples, config)
     metrics = summarize_run(model, samples, run)
     with open(args.out, "w") as fh:
@@ -77,21 +75,24 @@ def _cmd_solve(args):
     return 0
 
 
-def _cmd_gen(args):
-    model = _load_model_file(args.model)
-    with open(args.spec) as fh:
-        raw = json.load(fh)
+def _parse_spec(raw, seed=None):
+    """``TrajectorySpec(**raw)``, ``seed`` replacing raw's when given;
+    ``ValidationError`` for a non-object, an unknown key or a bad value."""
     if not isinstance(raw, dict):
         raise ValidationError("bad spec", "expected an object")
     unknown = set(raw) - {f.name for f in dataclasses.fields(TrajectorySpec)}
     if unknown:
         raise ValidationError("unknown key", f"spec: {sorted(unknown)[0]}")
-    if args.seed is not None:
-        raw["seed"] = args.seed
     try:
-        spec = TrajectorySpec(**raw)
+        return TrajectorySpec(**(raw if seed is None else {**raw, "seed": seed}))
     except (TypeError, ValueError) as e:
         raise ValidationError("bad spec", str(e)) from None
+
+
+def _cmd_gen(args):
+    model = _load_model_file(args.model)
+    with open(args.spec) as fh:
+        spec = _parse_spec(json.load(fh), args.seed)
     _, samples = generate_stream(model, spec)
     save_stream(args.out, samples)
     print(f"wrote {len(samples)} samples to {args.out}")
@@ -114,7 +115,7 @@ def _bench_grid(cfg):
         specs = []
         for entry in cfg["specs"]:
             fields = {k: v for k, v in entry.items() if k != "id"}
-            specs.append((entry["id"], TrajectorySpec(**fields)))
+            specs.append((entry["id"], _parse_spec(fields)))
         return models, specs, cfg.get("methods", list(METHODS)), cfg.get("config", {})
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValidationError("bad bench config", f"{type(e).__name__}: {e}") from None

@@ -137,7 +137,9 @@ class ActiveSetSolver:
             x = _solve_normal(h, c)
             active, iterations, status = (), 1, QPStatus.SOLVED
         else:
-            x, active, iterations, status = self._active_set(h, c, prob.G, prob.g, warm_start)
+            # undamped, only a cold start finds a singular normal matrix
+            x, active, iterations, status = self._active_set(
+                h, c, prob.G, prob.g, warm_start if prob.damping else ())
         return QPSolution(x=x, active_set=active, iterations=iterations, status=status)
 
     def _active_set(self, h, c, G, g, warm_start):

@@ -63,9 +63,9 @@ def _check_values(t, positions, rotations, lin_vels, ang_vels):
 class TargetSample:
     """Timestamped pose and velocity targets for all declared frames.
 
-    Construction checks the sample as a ``TargetStream`` of one. A row of a
-    ``TargetStream`` is a ``TargetSample`` whose arrays are views into the
-    stream's arrays.
+    Construction copies and checks the sample as a ``TargetStream`` of one,
+    and keeps that row's arrays. A row of a ``TargetStream`` is a
+    ``TargetSample`` whose arrays are views into the stream's arrays.
     """
 
     t: float
@@ -75,13 +75,8 @@ class TargetSample:
     ang_vels: np.ndarray    # (n_o, 3)
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 3)
-        self.rotations = np.ascontiguousarray(self.rotations, dtype=float).reshape(-1, 3, 3)
-        self.lin_vels = np.asarray(self.lin_vels, dtype=float).reshape(-1, 3)
-        self.ang_vels = np.asarray(self.ang_vels, dtype=float).reshape(-1, 3)
-        _check_counts(self.positions, self.rotations, self.lin_vels, self.ang_vels)
-        _check_values(np.atleast_1d(self.t), self.positions[None], self.rotations[None],
-                      self.lin_vels[None], self.ang_vels[None])
+        row = TargetStream(*([getattr(self, name)] for name in _FIELDS))[0]
+        vars(self).update(vars(row))
 
     def velocity_stack(self) -> np.ndarray:
         return np.concatenate([self.lin_vels.ravel(), self.ang_vels.ravel()])
@@ -99,9 +94,9 @@ class TargetStream(Sequence):
     ``positions`` (T, n_p, 3), ``rotations`` (T, n_o, 3, 3), ``lin_vels``
     (T, n_p, 3) and ``ang_vels`` (T, n_o, 3).
 
-    Construction copies the arrays and checks them in one pass with the
-    checks and messages of ``TargetSample`` (a bad value raises the message
-    of the first bad sample). The stream is a sequence of ``TargetSample``
+    Construction copies the arrays and checks them in one pass, the check
+    that constructing a ``TargetSample`` makes too (a bad value raises the
+    message of the first bad sample). The stream is a sequence of ``TargetSample``
     rows: an index gives a row that views the arrays, a slice a stream that
     does. As with numpy views, a write into a row changes the stream, and is
     not checked again.
@@ -329,7 +324,9 @@ class TrackResult:
         velocity, seconds), row i of the record. The first ``IkTrackError``
         stops the run, keeping the rows before it, with ``error`` set to
         ``step <i>: <message>``; an ``InvalidSetting`` is the caller's
-        error, not a sample's, and is raised."""
+        error, not a sample's, and is raised, as is a non-finite ``q0``."""
+        if q0 is not None and not np.isfinite([*q0.base_pos, *q0.base_rot.m.flat, *q0.s]).all():
+            raise InvalidSetting("q0 holds a non-finite value")
         count, n = len(samples), model.n
         base_pos, base_rot, s = np.empty((count, 3)), np.empty((count, 3, 3)), np.empty((count, n))
         nu, step_time = np.empty((count, 6 + n)), np.empty(count)

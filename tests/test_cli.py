@@ -351,6 +351,30 @@ def test_gen_unknown_spec_key_is_data_error(model_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("change, line", [
+    ({"speed": 2.0}, "data error: unknown key: spec: speed"),
+    ({"amplitude": -1}, "data error: bad spec: amplitude must be"),
+], ids=["unknown-key", "negative-amplitude"])
+def test_gen_and_bench_report_a_bad_spec_alike(model_file, tmp_path, capsys, change, line):
+    """``bench`` reads each ``specs`` entry, less its ``id``, as ``gen`` reads
+    its spec file: the same one line, and exit 2."""
+    fields = {"kind": "static_pose", "duration": 0.05, "dt": 0.01, "amplitude": 0.1,
+              "seed": 3, **change}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(fields))
+    out = tmp_path / "stream.jsonl"
+    assert main(["gen", "--model", model_file, "--spec", str(spec), "--out", str(out)]) == 2
+    gen_err = capsys.readouterr().err
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"models": [{"id": "h66", "path": model_file}],
+                                  "specs": [{"id": "s", **fields}], "methods": ["dynamical"]}))
+    out_dir = tmp_path / "results"
+    assert main(["bench", "--config", str(config), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == gen_err
+    assert gen_err.startswith(line) and gen_err.count("\n") == 1
+    assert not out.exists() and not out_dir.exists()
+
+
 def test_solve_empty_stream_is_data_error(model_file, tmp_path, capsys):
     stream = tmp_path / "stream.jsonl"
     stream.write_text("")

@@ -131,10 +131,14 @@ class TestSingularKKT:
 
     @pytest.mark.parametrize("warm_start", [(), (0,)])
     def test_zero_damping_rank_deficient_whatever_the_warm_start(self, warm_start):
-        prob = LeastSquaresQP(np.array([[1.0, 0.0]]), np.array([1.0]), np.array([[1.0, 0.0]]),
-                              np.array([0.5]), damping=0.0)
-        with pytest.raises(RankDeficient):
-            ActiveSetSolver().solve(prob, warm_start=warm_start)
+        """Without damping J^T J is singular here. Warm-started with the row
+        [0, 1] the KKT matrix is not, and the outcome still does not depend on
+        the warm start."""
+        for row in ([1.0, 0.0], [0.0, 1.0]):
+            prob = LeastSquaresQP(np.array([[1.0, 0.0]]), np.array([1.0]), np.array([row]),
+                                  np.array([0.5]), damping=0.0)
+            with pytest.raises(RankDeficient):
+                ActiveSetSolver().solve(prob, warm_start=warm_start)
 
     def test_a_joint_with_equal_limits_is_held(self):
         """A hinge whose limits are both 0 tracks a moving arm: the joint

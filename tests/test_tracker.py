@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -107,6 +109,27 @@ class TestTargetSampleValidation:
         with pytest.raises(SchemaMismatch, match="rotation target 3 "):
             TargetSample(t=0.0, positions=sample.positions, rotations=rotations,
                          lin_vels=sample.lin_vels, ang_vels=sample.ang_vels)
+
+
+    def test_copies_its_arguments(self, human66):
+        """A sample is copied as a stream of one: it shares no memory with the
+        caller's arrays, so a NaN written into them afterwards never reaches
+        the tracker."""
+        arrays = {f: getattr(static_sample(human66, Configuration.zeros(human66)), f).copy()
+                  for f in self.FIELDS}
+        sample = TargetSample(t=0.0, **arrays)
+        assert [f for f in self.FIELDS if np.shares_memory(getattr(sample, f), arrays[f])] == []
+        for a in arrays.values():
+            a.flat[0] = np.nan
+        gains, baumgarte, _ = default_setup(human66)
+        assert track(human66, [sample], gains, baumgarte).error is None
+
+    def test_pickle_and_deepcopy_keep_the_bits(self, human66):
+        sample = static_sample(human66, Configuration.zeros(human66), t=0.25)
+        for other in (pickle.loads(pickle.dumps(sample)), copy.deepcopy(sample)):
+            assert other.t == sample.t
+            for f in self.FIELDS:
+                assert np.array_equal(getattr(other, f), getattr(sample, f))
 
 
 class TestCorrectedVelocity:
@@ -343,6 +366,18 @@ class TestTrack:
 
         with pytest.raises(InvalidSetting):
             ik.TrackResult.of_run(human66, samples, bad_setting)
+
+    @pytest.mark.parametrize("part", ["base_pos", "base_rot", "s"])
+    def test_non_finite_start_configuration_is_a_setting_error(self, part, human66):
+        """A caller's ``q0`` that is not finite is the caller's error, raised
+        before the first step, not a step's non-finite velocity."""
+        parts = {"base_pos": np.zeros(3), "base_rot": np.eye(3), "s": np.zeros(human66.n)}
+        parts[part].flat[0] = np.nan
+        q0 = Configuration(parts["base_pos"], Rotation.drifting(parts["base_rot"]), parts["s"])
+        gains, baumgarte, _ = default_setup(human66)
+        samples = [static_sample(human66, Configuration.zeros(human66))]
+        with pytest.raises(InvalidSetting, match="q0 holds a non-finite value"):
+            track(human66, samples, gains, baumgarte, q0=q0)
 
     def test_constant_stream_fixed_point(self, human66):
         spec = ik.TrajectorySpec(kind="static_pose", duration=0.1, dt=DT,
