@@ -16,7 +16,7 @@ from .model import Configuration, KinematicModel
 from .qp import (ActiveSetSolver, LeastSquaresQP, QPStatus, _damped, _normal_equations,
                  _solve_normal)
 from .so3 import Rotation, orientation_residual, project_to_so3
-from .tracker import TargetSample
+from .tracker import TargetSample, _check_start
 
 
 @dataclass(eq=False)
@@ -121,9 +121,10 @@ def solve_whole_body(model: KinematicModel, sample: TargetSample, q_init: Config
                      cfg: InstantaneousConfig) -> IkResult:
     """Damped Gauss-Newton on the full stacked residual, joint bounds enforced
     by projection at every iterate. Accepted iterates never increase the
-    pose error.
+    pose error. A non-finite ``q_init`` is an ``InvalidSetting``.
     """
     sample.check_model(model)
+    _check_start(q_init, "q_init")
 
     def evaluate(q):
         fk = model.fk_arrays(q)
@@ -222,9 +223,10 @@ def solve_pairwise(model: KinematicModel, sample: TargetSample, q_init: Configur
                    cfg: InstantaneousConfig, subsystems=None):
     """Base pose assigned from its targets verbatim; every subsystem solved
     independently on its relative rotation. The merged result is identical for
-    any subsystem ordering.
+    any subsystem ordering. A non-finite ``q_init`` is an ``InvalidSetting``.
     """
     sample.check_model(model)
+    _check_start(q_init, "q_init")
     if subsystems is None:
         subsystems = decompose_pairwise(model)
     base_pos = sample.positions[model.position_target_frames.index(model.base_link)]

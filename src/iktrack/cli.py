@@ -75,11 +75,17 @@ def _cmd_solve(args):
     return 0
 
 
+def _object(raw, rule):
+    """``raw`` when it is a JSON object, else ``ValidationError(rule, ...)``."""
+    if not isinstance(raw, dict):
+        raise ValidationError(rule, "expected an object")
+    return raw
+
+
 def _parse_spec(raw, seed=None):
     """``TrajectorySpec(**raw)``, ``seed`` replacing raw's when given;
     ``ValidationError`` for a non-object, an unknown key or a bad value."""
-    if not isinstance(raw, dict):
-        raise ValidationError("bad spec", "expected an object")
+    _object(raw, "bad spec")
     unknown = set(raw) - {f.name for f in dataclasses.fields(TrajectorySpec)}
     if unknown:
         raise ValidationError("unknown key", f"spec: {sorted(unknown)[0]}")
@@ -105,6 +111,7 @@ def _bench_grid(cfg):
     try:
         models = []
         for entry in cfg["models"]:
+            entry = _object(entry, "bad model entry")
             if "path" in entry:
                 models.append((entry["id"], _load_model_file(entry["path"])))
             elif "gen_human" in entry:
@@ -114,8 +121,8 @@ def _bench_grid(cfg):
                 raise ValidationError("bad model entry", entry.get("id", "?"))
         specs = []
         for entry in cfg["specs"]:
-            fields = {k: v for k, v in entry.items() if k != "id"}
-            specs.append((entry["id"], _parse_spec(fields)))
+            fields = dict(_object(entry, "bad spec"))
+            specs.append((fields.pop("id"), _parse_spec(fields)))
         return models, specs, cfg.get("methods", list(METHODS)), cfg.get("config", {})
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValidationError("bad bench config", f"{type(e).__name__}: {e}") from None

@@ -121,17 +121,17 @@ class KinematicModel:
         known = set(names)
         if self.base_link not in known:
             raise ValidationError("unknown base link", self.base_link)
-        child_of = {}
+        children = set()
         for j in self.joints:
             if j.parent not in known:
                 raise ValidationError("unknown parent link", f"{j.name}: {j.parent}")
             if j.child not in known:
                 raise ValidationError("unknown child link", f"{j.name}: {j.child}")
-            if j.child in child_of:
+            if j.child in children:
                 raise ValidationError("multiple parents", j.child)
             if j.child == self.base_link:
                 raise ValidationError("base link has a parent", j.name)
-            child_of[j.child] = j
+            children.add(j.child)
             if not (np.all(np.isfinite(j.origin_xyz)) and np.all(np.isfinite(j.origin_rpy))):
                 raise ValidationError("non-finite origin", j.name)
             if not abs(np.linalg.norm(j.axis) - 1.0) <= AXIS_TOL:
@@ -142,41 +142,13 @@ class KinematicModel:
                     raise ValidationError("inverted limits", j.name)
             if j.vel_limit is not None and not j.vel_limit > 0.0:
                 raise ValidationError("non-positive velocity limit", j.name)
-        # every non-base link needs a parent; walking to the base must not
-        # cycle. Walked in declaration order, so the first bad link is named
-        for name in names:
-            if name == self.base_link:
-                continue
-            if name not in child_of:
-                raise ValidationError("disconnected link", name)
-            seen = {name}
-            cur = name
-            while cur != self.base_link:
-                cur = child_of[cur].parent
-                if cur in seen:
-                    raise ValidationError("cycle", name)
-                seen.add(cur)
-        for frame in (*self.position_target_frames, *self.orientation_target_frames):
-            if frame not in known:
-                raise ValidationError("unknown target frame", frame)
-        if self.extra_constraints is not None:
-            ec = self.extra_constraints
-            n = len(self.joints)
-            if ec.a.ndim != 2 or ec.a.shape[1] != n:
-                raise ValidationError("constraint shape", f"A must have {n} columns")
-            m = ec.a.shape[0]
-            if ec.b_q.shape != (m,) or ec.b_nu.shape != (m,):
-                raise ValidationError("constraint shape", "b_q/b_nu length mismatch")
-            if not np.all(np.isfinite(ec.a)):
-                raise ValidationError("non-finite constraint", "A")
-            # an infinite bound means unbounded; NaN bounds nothing
-            for name in ("b_q", "b_nu"):
-                if np.isnan(getattr(ec, name)).any():
-                    raise ValidationError("NaN constraint bound", name)
 
     # -- precomputed arrays -------------------------------------------------
 
     def _precompute(self):
+        """The per-link arrays and the depth walk from the base; then, in this
+        order, a link the walk missed, an unknown target frame or a bad
+        extra constraint raises ``ValidationError``."""
         self._link_index = {l.name: i for i, l in enumerate(self.links)}
         n_links = len(self.links)
         self._parent = np.full(n_links, -1, dtype=np.int64)
@@ -202,14 +174,29 @@ class KinematicModel:
         self._base_idx = self._link_index[self.base_link]
         self._layout = depth_layout(self._parent, self._joint_of, self._axis, self._origin_r,
                                     self._origin_p, self._base_idx)
+        missed = np.flatnonzero(self._layout.rank < 0)
+        if missed.size:
+            # the first link the walk missed is named; one climb from it comes
+            # back to a link it passed, or ends at a link with no parent
+            first = cur = missed[0]
+            seen = {first}
+            while self._parent[cur] >= 0:
+                cur = self._parent[cur]
+                if cur in seen:
+                    raise ValidationError("cycle", self.links[first].name)
+                seen.add(cur)
+            raise ValidationError("disconnected link", self.links[first].name)
         self._fk_buffers = FkBuffers()
-        # support[l, j]: joint j lies on the path from the base to link l
-        self._support = np.zeros((n_links, len(self.joints)), dtype=bool)
-        for l in range(n_links):
-            a = l
-            while self._parent[a] >= 0:
-                self._support[l, self._joint_of[a]] = True
-                a = self._parent[a]
+        # support[l, j]: joint j lies on the path from the base to link l. Filled
+        # a depth at a time: a link's row is its parent's row plus its own joint
+        support = np.zeros((n_links, self.n), dtype=bool)
+        for start, stop, parents in self._layout.levels:
+            support[start:stop] = support[parents]
+            support[np.arange(start, stop), self._layout.joints[start - 1:stop - 1]] = True
+        self._support = support[self._layout.rank]
+        for frame in (*self.position_target_frames, *self.orientation_target_frames):
+            if frame not in self._link_index:
+                raise ValidationError("unknown target frame", frame)
         self._pos_idx = np.array([self._link_index[f] for f in self.position_target_frames],
                                  dtype=np.int64)
         self._ori_idx = np.array([self._link_index[f] for f in self.orientation_target_frames],
@@ -224,7 +211,20 @@ class KinematicModel:
 
     def _assemble_constraints(self):
         """A s <= b_q and A s_dot <= b_nu: an upper then a lower row for each
-        joint with a position or velocity limit, then the extra rows."""
+        joint with a position or velocity limit, then the extra rows (checked first)."""
+        ec = self.extra_constraints
+        if ec is not None:
+            if ec.a.ndim != 2 or ec.a.shape[1] != self.n:
+                raise ValidationError("constraint shape", f"A must have {self.n} columns")
+            m = ec.a.shape[0]
+            if ec.b_q.shape != (m,) or ec.b_nu.shape != (m,):
+                raise ValidationError("constraint shape", "b_q/b_nu length mismatch")
+            if not np.all(np.isfinite(ec.a)):
+                raise ValidationError("non-finite constraint", "A")
+            # an infinite bound means unbounded; NaN bounds nothing
+            for name in ("b_q", "b_nu"):
+                if np.isnan(getattr(ec, name)).any():
+                    raise ValidationError("NaN constraint bound", name)
         limited = [(jidx, j.pos_limits or (-np.inf, np.inf),
                     np.inf if j.vel_limit is None else j.vel_limit)
                    for jidx, j in enumerate(self.joints)
@@ -233,7 +233,6 @@ class KinematicModel:
         rows = np.stack([up, -up], axis=1).reshape(2 * len(limited), self.n)
         b_q = [b for _, (lo, hi), _ in limited for b in (hi, -lo)]
         b_nu = [vel for _, _, vel in limited for _ in range(2)]
-        ec = self.extra_constraints
         if ec is not None:
             rows = np.vstack([rows, ec.a])
             b_q, b_nu = [*b_q, *ec.b_q], [*b_nu, *ec.b_nu]

@@ -59,6 +59,13 @@ def _check_values(t, positions, rotations, lin_vels, ang_vels):
     raise SchemaMismatch(f"rotation target {int(np.argmin(is_rotation[k]))} is not a rotation")
 
 
+def _check_start(q: Configuration, name: str):
+    """Raise ``InvalidSetting`` when the start configuration ``q``, the
+    caller's argument ``name``, holds a NaN or an infinity."""
+    if not np.isfinite(np.concatenate((q.base_pos, q.base_rot.m.ravel(), q.s))).all():
+        raise InvalidSetting(f"{name} holds a non-finite value")
+
+
 @dataclass(eq=False)
 class TargetSample:
     """Timestamped pose and velocity targets for all declared frames.
@@ -325,8 +332,8 @@ class TrackResult:
         stops the run, keeping the rows before it, with ``error`` set to
         ``step <i>: <message>``; an ``InvalidSetting`` is the caller's
         error, not a sample's, and is raised, as is a non-finite ``q0``."""
-        if q0 is not None and not np.isfinite([*q0.base_pos, *q0.base_rot.m.flat, *q0.s]).all():
-            raise InvalidSetting("q0 holds a non-finite value")
+        if q0 is not None:
+            _check_start(q0, "q0")
         count, n = len(samples), model.n
         base_pos, base_rot, s = np.empty((count, 3)), np.empty((count, 3, 3)), np.empty((count, n))
         nu, step_time = np.empty((count, 6 + n)), np.empty(count)

@@ -326,6 +326,20 @@ def test_bad_solver_settings_are_rejected(make, setting):
     assert isinstance(exc.value, ik.IkTrackError)
 
 
+@pytest.mark.parametrize("field", ["base_pos", "s"])
+@pytest.mark.parametrize("solve", [solve_whole_body, solve_pairwise],
+                         ids=["whole-body", "pairwise"])
+def test_non_finite_start_is_a_setting_error(human66, solve, field, monkeypatch):
+    """A start configuration holding a NaN is the caller's error, raised
+    before the first FK, not a NaN result or a count of converged solves."""
+    q = Configuration.zeros(human66)
+    sample = static_sample(human66, q)
+    getattr(q, field)[0] = np.nan
+    monkeypatch.setattr(ik.KinematicModel, "fk_arrays", lambda *args: pytest.fail("FK ran"))
+    with pytest.raises(ik.InvalidSetting, match="^q_init holds a non-finite value$"):
+        solve(human66, sample, q, InstantaneousConfig())
+
+
 def test_whole_body_without_orientation_targets():
     # position targets only: the residual and its Jacobian have no rotation rows
     m = ik.KinematicModel(

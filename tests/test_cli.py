@@ -375,6 +375,41 @@ def test_gen_and_bench_report_a_bad_spec_alike(model_file, tmp_path, capsys, cha
     assert not out.exists() and not out_dir.exists()
 
 
+def test_bench_entries_that_are_not_objects_are_data_errors(model_file, tmp_path, capsys):
+    """A ``specs`` entry that is not an object reads as ``gen``'s spec file
+    ``5`` does, and a ``models`` entry likewise names itself: one line each,
+    and exit 2."""
+    spec = tmp_path / "spec.json"
+    spec.write_text("5")
+    assert main(["gen", "--model", model_file, "--spec", str(spec),
+                 "--out", str(tmp_path / "stream.jsonl")]) == 2
+    gen_err = capsys.readouterr().err
+    assert gen_err == "data error: bad spec: expected an object\n"
+    model = {"id": "h66", "path": model_file}
+    spec = {"id": "s", "kind": "static_pose", "duration": 0.05, "dt": 0.01, "amplitude": 0.1}
+    for doc, line in (({"models": [model], "specs": [5]}, gen_err),
+                      ({"models": [5], "specs": [spec]},
+                       "data error: bad model entry: expected an object\n")):
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({**doc, "methods": ["dynamical"]}))
+        assert main(["bench", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == line
+    assert not (tmp_path / "r").exists()
+
+
+def test_link_below_a_parentless_link_is_a_data_error(spec_file, tmp_path, capsys):
+    """Links b c a with the one joint a -> c: c is named as disconnected, on
+    one line and with exit 2, not a traceback."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "base_link": "b", "links": [{"name": n} for n in "bca"],
+        "joints": [{"name": "j", "parent": "a", "child": "c", "axis": [0, 0, 1]}]}))
+    out = tmp_path / "stream.jsonl"
+    assert main(["gen", "--model", str(model), "--spec", spec_file, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: disconnected link: c\n"
+    assert not out.exists()
+
+
 def test_solve_empty_stream_is_data_error(model_file, tmp_path, capsys):
     stream = tmp_path / "stream.jsonl"
     stream.write_text("")

@@ -311,6 +311,8 @@ def model_document(links, joints, **fields):
 # links b a c d e, the joints a -> c and c -> a: two faults, a cycle through a
 # and c and the disconnected links d and e
 CYCLE_AND_DISCONNECTED = model_document("bacde", [("j1", "a", "c"), ("j2", "c", "a")])
+# links b c a and the joint a -> c: c is declared before a, its parentless parent
+BELOW_A_PARENTLESS_LINK = model_document("bca", [("j", "a", "c")])
 
 class TestModelValidation:
     def test_minimal_base_only_document(self):
@@ -354,6 +356,7 @@ class TestModelValidation:
          ValidationError, "disconnected link: c"),
         (lambda: ik.load_model(model_document("bxy", [("j1", "x", "y"), ("j2", "y", "x")])),
          ValidationError, "cycle: x"),
+        (lambda: ik.load_model(BELOW_A_PARENTLESS_LINK), ValidationError, "disconnected link: c"),
         (lambda: KinematicModel([Link("b"), Link("x")],
                                 [Joint("j", "b", "x", axis=[0, 0, 1])], "b",
                                 extra_constraints=ik.ExtraConstraints(
@@ -364,7 +367,8 @@ class TestModelValidation:
          ValidationError, "non-finite constraint: A"),
         (lambda: ik.load_model("[]"), ParseError, "top-level value must be an object"),
     ], ids=["duplicate-joint", "unknown-parent", "base-with-parent", "zero-vel-limit",
-            "disconnected", "cycle", "constraint-columns", "nan-constraint", "top-level-array"])
+            "disconnected", "cycle", "below-a-parentless-link", "constraint-columns",
+            "nan-constraint", "top-level-array"])
     def test_rejection_messages(self, build, error, message):
         with pytest.raises(error) as exc:
             build()
@@ -381,6 +385,25 @@ class TestModelValidation:
             proc = subprocess.run([sys.executable, "-c", code, CYCLE_AND_DISCONNECTED],
                                   capture_output=True, text=True, env=env, timeout=60)
             assert (seed, proc.stdout.strip()) == (seed, "cycle: a"), proc.stderr
+
+    def test_faults_are_reported_in_rule_order(self):
+        """A missed link, an unknown target frame and a malformed constraint
+        row: the first is named, and each fault only once those before it
+        are mended."""
+        def build(links, targets, columns):
+            return KinematicModel([Link(n) for n in links],
+                                  [Joint("j", "b", "x", axis=[0, 0, 1])], "b",
+                                  position_targets=targets,
+                                  extra_constraints=ik.ExtraConstraints(
+                                      a=np.ones((1, columns)), b_q=[1.0], b_nu=[1.0]))
+
+        for args, message in (((["b", "x", "d"], ["zz"], 2), "disconnected link: d"),
+                              ((["b", "x"], ["zz"], 2), "unknown target frame: zz"),
+                              ((["b", "x"], ["x"], 2), "constraint shape: A must have 1 columns")):
+            with pytest.raises(ValidationError) as exc:
+                build(*args)
+            assert str(exc.value) == message
+        assert build(["b", "x"], ["x"], 1).n == 1
 
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValidationError, match="non-unit axis"):
@@ -502,6 +525,23 @@ class TestModelValidation:
         assert np.isinf(m.vel_bounds[0])
         again = ik.load_model(m.serialize())
         assert np.isinf(again.vel_bounds[0])
+
+
+class TestSupport:
+    @pytest.mark.parametrize("name", ["human66", "human48", "branched"])
+    def test_support_is_the_path_to_the_base(self, name, request):
+        """Row l of the support table holds exactly the joints met climbing
+        from link l to the base."""
+        model = branched_model() if name == "branched" else request.getfixturevalue(name)
+        expected = np.zeros((len(model.links), model.n), dtype=bool)
+        by_child = {j.child: (jidx, j.parent) for jidx, j in enumerate(model.joints)}
+        for l, link in enumerate(model.links):
+            cur = link.name
+            while cur != model.base_link:
+                jidx, cur = by_child[cur]
+                expected[l, jidx] = True
+        assert model._support.dtype == bool
+        assert np.array_equal(model._support, expected)
 
 
 class TestGeneratedChains:

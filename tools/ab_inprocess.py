@@ -23,7 +23,9 @@ are timed in alternation:
   ``fk_batch`` over the configurations the last ``CHUNK`` calls started
   from (the batch that ``generate_stream`` and ``summarize_run`` run);
 - per round, the set-up stages once on each side, in the same alternation:
-  ``load_model``, ``generate_stream``, ``save_stream``, ``load_stream``,
+  ``load_model`` (compared on the serialized document and on every array
+  the model precomputes: tree, support tables, depth layout, limit rows),
+  ``generate_stream``, ``save_stream``, ``load_stream``,
   ``run_method`` (the workload's method over that stream, compared on its
   record's configuration and velocity arrays and its ``error``, so a run
   that stops early must stop at the same sample with the same message) and
@@ -133,6 +135,23 @@ def _max_abs_diff(a, b):
     with np.errstate(invalid="ignore"):
         diff = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b))
     return float(np.nan_to_num(diff, nan=math.inf).max())
+
+
+def _model_arrays(model, vel_bound_default):
+    """A model's document and every array it precomputes: the per-link tree,
+    joint, origin and axis arrays, the support tables, the depth layout (a
+    level's parent rows as a slice's bounds or an index array) and the limit
+    rows at ``vel_bound_default``."""
+    layout = model._layout
+    levels = [(start, stop, (rows.start, rows.stop) if isinstance(rows, slice) else rows)
+              for start, stop, rows in layout.levels]
+    return (model.serialize(), model._parent, model._joint_of, model._origin_p,
+            model._origin_r, model._axis, model._joint_link, model._joint_axis,
+            model._pos_lo, model._pos_hi, model._support, model._pos_idx, model._ori_idx,
+            model._pos_cols, model._pos_support, model._ori_support, layout.rank, levels,
+            layout.joints, layout.factors, layout.origin_r, layout.origins,
+            model.constraint_matrix, model.config_bounds, model.vel_bounds,
+            model.limit_rows(vel_bound_default))
 
 
 def _stream_arrays(stream):
@@ -278,7 +297,7 @@ def _set_up(stages, iks, spec, fixtures, seed, rounds, workdir):
             return stages.setdefault(name, Stage()).alternate(
                 r, {side: (lambda s=side: fn(s)) for side in SIDES}, key, parts)
         models = stage("load_model", lambda s: iks[s].load_model(texts["model"]),
-                       key=lambda m: m.serialize())
+                       key=lambda m: _model_arrays(m, config["vel_bound_default"]))
         sources = {s: iks[s].load_model(texts["source"]) for s in SIDES}
         traj = {s: iks[s].TrajectorySpec(kind="random_smooth", duration=DURATION, dt=DT,
                                          amplitude=spec["amplitude"],
