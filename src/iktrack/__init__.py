@@ -12,13 +12,13 @@ from .errors import (DecompositionError, DegenerateMatrix, IkTrackError, Invalid
                      RankDeficient, SchemaMismatch, SingularMatrix, SpecInfeasible,
                      StaleSample, UnknownFrame, ValidationError)
 from .harness import (MetricsSummary, RunRecord, SeriesStats, TrajectorySpec,
-                      generate_stream, load_stream, mnte, results_csv, rmse_angvel,
-                      run_benchmark, run_method, save_stream, summarize_run)
+                      generate_stream, load_stream, results_csv, run_benchmark, run_method,
+                      save_stream, summarize_run)
 from .model import (Configuration, ExtraConstraints, Joint, KinematicModel, Link,
                     StackedPose, Velocity, generate_human_chain, load_model)
-from .qp import ActiveSetSolver, LeastSquaresQP, QPSolution, QPStatus, solve_unconstrained
-from .so3 import (BaumgarteConfig, Rotation, baumgarte_integrate, baumgarte_step,
-                  orientation_residual, project_to_so3, relative_angle)
+from .qp import ActiveSetSolver, LeastSquaresQP, QPSolution, QPStatus
+from .so3 import (BaumgarteConfig, Rotation, baumgarte_step, orientation_residual,
+                  project_to_so3)
 from .tracker import (GainConfig, SolverState, StepReport, TargetSample, TargetStream,
                       TrackResult,
                       build_limit_constraints, corrected_velocity, initial_configuration,
@@ -30,12 +30,12 @@ __all__ = [
     "__version__",
     # so3
     "Rotation", "BaumgarteConfig", "orientation_residual",
-    "baumgarte_step", "baumgarte_integrate", "project_to_so3", "relative_angle",
+    "baumgarte_step", "project_to_so3",
     # model
     "Link", "Joint", "KinematicModel", "Configuration", "Velocity", "StackedPose",
     "ExtraConstraints", "load_model", "generate_human_chain",
     # qp
-    "LeastSquaresQP", "QPSolution", "QPStatus", "ActiveSetSolver", "solve_unconstrained",
+    "LeastSquaresQP", "QPSolution", "QPStatus", "ActiveSetSolver",
     # tracker
     "TargetSample", "TargetStream", "GainConfig", "SolverState", "StepReport", "TrackResult",
     "corrected_velocity", "build_limit_constraints",
@@ -44,9 +44,9 @@ __all__ = [
     "InstantaneousConfig", "IkResult", "Subsystem", "SubsystemReport",
     "solve_whole_body", "decompose_pairwise", "solve_pairwise",
     # harness
-    "TrajectorySpec", "MetricsSummary", "SeriesStats", "RunRecord", "mnte",
-    "rmse_angvel", "generate_stream", "save_stream", "load_stream", "run_method",
-    "run_benchmark", "results_csv", "summarize_run",
+    "TrajectorySpec", "MetricsSummary", "SeriesStats", "RunRecord", "generate_stream",
+    "save_stream", "load_stream", "run_method", "run_benchmark", "results_csv",
+    "summarize_run",
     # errors
     "IkTrackError", "NotARotation", "SingularMatrix",
     "DegenerateMatrix", "UnknownFrame", "ParseError", "ValidationError",

@@ -18,15 +18,17 @@ from .errors import (IkTrackError, InvalidSetting, ParseError, QPInfeasible, Ran
 from .harness import (DEFAULT_CONFIG, METHODS, TrajectorySpec, _merged_config, _settings,
                       generate_stream, load_stream, run_benchmark, run_method,
                       save_stream, summarize_run)
-from .model import generate_human_chain, load_model
+from .model import _required, _typed, generate_human_chain, load_model
 from .so3 import BaumgarteConfig
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
 SOLVER_ERROR = 3
 
-_DATA_ERRORS = (ParseError, ValidationError, SchemaMismatch, SpecInfeasible,
-                FileNotFoundError, json.JSONDecodeError)
+# OSError: a file that is missing, a directory or otherwise unreadable or
+# unwritable
+_DATA_ERRORS = (ParseError, ValidationError, SchemaMismatch, SpecInfeasible, OSError,
+                json.JSONDecodeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,9 +38,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
+def _read(path):
+    """The text of the file at ``path``; ``ParseError`` naming the file when
+    its bytes are not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 at byte {e.start}") from None
+
+
 def _load_model_file(path):
-    with open(path) as fh:
-        return load_model(fh.read())
+    return load_model(_read(path))
 
 
 def _cmd_solve(args):
@@ -97,8 +108,7 @@ def _parse_spec(raw, seed=None):
 
 def _cmd_gen(args):
     model = _load_model_file(args.model)
-    with open(args.spec) as fh:
-        spec = _parse_spec(json.load(fh), args.seed)
+    spec = _parse_spec(json.loads(_read(args.spec)), args.seed)
     _, samples = generate_stream(model, spec)
     save_stream(args.out, samples)
     print(f"wrote {len(samples)} samples to {args.out}")
@@ -107,31 +117,33 @@ def _cmd_gen(args):
 
 def _bench_grid(cfg):
     """Models, trajectory specs, methods and solver settings of a bench
-    config document."""
-    try:
-        models = []
-        for entry in cfg["models"]:
-            entry = _object(entry, "bad model entry")
-            if "path" in entry:
-                models.append((entry["id"], _load_model_file(entry["path"])))
-            elif "gen_human" in entry:
-                gen = entry["gen_human"]
-                models.append((entry["id"], generate_human_chain(gen["dofs"], gen["seed"])))
-            else:
-                raise ValidationError("bad model entry", entry.get("id", "?"))
-        specs = []
-        for entry in cfg["specs"]:
-            fields = dict(_object(entry, "bad spec"))
-            specs.append((fields.pop("id"), _parse_spec(fields)))
-        return models, specs, cfg.get("methods", list(METHODS)), cfg.get("config", {})
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise ValidationError("bad bench config", f"{type(e).__name__}: {e}") from None
+    config document. A malformed entry raises ``ValidationError``; a
+    ``gen_human`` entry's ``dofs`` or ``seed`` out of range raises
+    ``InvalidSetting``, as ``models gen-human`` does."""
+    _object(cfg, "bad bench config")
+    models = []
+    for i, entry in enumerate(_required(cfg, "models", list, "bench config", "an array")):
+        where = f"models entry {i}"
+        model_id = _required(_object(entry, "bad model entry"), "id", str, where, "a string")
+        if "path" in entry:
+            model = _load_model_file(_typed(entry["path"], str, f"{where} path", "a file name"))
+        elif "gen_human" in entry:
+            gen = _typed(entry["gen_human"], dict, f"{where} gen_human", "an object")
+            model = generate_human_chain(*(_required(gen, key, object, f"{where} gen_human",
+                                                     "a number") for key in ("dofs", "seed")))
+        else:
+            raise ValidationError("bad model entry", f"{model_id}: needs a path or gen_human")
+        models.append((model_id, model))
+    specs = []
+    for i, entry in enumerate(_required(cfg, "specs", list, "bench config", "an array")):
+        entry = _object(entry, "bad spec")
+        specs.append((_required(entry, "id", str, f"specs entry {i}", "a string"),
+                      _parse_spec({k: v for k, v in entry.items() if k != "id"})))
+    return models, specs, cfg.get("methods", list(METHODS)), cfg.get("config", {})
 
 
 def _cmd_bench(args):
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    models, specs, methods, config = _bench_grid(cfg)
+    models, specs, methods, config = _bench_grid(json.loads(_read(args.config)))
     records, table = run_benchmark(models, specs, methods, config)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "results.csv")

@@ -19,7 +19,7 @@ from .errors import (IkTrackError, InvalidSetting, ParseError, QPInfeasible, Sch
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
 from .so3 import BaumgarteConfig, Rotation, project_stack_to_so3
-from .tracker import GainConfig, TargetSample, TargetStream, TrackResult, _check_counts, track
+from .tracker import GainConfig, TargetStream, TrackResult, _check_counts, track
 
 METHODS = ("dynamical", "whole-body", "pairwise")
 
@@ -59,33 +59,6 @@ def _scores(model, base_pos, base_rot, s, nu, target_rot, target_angvel):
     vel = (model.stacked_jacobians(fk) @ nu[:, :, None])[:, 3 * model.n_p:, 0]
     err = target_angvel - vel.reshape(len(s), -1, 3)
     return mnte_scores, np.sqrt(np.mean(np.sum(err * err, axis=2) / 3.0, axis=1))
-
-
-def _sample_scores(model, q, nu, sample):
-    """``_scores`` of one configuration and stacked velocity against one
-    sample."""
-    sample.check_model(model)
-    return _scores(model, q.base_pos[None], q.base_rot.m[None], q.s[None], nu[None],
-                   sample.rotations[None], sample.ang_vels[None])
-
-
-def mnte(model: KinematicModel, q: Configuration, sample: TargetSample) -> float:
-    """Mean normalized trace error over the orientation targets: the per-frame
-    term tr(I - R_est^T R_target)/2 equals 1 - cos of the relative angle.
-
-    The estimate is scored with its base rotation projected onto SO(3): on a
-    drifting base the trace of the raw matrix can exceed 3. A term that reads
-    below 0 by rounding counts as 0.
-    """
-    return float(_sample_scores(model, q, np.zeros(6 + model.n), sample)[0][0])
-
-
-def rmse_angvel(model: KinematicModel, q: Configuration, nu: Velocity,
-                sample: TargetSample) -> float:
-    """Root mean squared angular-velocity error over the orientation targets,
-    with the estimate read from the differential kinematics at (q, nu), q's
-    base projected onto SO(3) as ``mnte`` scores it."""
-    return float(_sample_scores(model, q, nu.stacked(), sample)[1][0])
 
 
 # -- trajectory specs and synthetic streams -----------------------------------
@@ -259,10 +232,18 @@ def load_stream(path) -> TargetStream:
     once, for the whole stream."""
     columns = ([], [], [], [], [])
     first = None
-    with open(path) as fh:
+    # a byte that is not UTF-8 is read as a lone surrogate, so the line that
+    # holds it is the one named
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            if not line.isascii():
+                try:
+                    line.encode()
+                except UnicodeEncodeError as e:
+                    raise ParseError(f"line {lineno}, column {e.start + 1}: not UTF-8",
+                                     line=lineno, column=e.start + 1) from None
             try:
                 record = json.loads(line)
                 t = record["t"]

@@ -60,24 +60,6 @@ class QPSolution:
     status: QPStatus
 
 
-def solve_unconstrained(J, target, damping: float = 0.0) -> np.ndarray:
-    """x = (J^T J + damping I)^-1 J^T target via a least-squares factorization
-    of the damping-augmented system."""
-    check_setting("damping", damping, zero_ok=True)
-    J = np.asarray(J, dtype=float)
-    target = np.asarray(target, dtype=float)
-    d = J.shape[1]
-    if damping > 0.0:
-        aug = np.vstack([J, np.sqrt(damping) * np.eye(d)])
-        rhs = np.concatenate([target, np.zeros(d)])
-        x, _, _, _ = np.linalg.lstsq(aug, rhs, rcond=None)
-        return x
-    x, _, rank, _ = np.linalg.lstsq(J, target, rcond=None)
-    if rank < d:
-        raise RankDeficient(f"rank {rank} < {d} with zero damping")
-    return x
-
-
 def _normal_equations(J, b):
     """J^T J and J^T b, the normal equations of the least-squares fit of J x to b."""
     return J.T @ J, J.T @ b

@@ -107,12 +107,6 @@ def orientation_residual(estimate, target) -> np.ndarray:
     return rotation_residuals(_mat(estimate)[None], _mat(target)[None])[0]
 
 
-def relative_angle(a, b) -> float:
-    """Geodesic angle between two rotations, in [0, pi]."""
-    c = 0.5 * (np.trace(_mat(a).T @ _mat(b)) - 1.0)
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
 def baumgarte_step(r_prev, omega, cfg: BaumgarteConfig) -> np.ndarray:
     """Integrate angular velocity over one step, returning a drifting matrix.
 
@@ -125,20 +119,6 @@ def baumgarte_step(r_prev, omega, cfg: BaumgarteConfig) -> np.ndarray:
     if not np.isfinite(omega).all():
         raise ValueError("omega must be finite")
     return baumgarte_step_kernel(_mat(r_prev), omega, cfg.rho, cfg.dt)
-
-
-def baumgarte_integrate(r0, omegas, cfg: BaumgarteConfig) -> tuple[np.ndarray, float]:
-    """Fold ``baumgarte_step`` over a sequence of angular velocities.
-
-    Returns the final (drifting) matrix and the worst orthonormality error
-    observed at any step.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    path = np.empty((len(omegas), 3, 3))
-    r = _mat(r0).copy()
-    for k, omega in enumerate(omegas):
-        r = path[k] = baumgarte_step(r, omega, cfg)
-    return r, float(orthonormality_errors(path).max(initial=0.0))
 
 
 def project_to_so3(a) -> Rotation:

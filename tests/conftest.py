@@ -2,6 +2,12 @@ import numpy as np
 import pytest
 
 import iktrack as ik
+from iktrack import (BaumgarteConfig, Configuration, KinematicModel, TargetSample, Velocity,
+                     baumgarte_step)
+from iktrack._kernels import orthonormality_errors
+from iktrack.errors import RankDeficient, check_setting
+from iktrack.harness import _scores
+from iktrack.so3 import _mat
 
 
 @pytest.fixture(scope="session")
@@ -161,3 +167,70 @@ def inconsistent_model(human48):
     row = np.zeros(human48.n)
     row[[j.name for j in human48.joints].index("l5_z")] = 1.0
     return with_extra_rows(human48, np.vstack([ec.a, row, -row]), [*ec.b_q, -0.1, -0.1])
+
+
+# -- oracles: independent or single-sample forms of what the pipeline computes
+
+def relative_angle(a, b) -> float:
+    """Geodesic angle between two rotations, in [0, pi]."""
+    c = 0.5 * (np.trace(_mat(a).T @ _mat(b)) - 1.0)
+    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+def baumgarte_integrate(r0, omegas, cfg: BaumgarteConfig) -> tuple[np.ndarray, float]:
+    """Fold ``baumgarte_step`` over a sequence of angular velocities.
+
+    Returns the final (drifting) matrix and the worst orthonormality error
+    observed at any step.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    path = np.empty((len(omegas), 3, 3))
+    r = _mat(r0).copy()
+    for k, omega in enumerate(omegas):
+        r = path[k] = baumgarte_step(r, omega, cfg)
+    return r, float(orthonormality_errors(path).max(initial=0.0))
+
+
+def solve_unconstrained(J, target, damping: float = 0.0) -> np.ndarray:
+    """x = (J^T J + damping I)^-1 J^T target via a least-squares factorization
+    of the damping-augmented system."""
+    check_setting("damping", damping, zero_ok=True)
+    J = np.asarray(J, dtype=float)
+    target = np.asarray(target, dtype=float)
+    d = J.shape[1]
+    if damping > 0.0:
+        aug = np.vstack([J, np.sqrt(damping) * np.eye(d)])
+        rhs = np.concatenate([target, np.zeros(d)])
+        x, _, _, _ = np.linalg.lstsq(aug, rhs, rcond=None)
+        return x
+    x, _, rank, _ = np.linalg.lstsq(J, target, rcond=None)
+    if rank < d:
+        raise RankDeficient(f"rank {rank} < {d} with zero damping")
+    return x
+
+
+def _sample_scores(model, q, nu, sample):
+    """``_scores`` of one configuration and stacked velocity against one
+    sample."""
+    sample.check_model(model)
+    return _scores(model, q.base_pos[None], q.base_rot.m[None], q.s[None], nu[None],
+                   sample.rotations[None], sample.ang_vels[None])
+
+
+def mnte(model: KinematicModel, q: Configuration, sample: TargetSample) -> float:
+    """Mean normalized trace error over the orientation targets: the per-frame
+    term tr(I - R_est^T R_target)/2 equals 1 - cos of the relative angle.
+
+    The estimate is scored with its base rotation projected onto SO(3): on a
+    drifting base the trace of the raw matrix can exceed 3. A term that reads
+    below 0 by rounding counts as 0.
+    """
+    return float(_sample_scores(model, q, np.zeros(6 + model.n), sample)[0][0])
+
+
+def rmse_angvel(model: KinematicModel, q: Configuration, nu: Velocity,
+                sample: TargetSample) -> float:
+    """Root mean squared angular-velocity error over the orientation targets,
+    with the estimate read from the differential kinematics at (q, nu), q's
+    base projected onto SO(3) as ``mnte`` scores it."""
+    return float(_sample_scores(model, q, nu.stacked(), sample)[1][0])

@@ -13,10 +13,10 @@ import pytest
 import iktrack as ik
 from iktrack import (ActiveSetSolver, BaumgarteConfig, Configuration, GainConfig,
                      Rotation, SolverState, TargetSample, TrajectorySpec)
-from iktrack.qp import LeastSquaresQP, QPStatus, solve_unconstrained
+from iktrack.qp import LeastSquaresQP, QPStatus
 
-from conftest import (base_only_model, rodrigues, run_configurations, static_sample,
-                      unchecked_gains)
+from conftest import (base_only_model, baumgarte_integrate, mnte, relative_angle, rodrigues,
+                      run_configurations, solve_unconstrained, static_sample, unchecked_gains)
 from test_model import fd_stacked_jacobian
 from test_qp import enumerate_active_sets, random_feasible_instance
 
@@ -38,7 +38,7 @@ def track_mnte(model, samples, gains):
     result = ik.track(model, samples, gains, BG)
     assert result.error is None, result.error
     qs = run_configurations(result)
-    return np.array([ik.mnte(model, qs[i], samples[i])
+    return np.array([mnte(model, qs[i], samples[i])
                      for i in range(len(samples))]), result
 
 
@@ -126,7 +126,7 @@ def test_criterion_03_decay_law(human66):
                                       rotations=target[None],
                                       lin_vels=np.zeros((1, 3)), ang_vels=np.zeros((1, 3)))
                 state, _ = ik.step(state, sample, body, gains_b, BG, solver)
-                angles.append(ik.relative_angle(state.q.base_rot, target))
+                angles.append(relative_angle(state.q.base_rot, target))
             return angles
 
         angles = run_orientation(3.0, 900)
@@ -178,7 +178,7 @@ def test_criterion_06_orthonormality_under_load():
                           0.008 * np.sin(2 * np.pi * 0.9 * t + 0.3),
                           0.012 * np.cos(2 * np.pi * 0.2 * t)], axis=1)
         r0 = rodrigues([0.3, -0.5, 0.8], 1.1)
-        _, max_err = ik.baumgarte_integrate(r0, omega, BaumgarteConfig(rho=10.0, dt=DT))
+        _, max_err = baumgarte_integrate(r0, omega, BaumgarteConfig(rho=10.0, dt=DT))
         assert max_err <= 1e-6
 
 

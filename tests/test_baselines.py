@@ -307,8 +307,6 @@ def test_damped_step_matches_normal_equations():
     pytest.param(lambda: ik.ActiveSetSolver(damping=np.nan), "damping", id="solver-damping-nan"),
     pytest.param(lambda: ik.LeastSquaresQP(np.eye(2), np.ones(2), damping=np.nan), "damping",
                  id="problem-damping-nan"),
-    pytest.param(lambda: ik.solve_unconstrained(np.eye(2), np.ones(2), damping=np.nan),
-                 "damping", id="unconstrained-damping-nan"),
     pytest.param(lambda: InstantaneousConfig(lm_lambda0=np.nan), "lm_lambda0",
                  id="lm-lambda0-nan"),
     pytest.param(lambda: InstantaneousConfig(lm_lambda0=0.0), "lm_lambda0", id="lm-lambda0-zero"),

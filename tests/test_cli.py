@@ -1,5 +1,6 @@
 import copy
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -395,6 +396,83 @@ def test_bench_entries_that_are_not_objects_are_data_errors(model_file, tmp_path
         assert main(["bench", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == line
     assert not (tmp_path / "r").exists()
+
+
+SPEC_ENTRY = {"id": "s", "kind": "static_pose", "duration": 0.05, "dt": 0.01, "amplitude": 0.1}
+HUMAN_ENTRY = {"id": "h", "gen_human": {"dofs": 66, "seed": 0}}
+
+
+@pytest.mark.parametrize("models, specs, line", [
+    ([{"id": "h66", "path": True}], [],
+     "bad type: models entry 0 path: expected a file name, got True"),
+    ([{"id": "h66", "path": 0}], [], "bad type: models entry 0 path: expected a file name, got 0"),
+    ([{"path": "model.json"}], [], "missing key: models entry 0: id"),
+    ([{"id": "h", "gen_human": {"dofs": 66}}], [],
+     "missing key: models entry 0 gen_human: seed"),
+    ([HUMAN_ENTRY], [{k: v for k, v in SPEC_ENTRY.items() if k != "id"}],
+     "missing key: specs entry 0: id"),
+], ids=["path-true", "path-zero", "model-no-id", "no-seed", "spec-no-id"])
+def test_bench_entry_is_checked_before_any_file(tmp_path, capsys, monkeypatch, models, specs,
+                                                line):
+    """A ``path`` that is not a string is not opened (``open(True)`` would
+    read standard output, ``open(0)`` standard input), and a missing key is
+    named, not reported as a Python exception: one line each, and exit 2."""
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"models": models, "specs": specs}))
+    monkeypatch.setattr(ik.cli, "load_model", lambda _: pytest.fail("a model was read"))
+    assert main(["bench", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == f"data error: {line}\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("gen_human, line", [
+    ({"dofs": 50, "seed": 0}, "dofs must be 66 or 48, got 50"),
+    ({"dofs": 66, "seed": -1}, "seed must be a non-negative integer, got -1"),
+], ids=["dofs", "seed"])
+def test_bench_gen_human_bad_setting_is_a_usage_error(tmp_path, capsys, gen_human, line):
+    """A ``gen_human`` entry's ``dofs`` or ``seed`` out of range is a usage
+    error, as in ``models gen-human`` and as a bad ``config`` setting is."""
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"models": [{"id": "h", "gen_human": gen_human}],
+                                  "specs": [SPEC_ENTRY], "methods": ["dynamical"]}))
+    assert main(["bench", "--config", str(config), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"usage error: {line}\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command, flag, kind", [
+    *((command, flag, "directory") for command, flag in (
+        ("gen", "--model"), ("gen", "--spec"), ("gen", "--out"), ("solve", "--stream"),
+        ("solve", "--out"), ("bench", "--config"), ("bench", "--out"))),
+    *((command, flag, "not-utf8") for command, flag in (
+        ("gen", "--model"), ("gen", "--spec"), ("solve", "--stream"), ("bench", "--config"))),
+])
+def test_unreadable_file_is_a_data_error(model_file, spec_file, tmp_path, capsys, command,
+                                         flag, kind):
+    """A directory where a file is read or written (for ``bench --out``, a
+    file where the results directory goes), or an input whose bytes are not
+    UTF-8: one line, and exit 2."""
+    stream = tmp_path / "stream.jsonl"
+    assert main(["gen", "--model", model_file, "--spec", spec_file, "--out", str(stream)]) == 0
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"models": [{"id": "h66", "path": model_file}],
+                                  "specs": [SPEC_ENTRY], "methods": ["dynamical"]}))
+    files = {"--model": model_file, "--spec": spec_file, "--stream": str(stream),
+             "--config": str(config), "--out": str(tmp_path / "out")}
+    if kind == "not-utf8":
+        bad = tmp_path / "bad"
+        bad.write_bytes(pathlib.Path(files[flag]).read_bytes().replace(b"0", b"\xff", 1))
+        files[flag] = str(bad)
+    else:
+        files[flag] = model_file if (command, flag) == ("bench", "--out") else str(tmp_path)
+    capsys.readouterr()
+    argv = {"gen": ["gen", "--model", files["--model"], "--spec", files["--spec"]],
+            "solve": ["solve", "--model", files["--model"], "--stream", files["--stream"],
+                      "--method", "dynamical"],
+            "bench": ["bench", "--config", files["--config"]]}[command]
+    assert main(argv + ["--out", files["--out"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
 
 
 def test_link_below_a_parentless_link_is_a_data_error(spec_file, tmp_path, capsys):

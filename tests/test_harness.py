@@ -9,16 +9,16 @@ import pytest
 
 import iktrack as ik
 from iktrack import (Configuration, MetricsSummary, Rotation, TargetSample,
-                     TrajectorySpec, Velocity, generate_stream, load_stream, mnte,
-                     project_to_so3, results_csv, rmse_angvel, run_benchmark, run_method,
-                     save_stream, summarize_run)
+                     TrajectorySpec, Velocity, generate_stream, load_stream, project_to_so3,
+                     results_csv, run_benchmark, run_method, save_stream, summarize_run)
 from iktrack.errors import (DegenerateMatrix, ParseError, QPInfeasible, SchemaMismatch,
                             SpecInfeasible)
 from iktrack._kernels import orthonormality_errors
 from iktrack.harness import CHUNK, METHODS
 
-from conftest import (base_only_model, branched_model, rodrigues, run_configurations,
-                      run_velocities, single_joint_model, static_sample, target_poses)
+from conftest import (base_only_model, branched_model, mnte, rmse_angvel, rodrigues,
+                      run_configurations, run_velocities, single_joint_model, static_sample,
+                      target_poses)
 
 
 class TestMetrics:
@@ -404,6 +404,21 @@ class TestStreamFiles:
         with pytest.raises(ParseError) as exc:
             load_stream(path)
         assert exc.value.line == 2
+
+    def test_bytes_that_are_not_utf8_report_their_line(self, human66, tmp_path):
+        """The line is named although the file is decoded in blocks: line 40
+        of 50 lies well past the first block."""
+        spec = TrajectorySpec(kind="static_pose", duration=0.5, dt=0.01,
+                              amplitude=0.1, seed=10)
+        path = tmp_path / "stream.jsonl"
+        save_stream(path, generate_stream(human66, spec)[1])
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[39] = lines[39][:30] + b"\xff" + lines[39][31:]
+        path.write_bytes(b"".join(lines))
+        assert sum(map(len, lines[:39])) > 8192
+        with pytest.raises(ParseError, match="^line 40, column 31: not UTF-8$") as exc:
+            load_stream(path)
+        assert (exc.value.line, exc.value.column) == (40, 31)
 
     def test_model_mismatch_detected_at_solve_time(self, human66, tmp_path):
         m = base_only_model()

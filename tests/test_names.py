@@ -1,5 +1,6 @@
-"""Every global name the package's code loads is bound at import time, and
-every public name is called by the code that runs, not only by tests.
+"""Every global name the package's code loads is bound at import time, every
+name a module imports is used there, and every public name is called by the
+code that runs, not only by tests.
 
 Python resolves a global only when the line runs, so a typo in a rarely taken
 path surfaces as a ``NameError`` in the middle of a run. This check compiles
@@ -69,6 +70,31 @@ def test_module_globals_are_bound(name):
     assert unbound_globals(source, module.__file__, vars(module)) == []
 
 
+def unused_imports(source: str, filename: str) -> list[str]:
+    """Each name an import statement in ``source`` binds that no code there
+    loads; a ``__future__`` import binds no name."""
+    tree = ast.parse(source, filename)
+    imported = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names]
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in loaded]
+
+
+def test_checker_reports_an_unused_import():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from json import dumps, loads\n\n"
+              "def f() -> np.ndarray:\n    return os.sep, loads\n")
+    assert unused_imports(source, "<test>") == ["dumps"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_are_used(name):
+    path = pathlib.Path(importlib.import_module(f"iktrack.{name}").__file__)
+    assert unused_imports(path.read_text(encoding="utf-8"), str(path)) == []
+
+
 def test_exports_are_bound():
     assert [name for name in iktrack.__all__ if not hasattr(iktrack, name)] == []
 
@@ -77,11 +103,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # public names that only tests call, each with the reason it stays
 ORACLES = (
-    ("relative_angle", "criterion 3 measures the orientation decay with it"),
-    ("baumgarte_integrate", "criterion 6 folds the integrator with it"),
-    ("solve_unconstrained", "criterion 7 checks the QP against it"),
-    ("mnte", "the acceptance criteria score single samples with it"),
-    ("rmse_angvel", "the single-sample oracle of the batched scoring"),
     ("Rotation.about_axis", "perfbench's tests build rotations with it"),
 )
 

@@ -6,9 +6,9 @@ import pytest
 
 import iktrack as ik
 from iktrack.errors import RankDeficient
-from iktrack.qp import (ActiveSetSolver, LeastSquaresQP, QPStatus, solve_unconstrained)
+from iktrack.qp import ActiveSetSolver, LeastSquaresQP, QPStatus
 
-from conftest import hinge_model
+from conftest import hinge_model, solve_unconstrained
 
 
 def enumerate_active_sets(J, target, G, g, damping):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import iktrack as ik
-from iktrack import (BaumgarteConfig, Rotation, baumgarte_integrate, baumgarte_step,
-                     orientation_residual, project_to_so3)
+from iktrack import (BaumgarteConfig, Rotation, baumgarte_step, orientation_residual,
+                     project_to_so3)
 from iktrack._kernels import orthonormality_errors, skew_stack
 from iktrack.so3 import project_stack_to_so3
 from iktrack.errors import DegenerateMatrix, NotARotation, SingularMatrix
 
-from conftest import rodrigues
+from conftest import baumgarte_integrate, rodrigues
 
 
 def skew(v):

@@ -13,7 +13,7 @@ from iktrack.errors import (InvalidSetting, NonFiniteSolution, QPInfeasible, Sch
 from iktrack.tracker import (build_limit_constraints, corrected_velocity,
                              initial_configuration, step, track)
 
-from conftest import (base_only_model, hinge_model, residual_at, rodrigues,
+from conftest import (base_only_model, hinge_model, relative_angle, residual_at, rodrigues,
                       run_configurations, single_joint_model, static_sample, target_poses,
                       unchecked_gains)
 
@@ -315,7 +315,7 @@ class TestStep:
         result = track(human66, samples, gains, baumgarte, solver, q0=truth(0.0))
         assert result.error is None
         # the state after the last sample estimates the pose one period later
-        error = ik.relative_angle(Rotation.drifting(result.base_rot[-1]),
+        error = relative_angle(Rotation.drifting(result.base_rot[-1]),
                                   truth(300 * DT).base_rot)
         assert np.degrees(error) <= 0.05
 
@@ -677,7 +677,7 @@ class TestLemmaDecay:
                                   rotations=target[None],
                                   lin_vels=np.zeros((1, 3)), ang_vels=np.zeros((1, 3)))
             state, _ = step(state, sample, m, gains, baumgarte, solver)
-            angles.append(ik.relative_angle(state.q.base_rot, target))
+            angles.append(relative_angle(state.q.base_rot, target))
         assert all(angles[i + 1] <= angles[i] + 1e-12 for i in range(len(angles) - 1))
         assert angles[-1] < 1e-3
 
@@ -717,4 +717,4 @@ class TestLemmaDecay:
                                   rotations=target[None],
                                   lin_vels=np.zeros((1, 3)), ang_vels=np.zeros((1, 3)))
             state, _ = step(state, sample, m, gains, baumgarte, solver)
-        assert abs(ik.relative_angle(state.q.base_rot, target) - np.pi) <= 1e-9
+        assert abs(relative_angle(state.q.base_rot, target) - np.pi) <= 1e-9

@@ -8,9 +8,10 @@ Usage (from any directory):
 Each checkout's ``src/iktrack`` is imported under its own package name, so
 both run in this process on the same inputs. For every workload of
 ``perfbench/run.py`` (the change's recipes: model, source model, amplitude
-and band, with perfbench's sample spacing and stream length), stream i is
-generated from seed ``seed * STREAMS + i`` as perfbench does, and the stages
-are timed in alternation:
+and band, with the sample spacing ``DT``, stream length ``DURATION`` and
+``STREAMS`` of the change's ``perfbench/bench.py``), stream i is generated
+from seed ``seed * STREAMS + i`` as perfbench does, and the stages are timed
+in alternation:
 
 - per sample, one call on each side, the parent first on even samples and
   the change first on odd ones: ``step`` (the dynamical workloads; compared
@@ -46,6 +47,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import ast  # noqa: E402
 import filecmp  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
@@ -59,9 +61,9 @@ from time import perf_counter  # noqa: E402
 import numpy as np  # noqa: E402
 
 SIDES = ("parent", "change")
-DT = 0.01         # perfbench's sample spacing (s)
-DURATION = 5.0    # perfbench's stream length (s)
-STREAMS = 8       # perfbench's streams per run; stream i uses seed * STREAMS + i
+# perfbench's sample spacing (s), stream length (s) and streams per run (stream
+# i uses seed * STREAMS + i), read from perfbench/bench.py by ``_recipes``
+BENCH_CONSTANTS = ("DT", "DURATION", "STREAMS")
 
 
 def _parse_args(argv):
@@ -91,12 +93,21 @@ def _import_checkout(checkout, name):
 
 
 def _recipes(checkout):
-    """``WORKLOADS`` of the checkout's ``perfbench/run.py``."""
+    """``WORKLOADS`` and ``FIXTURES`` of the checkout's ``perfbench/run.py``,
+    and the ``BENCH_CONSTANTS`` of its ``perfbench/bench.py`` as a dict. The
+    constants are read from bench.py's source, not imported: importing it
+    imports perfbench's reference kinematics and the package by its own name."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", os.path.join(checkout, "perfbench", "run.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WORKLOADS, module.FIXTURES
+    path = os.path.join(checkout, "perfbench", "bench.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    bench = {target.id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) for target in node.targets
+             if isinstance(target, ast.Name) and target.id in BENCH_CONSTANTS}
+    return module.WORKLOADS, module.FIXTURES, bench
 
 
 def _git_head(path):
@@ -216,15 +227,15 @@ class Pass:
     """One side's pass over a stream, each call made from that side's own
     iterate, with the harness's default settings as perfbench uses them."""
 
-    def __init__(self, ik, model, stream, dynamical):
+    def __init__(self, ik, model, stream, dynamical, dt):
         cfg = ik.harness.DEFAULT_CONFIG
         self.ik, self.model, self.stream, self.dynamical = ik, model, stream, dynamical
         self.q = ik.initial_configuration(model, stream[0])
         self.state = ik.SolverState.initial(model, self.q)
-        self.gains = ik.GainConfig.build(model, dt=DT, gain=cfg["gain"],
+        self.gains = ik.GainConfig.build(model, dt=dt, gain=cfg["gain"],
                                          limit_slope=cfg["limit_slope"],
                                          vel_bound_default=cfg["vel_bound_default"])
-        self.baumgarte = ik.BaumgarteConfig(rho=cfg["rho"], dt=DT)
+        self.baumgarte = ik.BaumgarteConfig(rho=cfg["rho"], dt=dt)
         self.solver = ik.ActiveSetSolver(damping=cfg["damping"])
         self.ik_config = ik.InstantaneousConfig(stop_tol=cfg["stop_tol"],
                                                 max_iters=cfg["max_iters"],
@@ -283,7 +294,14 @@ def _per_sample(stages, passes, dynamical):
             index += 1
 
 
-def _set_up(stages, iks, spec, fixtures, seed, rounds, workdir):
+def _trajectory(ik, spec, bench, seed):
+    """The stream recipe of workload ``spec`` at perfbench's spacing and
+    length, from ``seed``."""
+    return ik.TrajectorySpec(kind="random_smooth", duration=bench["DURATION"], dt=bench["DT"],
+                             amplitude=spec["amplitude"], freq_band=spec["band"], seed=seed)
+
+
+def _set_up(stages, iks, spec, bench, fixtures, seed, rounds, workdir):
     """Alternate the set-up stages round by round on stream 0."""
     texts = {}
     for key in ("model", "source"):
@@ -291,7 +309,7 @@ def _set_up(stages, iks, spec, fixtures, seed, rounds, workdir):
             texts[key] = fh.read()
     files = {side: os.path.join(workdir, f"{side}.jsonl") for side in SIDES}
     method = "dynamical" if spec["method"] == "dynamical" else "whole-body"
-    config = dict(iks["parent"].harness.DEFAULT_CONFIG, dt=DT)
+    config = dict(iks["parent"].harness.DEFAULT_CONFIG, dt=bench["DT"])
     for r in range(rounds):
         def stage(name, fn, key=lambda out: out, parts=None):
             return stages.setdefault(name, Stage()).alternate(
@@ -299,10 +317,7 @@ def _set_up(stages, iks, spec, fixtures, seed, rounds, workdir):
         models = stage("load_model", lambda s: iks[s].load_model(texts["model"]),
                        key=lambda m: _model_arrays(m, config["vel_bound_default"]))
         sources = {s: iks[s].load_model(texts["source"]) for s in SIDES}
-        traj = {s: iks[s].TrajectorySpec(kind="random_smooth", duration=DURATION, dt=DT,
-                                         amplitude=spec["amplitude"],
-                                         freq_band=spec["band"], seed=seed * STREAMS)
-                for s in SIDES}
+        traj = {s: _trajectory(iks[s], spec, bench, seed * bench["STREAMS"]) for s in SIDES}
         generated = stage("generate_stream",
                           lambda s: iks[s].generate_stream(sources[s], traj[s]),
                           key=lambda g: (_stream_arrays(g[1]),
@@ -328,7 +343,7 @@ def _set_up(stages, iks, spec, fixtures, seed, rounds, workdir):
 def main(argv=None):
     args = _parse_args(argv)
     iks = {side: _import_checkout(getattr(args, side), f"iktrack_{side}") for side in SIDES}
-    recipes, fixtures = _recipes(args.change)
+    recipes, fixtures, bench = _recipes(args.change)
     doc = {"command": " ".join(["python3", "tools/ab_inprocess.py", *sys.argv[1:]]),
            "parent": _git_head(args.parent), "change": _git_head(args.change),
            "machine": f"{platform.machine()} {platform.system()}, {os.cpu_count()} CPUs, "
@@ -338,7 +353,7 @@ def main(argv=None):
         for name in args.workload or list(recipes):
             spec = recipes[name]
             stages = {}
-            _set_up(stages, iks, spec, fixtures, args.seed, args.rounds, workdir)
+            _set_up(stages, iks, spec, bench, fixtures, args.seed, args.rounds, workdir)
             dynamical = spec["method"] == "dynamical"
             passes = [{} for _ in range(args.streams)]
             for side in SIDES:
@@ -348,11 +363,9 @@ def main(argv=None):
                 with open(os.path.join(fixtures, spec["source"])) as fh:
                     source = ik.load_model(fh.read())
                 for i, pair in enumerate(passes):
-                    stream = ik.generate_stream(source, ik.TrajectorySpec(
-                        kind="random_smooth", duration=DURATION, dt=DT,
-                        amplitude=spec["amplitude"], freq_band=spec["band"],
-                        seed=args.seed * STREAMS + i))[1]
-                    pair[side] = Pass(ik, model, stream, dynamical)
+                    stream = ik.generate_stream(source, _trajectory(
+                        ik, spec, bench, args.seed * bench["STREAMS"] + i))[1]
+                    pair[side] = Pass(ik, model, stream, dynamical, bench["DT"])
             _per_sample(stages, passes, dynamical)
             doc["workloads"][name] = {k: v.summary() for k, v in stages.items()}
             for stage, s in doc["workloads"][name].items():
