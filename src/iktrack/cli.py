@@ -18,7 +18,7 @@ from .errors import (IkTrackError, InvalidSetting, ParseError, QPInfeasible, Ran
 from .harness import (DEFAULT_CONFIG, METHODS, TrajectorySpec, _merged_config, _settings,
                       generate_stream, load_stream, run_benchmark, run_method,
                       save_stream, summarize_run)
-from .model import _required, _typed, generate_human_chain, load_model
+from .model import _parse_json, _required, _typed, generate_human_chain, load_model
 from .so3 import BaumgarteConfig
 
 USAGE_ERROR = 1
@@ -27,8 +27,7 @@ SOLVER_ERROR = 3
 
 # OSError: a file that is missing, a directory or otherwise unreadable or
 # unwritable
-_DATA_ERRORS = (ParseError, ValidationError, SchemaMismatch, SpecInfeasible, OSError,
-                json.JSONDecodeError)
+_DATA_ERRORS = (ParseError, ValidationError, SchemaMismatch, SpecInfeasible, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,7 +107,7 @@ def _parse_spec(raw, seed=None):
 
 def _cmd_gen(args):
     model = _load_model_file(args.model)
-    spec = _parse_spec(json.loads(_read(args.spec)), args.seed)
+    spec = _parse_spec(_parse_json(_read(args.spec)), args.seed)
     _, samples = generate_stream(model, spec)
     save_stream(args.out, samples)
     print(f"wrote {len(samples)} samples to {args.out}")
@@ -143,7 +142,7 @@ def _bench_grid(cfg):
 
 
 def _cmd_bench(args):
-    models, specs, methods, config = _bench_grid(json.loads(_read(args.config)))
+    models, specs, methods, config = _bench_grid(_parse_json(_read(args.config)))
     records, table = run_benchmark(models, specs, methods, config)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "results.csv")

@@ -505,16 +505,21 @@ def _load_constraints(block, n):
                             b_nu=np.array(bounds["b_nu"]))
 
 
-def load_model(text: str) -> KinematicModel:
-    """Parse and validate a JSON model document. A malformed document raises
-    ``ParseError`` or ``ValidationError``."""
+def _parse_json(text):
+    """The value of a JSON document; ``ParseError`` when it is malformed."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}",
                          line=e.lineno, column=e.colno) from None
     except (RecursionError, ValueError) as e:  # nested too deeply; too many digits
         raise ParseError(str(e)) from None
+
+
+def load_model(text: str) -> KinematicModel:
+    """Parse and validate a JSON model document. A malformed document raises
+    ``ParseError`` or ``ValidationError``."""
+    doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     _reject_unknown(doc, _TOP_KEYS, "document")

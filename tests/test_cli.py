@@ -444,14 +444,16 @@ def test_bench_gen_human_bad_setting_is_a_usage_error(tmp_path, capsys, gen_huma
     *((command, flag, "directory") for command, flag in (
         ("gen", "--model"), ("gen", "--spec"), ("gen", "--out"), ("solve", "--stream"),
         ("solve", "--out"), ("bench", "--config"), ("bench", "--out"))),
-    *((command, flag, "not-utf8") for command, flag in (
-        ("gen", "--model"), ("gen", "--spec"), ("solve", "--stream"), ("bench", "--config"))),
+    *((command, flag, kind) for command, flag in (
+        ("gen", "--model"), ("gen", "--spec"), ("solve", "--stream"), ("bench", "--config"))
+      for kind in ("not-utf8", "too-deep", "long-integer")),
 ])
-def test_unreadable_file_is_a_data_error(model_file, spec_file, tmp_path, capsys, command,
-                                         flag, kind):
+def test_unreadable_input_is_a_data_error(model_file, spec_file, tmp_path, capsys, command,
+                                          flag, kind):
     """A directory where a file is read or written (for ``bench --out``, a
-    file where the results directory goes), or an input whose bytes are not
-    UTF-8: one line, and exit 2."""
+    file where the results directory goes), an input whose bytes are not
+    UTF-8, or JSON that Python does not parse (nested past the recursion
+    limit, an integer of more than 4300 digits): one line, and exit 2."""
     stream = tmp_path / "stream.jsonl"
     assert main(["gen", "--model", model_file, "--spec", spec_file, "--out", str(stream)]) == 0
     config = tmp_path / "bench.json"
@@ -459,9 +461,11 @@ def test_unreadable_file_is_a_data_error(model_file, spec_file, tmp_path, capsys
                                   "specs": [SPEC_ENTRY], "methods": ["dynamical"]}))
     files = {"--model": model_file, "--spec": spec_file, "--stream": str(stream),
              "--config": str(config), "--out": str(tmp_path / "out")}
-    if kind == "not-utf8":
+    if kind != "directory":
         bad = tmp_path / "bad"
-        bad.write_bytes(pathlib.Path(files[flag]).read_bytes().replace(b"0", b"\xff", 1))
+        text = pathlib.Path(files[flag]).read_bytes()
+        bad.write_bytes(text.replace(b"0", {"not-utf8": b"\xff", "too-deep": b"[" * 10**5,
+                                            "long-integer": b"1" * 5000}[kind], 1))
         files[flag] = str(bad)
     else:
         files[flag] = model_file if (command, flag) == ("bench", "--out") else str(tmp_path)
