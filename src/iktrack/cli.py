@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error (parsing/validation/schema),
-3 solver failure.
+Exit codes: 0 success, 1 usage error (a setting out of range, wherever it is
+given), 2 data error (parsing/validation/schema, or a file that cannot be read
+or written), 3 solver failure.
 """
 from __future__ import annotations
 

@@ -407,16 +407,20 @@ HUMAN_ENTRY = {"id": "h", "gen_human": {"dofs": 66, "seed": 0}}
      "bad type: models entry 0 path: expected a file name, got True"),
     ([{"id": "h66", "path": 0}], [], "bad type: models entry 0 path: expected a file name, got 0"),
     ([{"path": "model.json"}], [], "missing key: models entry 0: id"),
+    ([{"id": 5, "path": "model.json"}], [],
+     "bad type: models entry 0 id: expected a string, got 5"),
     ([{"id": "h", "gen_human": {"dofs": 66}}], [],
      "missing key: models entry 0 gen_human: seed"),
     ([HUMAN_ENTRY], [{k: v for k, v in SPEC_ENTRY.items() if k != "id"}],
      "missing key: specs entry 0: id"),
-], ids=["path-true", "path-zero", "model-no-id", "no-seed", "spec-no-id"])
+], ids=["path-true", "path-zero", "model-no-id", "model-int-id", "no-seed", "spec-no-id"])
 def test_bench_entry_is_checked_before_any_file(tmp_path, capsys, monkeypatch, models, specs,
                                                 line):
     """A ``path`` that is not a string is not opened (``open(True)`` would
-    read standard output, ``open(0)`` standard input), and a missing key is
-    named, not reported as a Python exception: one line each, and exit 2."""
+    read standard output, ``open(0)`` standard input), a missing key is
+    named, not reported as a Python exception, and an ``id`` that is not a
+    string stops the sweep before it runs (the results CSV joins ids as
+    strings): one line each, and exit 2."""
     config = tmp_path / "bench.json"
     config.write_text(json.dumps({"models": models, "specs": specs}))
     monkeypatch.setattr(ik.cli, "load_model", lambda _: pytest.fail("a model was read"))
@@ -464,8 +468,8 @@ def test_unreadable_input_is_a_data_error(model_file, spec_file, tmp_path, capsy
     if kind != "directory":
         bad = tmp_path / "bad"
         text = pathlib.Path(files[flag]).read_bytes()
-        bad.write_bytes(text.replace(b"0", {"not-utf8": b"\xff", "too-deep": b"[" * 10**5,
-                                            "long-integer": b"1" * 5000}[kind], 1))
+        bad.write_bytes({"not-utf8": text.replace(b"0", b"\xff", 1), "too-deep": b"[" * 10**5,
+                         "long-integer": b'{"t": ' + b"1" * 5000 + b"}\n"}[kind])
         files[flag] = str(bad)
     else:
         files[flag] = model_file if (command, flag) == ("bench", "--out") else str(tmp_path)
