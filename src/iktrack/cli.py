@@ -17,8 +17,8 @@ import numpy as np
 from .errors import (IkTrackError, InvalidSetting, ParseError, QPInfeasible, RankDeficient,
                      SchemaMismatch, SpecInfeasible, StaleSample, ValidationError)
 from .harness import (DEFAULT_CONFIG, METHODS, TrajectorySpec, _merged_config, _settings,
-                      generate_stream, load_stream, run_benchmark, run_method,
-                      save_stream, summarize_run)
+                      _sweep_settings, generate_stream, load_stream, run_benchmark,
+                      run_method, save_stream, summarize_run)
 from .model import _parse_json, _required, _typed, generate_human_chain, load_model
 from .so3 import BaumgarteConfig
 
@@ -49,7 +49,12 @@ def _read(path):
 
 
 def _load_model_file(path):
-    return load_model(_read(path))
+    """The model in the file at ``path``; a ``ParseError`` names the file."""
+    text = _read(path)
+    try:
+        return load_model(text)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}", line=e.line, column=e.column) from None
 
 
 def _cmd_solve(args):
@@ -63,9 +68,10 @@ def _cmd_solve(args):
         raise ParseError(f"{args.stream}: empty stream")
     samples.check_model(model)
     samples.check_spacing(args.dt, name="--dt")
-    run = run_method(args.method, model, samples, config)
-    metrics = summarize_run(model, samples, run)
+    # opened before tracking, so an unwritable --out costs no run
     with open(args.out, "w") as fh:
+        run = run_method(args.method, model, samples, config)
+        metrics = summarize_run(model, samples, run)
         fh.write("step,t,mnte,rmse_angvel,step_time_ms\n")
         for i in range(len(run.step_time)):
             fh.write(f"{i},{samples[i].t!r},{float(metrics.mnte_series[i])!r},"
@@ -144,8 +150,12 @@ def _bench_grid(cfg):
 
 def _cmd_bench(args):
     models, specs, methods, config = _bench_grid(_parse_json(_read(args.config)))
-    records, table = run_benchmark(models, specs, methods, config)
+    # the settings are checked before --out is made, so a usage error leaves no
+    # directory, and --out is made before the sweep, so an unwritable one
+    # costs no sweep
+    _sweep_settings(specs, methods, config)
     os.makedirs(args.out, exist_ok=True)
+    records, table = run_benchmark(models, specs, methods, config)
     csv_path = os.path.join(args.out, "results.csv")
     with open(csv_path, "w") as fh:
         fh.write(table)

@@ -10,6 +10,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import orjson
 
 from ._kernels import axis_factors, rotation_vectors, rotations_about_axes
 from .baselines import (InstantaneousConfig, decompose_pairwise, solve_pairwise,
@@ -19,7 +20,8 @@ from .errors import (IkTrackError, InvalidSetting, ParseError, QPInfeasible, Sch
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
 from .so3 import BaumgarteConfig, Rotation, project_stack_to_so3
-from .tracker import GainConfig, TargetStream, TrackResult, _check_counts, track
+from .tracker import (_FIELDS, GainConfig, TargetStream, TrackResult, _check_counts,
+                      _check_values, track)
 
 METHODS = ("dynamical", "whole-body", "pairwise")
 
@@ -190,17 +192,26 @@ def generate_stream(model: KinematicModel, spec: TrajectorySpec):
 # -- stream files --------------------------------------------------------------
 
 def save_stream(path, samples):
-    """One JSON record per line; float repr keeps round-trips lossless."""
-    with open(path, "w") as fh:
-        for sample in samples:
-            record = {
-                "t": float(sample.t),
-                "p": sample.positions.tolist(),
-                "R": sample.rotations.reshape(-1, 9).tolist(),
-                "v": sample.lin_vels.tolist(),
-                "w": sample.ang_vels.tolist(),
-            }
-            fh.write(json.dumps(record) + "\n")
+    """One JSON record per line, written by orjson without spaces. Each number
+    has the shortest digits that read back to the same float (``repr``'s
+    digits), so ``load_stream`` gives the saved arrays bit for bit. A NaN or
+    an infinity raises ``SchemaMismatch`` before the file is opened."""
+    lines = []
+    for sample in samples:
+        line = orjson.dumps({
+            "t": float(sample.t),
+            "p": sample.positions.tolist(),
+            "R": sample.rotations.reshape(-1, 9).tolist(),
+            "v": sample.lin_vels.tolist(),
+            "w": sample.ang_vels.tolist(),
+        }, option=orjson.OPT_APPEND_NEWLINE)
+        # orjson writes a NaN or an infinity as null, whose "n" no key or
+        # number holds; a one-byte search is far cheaper than a finite check
+        if b"n" in line:
+            _check_values(*(np.asarray(getattr(sample, name))[None] for name in _FIELDS))
+        lines.append(line)
+    with open(path, "wb") as fh:
+        fh.writelines(lines)
 
 
 def _float_array(value):
@@ -440,6 +451,22 @@ def _bench_cell(method, model_id, model, trajectory_id, samples, config, transie
                      failures=0 if run.error is None else 1, error=run.error)
 
 
+def _sweep_settings(specs, methods, config):
+    """The method list and merged config of a sweep over ``specs``;
+    ``InvalidSetting`` for an unknown method, or a setting unknown or out of
+    range at any spec's sample spacing (at the default spacing when there is
+    no spec)."""
+    if isinstance(methods, str) or not isinstance(methods, Iterable):
+        raise InvalidSetting(f"methods must be a list of method names, got {methods!r:.40}")
+    methods = list(methods)
+    for method in methods:
+        _check_method(method)
+    merged = _merged_config(config)
+    for dt in [spec.dt for _, spec in specs] or [BaumgarteConfig.dt]:
+        _settings(merged, merged.get("dt", dt))
+    return methods, merged
+
+
 def run_benchmark(models, specs, methods, config=None, transient_discard=TRANSIENT_DISCARD):
     """Run the full (model x spec x method) grid.
 
@@ -451,14 +478,7 @@ def run_benchmark(models, specs, methods, config=None, transient_discard=TRANSIE
     the ``SpecInfeasible`` of a stream that cannot be generated.
     Returns the records in declaration order plus the results CSV.
     """
-    if isinstance(methods, str) or not isinstance(methods, Iterable):
-        raise InvalidSetting(f"methods must be a list of method names, got {methods!r:.40}")
-    methods = list(methods)
-    for method in methods:
-        _check_method(method)
-    merged = _merged_config(config)
-    for _, spec in specs:  # every setting, at every sample spacing
-        _settings(merged, merged.get("dt", spec.dt))
+    methods, merged = _sweep_settings(specs, methods, config)
     records = []
     for model_id, model in models:
         for spec_id, spec in specs:

@@ -632,6 +632,61 @@ def test_bench_config_without_specs_is_data_error(model_file, tmp_path):
     assert main(["bench", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
 
 
+def test_bench_config_with_no_specs_checks_its_settings(tmp_path, capsys):
+    """A sweep over no spec still checks its settings, as one over a spec does."""
+    config = tmp_path / "bench.json"
+    for specs in ([], [SPEC_ENTRY]):
+        config.write_text(json.dumps({"models": [{"id": "a", "gen_human": {"dofs": 66,
+                                                                           "seed": 0}}],
+                                      "specs": specs, "config": {"gain": -1}}))
+        assert main(["bench", "--config", str(config), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: gain must be a positive finite number, got -1\n")
+        assert not (tmp_path / "r").exists()
+
+
+def test_a_malformed_model_file_is_named(model_file, tmp_path, capsys):
+    """Of the model files a bench config names, the one that does not parse is
+    named, as the one whose bytes are not UTF-8 is."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\n")
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"models": [{"id": "a", "path": model_file},
+                                             {"id": "b", "path": str(bad)}],
+                                  "specs": [SPEC_ENTRY]}))
+    assert main(["bench", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {bad}: line 2, column 1: Expecting property name enclosed in double "
+        f"quotes\n")
+
+
+def test_bench_out_is_made_before_the_sweep(model_file, tmp_path, capsys, monkeypatch):
+    """An existing file where the results directory goes stops ``bench``
+    before any sweep runs."""
+    calls = []
+    monkeypatch.setattr(ik.cli, "run_benchmark", lambda *a: calls.append(a))
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"models": [{"id": "h66", "path": model_file}],
+                                  "specs": [SPEC_ENTRY], "methods": ["dynamical"]}))
+    assert main(["bench", "--config", str(config), "--out", model_file]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert calls == []
+
+
+def test_solve_out_is_opened_before_tracking(model_file, spec_file, tmp_path, capsys,
+                                             monkeypatch):
+    """A directory where the per-step CSV goes stops ``solve`` before any
+    sample is tracked."""
+    stream = tmp_path / "stream.jsonl"
+    assert main(["gen", "--model", model_file, "--spec", spec_file, "--out", str(stream)]) == 0
+    calls = []
+    monkeypatch.setattr(ik.cli, "run_method", lambda *a: calls.append(a))
+    assert main(["solve", "--model", model_file, "--stream", str(stream), "--method",
+                 "dynamical", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert calls == []
+
+
 def _solve(model, stream, tmp_path, method="dynamical"):
     return main(["solve", "--model", str(model), "--stream", str(stream), "--method", method,
                  "--out", str(tmp_path / "o.csv")])

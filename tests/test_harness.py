@@ -5,6 +5,7 @@ import json
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 
 import iktrack as ik
@@ -202,16 +203,17 @@ def per_sample_scores(model, q, nu, sample):
     return score, float(np.sqrt(np.mean(np.sum(err * err, axis=1) / 3.0)))
 
 
-# sha256 prefixes of the stream files the per-sample generator wrote for
-# random_smooth, amplitude 0.3, noise_std 0.01, seed 21 (numpy 2.4, x86-64);
-# the chunked generator draws the noise in the same order
+# sha256 prefixes of the stream files for random_smooth, amplitude 0.3,
+# noise_std 0.01, seed 21 (numpy 2.4, x86-64), in orjson's notation. Every
+# line parses to the floats, bit for bit, of the file the per-sample generator
+# wrote with json.dumps; the chunked generator draws the noise in the same order
 NOISY_DIGESTS = {
-    ("human66", 1): "7143b0dc25ae4f5a", ("human66", CHUNK): "1b119fe9eb16df5f",
-    ("human66", CHUNK + 1): "f62371b8bffd6b10",
-    ("human48", 1): "c3fcf43661b04ca8", ("human48", CHUNK): "82d5d26ee2f0de1e",
-    ("human48", CHUNK + 1): "aa99f6398f4e8883",
-    ("branched", 1): "d851fd55066826f1", ("branched", CHUNK): "360cf21e40b31149",
-    ("branched", CHUNK + 1): "72cc9b536fc7930f",
+    ("human66", 1): "70cf00b13630bc9f", ("human66", CHUNK): "c914687d244f037f",
+    ("human66", CHUNK + 1): "528dbde7833b5ec5",
+    ("human48", 1): "c04e675cc4e3746e", ("human48", CHUNK): "3351275b73928d87",
+    ("human48", CHUNK + 1): "fe5a5a5295b2a554",
+    ("branched", 1): "928827e8f2796a7f", ("branched", CHUNK): "56f504371b7cb124",
+    ("branched", CHUNK + 1): "712a20d7c95f963a",
 }
 
 
@@ -361,6 +363,24 @@ def test_vel_bound_default_bounds_the_whole_body_velocity(human48, human66):
     assert not (default.nu @ G.T <= g + 1e-9).all()
 
 
+def per_element_lines(samples, dumps):
+    """The lines of a stream file that ``dumps`` writes from records built
+    one float at a time."""
+    return [dumps({
+        "t": float(x.t),
+        "p": [[float(v) for v in row] for row in x.positions],
+        "R": [[float(v) for v in rot.ravel()] for rot in x.rotations],
+        "v": [[float(v) for v in row] for row in x.lin_vels],
+        "w": [[float(v) for v in row] for row in x.ang_vels],
+    }) for x in samples]
+
+
+def assert_same_stream(a, b):
+    for name in ("t", "positions", "rotations", "lin_vels", "ang_vels"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64)), name
+
+
 class TestStreamFiles:
     def test_bytes_equal_a_per_element_writer(self, human66, tmp_path):
         spec = TrajectorySpec(kind="random_smooth", duration=0.3, dt=0.01, amplitude=0.3,
@@ -368,14 +388,55 @@ class TestStreamFiles:
         _, samples = generate_stream(human66, spec)
         path = tmp_path / "stream.jsonl"
         save_stream(path, samples)
-        expected = "".join(json.dumps({
-            "t": float(x.t),
-            "p": [[float(v) for v in row] for row in x.positions],
-            "R": [[float(v) for v in rot.ravel()] for rot in x.rotations],
-            "v": [[float(v) for v in row] for row in x.lin_vels],
-            "w": [[float(v) for v in row] for row in x.ang_vels],
-        }) + "\n" for x in samples)
-        assert path.read_bytes() == expected.encode()
+        lines = per_element_lines(samples, orjson.dumps)
+        assert path.read_bytes() == b"".join(line + b"\n" for line in lines)
+
+    def test_json_dumps_notation_still_loads(self, human66, tmp_path):
+        """A file in ``json.dumps``'s notation (spaces after separators,
+        ``1e-05``, ``1e+16``), as stream files were first written, loads to
+        the arrays of ``save_stream``'s file, bit for bit."""
+        spec = TrajectorySpec(kind="random_smooth", duration=0.3, dt=0.01, amplitude=0.3,
+                              seed=14, noise_std=0.01)
+        _, samples = generate_stream(human66, spec)
+        old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        old.write_text("".join(line + "\n" for line in per_element_lines(samples, json.dumps)))
+        save_stream(new, samples)
+        assert b", " in old.read_bytes() and b"e-0" in old.read_bytes()
+        assert old.read_bytes() != new.read_bytes()
+        assert_same_stream(load_stream(old), load_stream(new))
+        assert_same_stream(load_stream(new), samples)
+
+    def test_golden_line(self, tmp_path):
+        """The exact bytes of one hand-built sample: a number below 1e-4 is
+        written positionally, an exponent has no "+", and -0.0 and the
+        smallest subnormal keep their bits."""
+        sample = TargetSample(t=0.1, positions=np.array([[1e-05, 1e16, -0.0]]),
+                              rotations=np.array([[[1.0, -0.0, 0.0], [0.0, 1.0, 0.0],
+                                                   [0.0, 0.0, 1.0]]]),
+                              lin_vels=np.array([[5e-324, 0.1, 0.0]]),
+                              ang_vels=np.array([[0.0, -0.0, 1e-05]]))
+        path = tmp_path / "stream.jsonl"
+        save_stream(path, [sample])
+        assert path.read_bytes() == (
+            b'{"t":0.1,"p":[[0.00001,1e16,-0.0]],'
+            b'"R":[[1.0,-0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0]],'
+            b'"v":[[5e-324,0.1,0.0]],"w":[[0.0,-0.0,0.00001]]}\n')
+        assert_same_stream(load_stream(path), ik.TargetStream(
+            *([getattr(sample, name)] for name in ("t", "positions", "rotations", "lin_vels",
+                                                   "ang_vels"))))
+
+    def test_a_non_finite_value_is_refused_at_save(self, human66, tmp_path):
+        """A NaN written into a row, which the stream does not check again,
+        is refused before the file is opened; orjson would write it as
+        ``null``."""
+        spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01, amplitude=0.1,
+                              seed=10)
+        _, stream = generate_stream(human66, spec)
+        stream[3].positions[0, 0] = np.nan
+        path = tmp_path / "stream.jsonl"
+        with pytest.raises(SchemaMismatch, match="^positions holds a non-finite value$"):
+            save_stream(path, stream)
+        assert not path.exists()
 
     def test_lossless_roundtrip(self, human66, tmp_path):
         spec = TrajectorySpec(kind="random_smooth", duration=0.05, dt=0.01,
@@ -435,11 +496,10 @@ class TestStreamFiles:
         _, samples = generate_stream(human66, spec)
         path = tmp_path / "stream.jsonl"
         save_stream(path, samples)
-        text = path.read_text().splitlines()
-        head, _, tail = text[1].partition('"p": [[')
-        text[1] = head + '"p": [[NaN, ' + tail.partition(",")[2]
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(ik.IkTrackError, match="non-finite"):
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[1]["p"][0][0] = float("nan")
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(SchemaMismatch, match="^positions holds a non-finite value$"):
             load_stream(path)
 
 
