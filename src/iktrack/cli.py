@@ -70,9 +70,9 @@ def _cmd_solve(args):
     samples.check_spacing(args.dt, name="--dt")
     # opened before tracking, so an unwritable --out costs no run
     with open(args.out, "w") as fh:
+        fh.write("step,t,mnte,rmse_angvel,step_time_ms\n")
         run = run_method(args.method, model, samples, config)
         metrics = summarize_run(model, samples, run)
-        fh.write("step,t,mnte,rmse_angvel,step_time_ms\n")
         for i in range(len(run.step_time)):
             fh.write(f"{i},{samples[i].t!r},{float(metrics.mnte_series[i])!r},"
                      f"{float(metrics.rmse_series[i])!r},"

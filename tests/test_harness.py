@@ -410,29 +410,28 @@ class TestStreamFiles:
         """The exact bytes of one hand-built sample: a number below 1e-4 is
         written positionally, an exponent has no "+", and -0.0 and the
         smallest subnormal keep their bits."""
-        sample = TargetSample(t=0.1, positions=np.array([[1e-05, 1e16, -0.0]]),
-                              rotations=np.array([[[1.0, -0.0, 0.0], [0.0, 1.0, 0.0],
-                                                   [0.0, 0.0, 1.0]]]),
-                              lin_vels=np.array([[5e-324, 0.1, 0.0]]),
-                              ang_vels=np.array([[0.0, -0.0, 1e-05]]))
+        stream = ik.TargetStream(t=[0.1], positions=[[[1e-05, 1e16, -0.0]]],
+                                 rotations=[[[[1.0, -0.0, 0.0], [0.0, 1.0, 0.0],
+                                              [0.0, 0.0, 1.0]]]],
+                                 lin_vels=[[[5e-324, 0.1, 0.0]]],
+                                 ang_vels=[[[0.0, -0.0, 1e-05]]])
         path = tmp_path / "stream.jsonl"
-        save_stream(path, [sample])
+        save_stream(path, stream)
         assert path.read_bytes() == (
             b'{"t":0.1,"p":[[0.00001,1e16,-0.0]],'
             b'"R":[[1.0,-0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0]],'
             b'"v":[[5e-324,0.1,0.0]],"w":[[0.0,-0.0,0.00001]]}\n')
-        assert_same_stream(load_stream(path), ik.TargetStream(
-            *([getattr(sample, name)] for name in ("t", "positions", "rotations", "lin_vels",
-                                                   "ang_vels"))))
+        assert_same_stream(load_stream(path), stream)
 
-    def test_a_non_finite_value_is_refused_at_save(self, human66, tmp_path):
-        """A NaN written into a row, which the stream does not check again,
-        is refused before the file is opened; orjson would write it as
-        ``null``."""
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_is_refused_at_save(self, human66, tmp_path, value):
+        """A NaN or an infinity written into a row, which the stream does not
+        check again, is refused before the file is opened; orjson would write
+        it as ``null``."""
         spec = TrajectorySpec(kind="static_pose", duration=0.05, dt=0.01, amplitude=0.1,
                               seed=10)
         _, stream = generate_stream(human66, spec)
-        stream[3].positions[0, 0] = np.nan
+        stream[3].positions[0, 0] = value
         path = tmp_path / "stream.jsonl"
         with pytest.raises(SchemaMismatch, match="^positions holds a non-finite value$"):
             save_stream(path, stream)
