@@ -235,12 +235,26 @@ def _reject_booleans(value):
             _reject_booleans(item)
 
 
+# orjson 3.8 parses nesting of any depth and recurses until the C stack
+# overflows (a line nested 100000 deep kills the interpreter), where json.loads
+# raises RecursionError near the recursion limit (1000 by default). A line with
+# at most this many "[" and "{" nests within both; a human66 record holds 53.
+_ORJSON_OPENERS = 512
+
+
 def load_stream(path) -> TargetStream:
     """The ``TargetStream`` of a stream file, one JSON record per line. A
     malformed line raises ``ParseError``; target counts that differ between
     lines, a non-finite value or a rotation that is not one raise
     ``SchemaMismatch``. Lines are parsed one by one and the values checked
-    once, for the whole stream."""
+    once, for the whole stream.
+
+    Each line is parsed by ``orjson.loads``; a line it refuses (``NaN``,
+    ``Infinity``, a number past the float range, a lone surrogate, a
+    malformed record) or one with more than ``_ORJSON_OPENERS`` brackets is
+    parsed by ``json.loads``, which accepts it or raises the error that names
+    the line. Both parsers give the same doubles, so the arrays and the
+    errors are those of a ``json.loads`` reader."""
     columns = ([], [], [], [], [])
     first = None
     # a byte that is not UTF-8 is read as a lone surrogate, so the line that
@@ -256,7 +270,14 @@ def load_stream(path) -> TargetStream:
                     raise ParseError(f"line {lineno}, column {e.start + 1}: not UTF-8",
                                      line=lineno, column=e.start + 1) from None
             try:
-                record = json.loads(line)
+                record = None
+                if line.count("[") + line.count("{") <= _ORJSON_OPENERS:
+                    try:
+                        record = orjson.loads(line)
+                    except orjson.JSONDecodeError:
+                        pass
+                if record is None:
+                    record = json.loads(line)
                 t = record["t"]
                 if type(t) not in (int, float):
                     raise TypeError(f"t must be a number, got {t!r:.40}")

@@ -8,6 +8,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -63,3 +65,19 @@ def test_a_change_of_notation_reads_values_identical(tmp_path):
                               "values": {"identical": True, "max_abs_diff": 0.0}}
     for name in ("load_stream", "run_method", "summarize_run"):
         assert (name, stages[name]["identical"]) == (name, True)
+
+
+@pytest.mark.parametrize("flag, value", [("--streams", "0"), ("--rounds", "0"),
+                                         ("--streams", "-1")])
+def test_a_count_below_one_is_a_usage_error(flag, value, tmp_path):
+    """A count below 1 would leave a stage with no timing to summarise; it is
+    refused before any checkout is imported."""
+    out = tmp_path / "ab.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), "--parent", str(ROOT),
+         "--change", str(ROOT), "--seed", "1", flag, value, "--out", str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].endswith(
+        f"error: argument {flag}: must be at least 1, got {value}")
+    assert "Traceback" not in proc.stderr and not out.exists()

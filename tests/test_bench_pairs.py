@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -46,3 +47,73 @@ EIGHT_WINS[1] = PARENT10[1] + 0.01
 ], ids=["nine-of-ten", "eight-of-ten", "worse-direction", "within-iqr", "more-failed"])
 def test_gain(change, higher, parent_failed, change_failed, expected):
     assert bench_pairs.gain(PARENT10, change, higher, parent_failed, change_failed) == expected
+
+
+DECLARED = {"workloads": [{"name": "w"}], "per_layer": [],
+            "end_to_end": [{"name": "solve_s", "better": "lower", "bound": 0.25}]}
+
+
+@pytest.fixture
+def checkouts(tmp_path, monkeypatch):
+    """A parent and a change checkout whose heads the test sets, and a
+    benchmark that returns one fake run without running anything."""
+    paths = {}
+    for side in bench_pairs.SIDES:
+        paths[side] = tmp_path / side
+        paths[side].mkdir()
+        (paths[side] / "BENCHMARK.json").write_text(json.dumps(DECLARED))
+    heads = {str(paths["parent"]): "aaaaaaa", str(paths["change"]): "bbbbbbb"}
+    monkeypatch.setattr(bench_pairs, "_git_head", lambda path: heads[path])
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, *_: {
+        "correct": True, "failed": 0, "metrics": {"solve_s": {"value": 1.0 + seed / 100}}})
+    return paths, heads
+
+
+def run_batch(paths, out, description):
+    return bench_pairs.main(["--parent", str(paths["parent"]), "--change", str(paths["change"]),
+                             "--pairs", "2", "--first-seed", "1", "--out", str(out),
+                             "--description", description])
+
+
+def test_each_batch_keeps_its_description(checkouts, tmp_path):
+    paths, _ = checkouts
+    out = tmp_path / "bench.json"
+    assert run_batch(paths, out, "untraced") == 0
+    assert run_batch(paths, out, "second") == 0
+    doc = json.loads(out.read_text())
+    assert (doc["parent"], doc["change"]) == ("aaaaaaa", "bbbbbbb")
+    assert doc["batches"] == [{"description": "untraced", "first_order": 0},
+                              {"description": "second", "first_order": 4}]
+    assert [r["order"] for r in doc["runs"]] == list(range(8))
+
+
+def test_a_file_of_other_checkouts_is_not_extended(checkouts, tmp_path):
+    paths, heads = checkouts
+    out = tmp_path / "bench.json"
+    run_batch(paths, out, "first")
+    before = out.read_bytes()
+    heads[str(paths["change"])] = "ccccccc"
+    with pytest.raises(SystemExit) as exc:
+        run_batch(paths, out, "second")
+    assert exc.value.code == (f"error: {out} records change bbbbbbb, but "
+                              f"{paths['change']} is at ccccccc")
+    assert out.read_bytes() == before
+
+
+def test_a_file_without_batches_gains_them(checkouts, tmp_path):
+    """A file written before batches were recorded counts as one batch."""
+    paths, _ = checkouts
+    out = tmp_path / "bench.json"
+    run_batch(paths, out, "first")
+    doc = json.loads(out.read_text())
+    del doc["batches"]
+    out.write_text(json.dumps(doc))
+    run_batch(paths, out, "second")
+    assert json.loads(out.read_text())["batches"] == [
+        {"description": "first", "first_order": 0}, {"description": "second", "first_order": 4}]
+
+
+def test_a_checkout_without_git_has_a_null_head(tmp_path):
+    """A ``git archive`` checkout has no ``.git``; its head is recorded as
+    null."""
+    assert bench_pairs._git_head(str(tmp_path)) is None

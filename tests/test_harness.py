@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
@@ -381,6 +382,31 @@ def assert_same_stream(a, b):
         assert x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64)), name
 
 
+def replace_first_position(number):
+    """An edit of a stream-file line that writes ``number``, as text, in
+    place of its first position coordinate."""
+    return lambda line: re.sub(r'"p":\[\[[^,\]]*', lambda m: '"p":[[' + number, line, count=1)
+
+
+def json_loads_outcome(path):
+    """What a stream file loads to when every line is parsed by
+    ``json.loads``, newline included: a ``TargetStream``, or the error's
+    (type, line, message)."""
+    rows = []
+    for lineno, line in enumerate(path.read_text().splitlines(keepends=True), start=1):
+        try:
+            record = json.loads(line)
+            rows.append([float(record["t"])]
+                        + [np.array(record[key], dtype=float) for key in ("p", "R", "v", "w")])
+        except (ValueError, OverflowError, RecursionError) as e:
+            return ParseError, lineno, f"line {lineno}: {e}"
+    t, p, rot, v, w = (np.array(column) for column in zip(*rows))
+    try:
+        return ik.TargetStream(t, p, rot.reshape(len(t), -1, 3, 3), v, w)
+    except SchemaMismatch as e:
+        return SchemaMismatch, None, str(e)
+
+
 class TestStreamFiles:
     def test_bytes_equal_a_per_element_writer(self, human66, tmp_path):
         spec = TrajectorySpec(kind="random_smooth", duration=0.3, dt=0.01, amplitude=0.3,
@@ -488,6 +514,41 @@ class TestStreamFiles:
         loaded = load_stream(path)
         with pytest.raises(SchemaMismatch):
             loaded[0].check_model(human66)
+
+    @pytest.mark.parametrize("edit", [
+        *(replace_first_position(number) for number in (
+            "5e-324", "0.12345678901234567", "9007199254740993.0",
+            "1.234567890123456789012345", "2.2250738585072011e-308", "-0.0",
+            "1.7976931348623157e308", str(2 ** 63), str(2 ** 64), str(10 ** 30), "1E5",
+            # a number orjson refuses, handed on to json.loads
+            "NaN", "Infinity", "-Infinity", "1e400", str(10 ** 400 - 1))),
+        lambda line: line.replace("{", '{"\\ud800":0,', 1),
+        lambda line: line[:40],
+        lambda line: line.replace("{", '{"x":' + "[" * 5000 + "]" * 5000 + ",", 1),
+        lambda line: line.replace("{", '{"x":[' + "[]," * 600 + "[]],", 1),
+    ], ids=["subnormal", "17-digit", "2^53+1", "25-digit", "near-normal-min", "minus-zero",
+            "max-double", "2^63", "2^64", "10^30", "upper-E", "nan", "infinity",
+            "minus-infinity", "1e400", "400-digit", "lone-surrogate-key", "truncated",
+            "nested-5000", "601-brackets"])
+    def test_lines_load_as_json_loads_reads_them(self, tmp_path, edit):
+        """Every line, whichever parser reads it, loads to what a loader that
+        parses each line with ``json.loads`` gives: the same arrays bit for
+        bit, or the same exception type, line and message."""
+        spec = TrajectorySpec(kind="static_pose", duration=0.03, dt=0.01, amplitude=0.1,
+                              seed=12)
+        path = tmp_path / "stream.jsonl"
+        save_stream(path, generate_stream(branched_model(), spec)[1])
+        lines = path.read_text().splitlines()
+        lines[1] = edit(lines[1])
+        path.write_text("".join(line + "\n" for line in lines))
+        expected = json_loads_outcome(path)
+        try:
+            loaded = load_stream(path)
+        except ik.IkTrackError as e:
+            assert (type(e), getattr(e, "line", None), str(e)) == expected
+        else:
+            assert isinstance(expected, ik.TargetStream), expected
+            assert_same_stream(loaded, expected)
 
     def test_non_finite_value_rejected(self, human66, tmp_path):
         spec = TrajectorySpec(kind="static_pose", duration=0.03, dt=0.01,

@@ -68,6 +68,18 @@ SIDES = ("parent", "change")
 BENCH_CONSTANTS = ("DT", "DURATION", "STREAMS")
 
 
+def _count(text):
+    """An argparse type: an integer of at least 1, so that every stage has a
+    timing to summarise."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -75,8 +87,10 @@ def _parse_args(argv):
     parser.add_argument("--workload", action="append",
                         help="perfbench workload (repeatable; default all)")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--streams", type=int, default=2, help="streams per workload")
-    parser.add_argument("--rounds", type=int, default=10, help="rounds of the set-up stages")
+    parser.add_argument("--streams", type=_count, default=2,
+                        help="streams per workload (at least 1)")
+    parser.add_argument("--rounds", type=_count, default=10,
+                        help="rounds of the set-up stages (at least 1)")
     parser.add_argument("--out", required=True, help="JSON file to write")
     return parser.parse_args(argv)
 

@@ -11,7 +11,12 @@ benchmark runs unchanged in it, one process at a time. Pair i uses seed
 pairs the change first, so both sides share the machine's slow and fast
 phases. The output file is rewritten after every run, so an interrupted
 session keeps what it measured; an existing output file is extended, so
-untraced and traced batches can share one file. For each workload (traced
+untraced and traced batches can share one file. Each batch's
+``--description`` and the ``order`` of its first run go into the file's
+``batches`` list. The file records each checkout's git head (``parent``,
+``change``), or ``null`` for a checkout without ``.git`` such as a ``git
+archive``; the script refuses to extend a file whose recorded head differs
+from the checkout's, and exits 1 before any run. For each workload (traced
 runs apart) and metric the script prints the median and quartiles of both
 sides, the difference of the medians (change minus parent) against the
 parent's interquartile distance and whether it exceeds that distance, and
@@ -59,8 +64,11 @@ def _parse_args(argv):
     change = early.parse_known_args(argv)[0].change
     declared = _declared(change) if change else {"workloads": []}
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--parent", required=True,
+                        help="checkout of the parent commit; its git head is recorded, "
+                             "or null when it has no .git (a git archive)")
+    parser.add_argument("--change", required=True,
+                        help="checkout of the change; its head is recorded the same way")
     parser.add_argument("--workload", action="append",
                         choices=[w["name"] for w in declared["workloads"]],
                         help="workload to run (repeatable; default all that "
@@ -69,8 +77,10 @@ def _parse_args(argv):
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--description", default="")
+    parser.add_argument("--out", required=True,
+                        help="JSON file to write, or to extend when it exists and "
+                             "records the same heads")
+    parser.add_argument("--description", default="", help="what this batch measures")
     args = parser.parse_args(argv)
     args.declared = declared
     return args
@@ -194,18 +204,26 @@ def report(summary):
 def main(argv=None):
     args = _parse_args(argv)
     workloads = args.workload or [w["name"] for w in args.declared["workloads"]]
+    heads = {side: _git_head(getattr(args, side)) for side in SIDES}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
+        for side in SIDES:
+            if doc[side] != heads[side]:
+                raise SystemExit(f"error: {args.out} records {side} {doc[side]}, but "
+                                 f"{getattr(args, side)} is at {heads[side]}")
+        # a file written before batches were recorded holds one batch
+        doc.setdefault("batches", [{"description": doc["description"], "first_order": 0}])
     else:
         doc = {"description": args.description,
                "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                           "--seconds <seconds> --trace <trace>",
-               "parent": _git_head(args.parent), "change": _git_head(args.change),
+               **heads,
                "machine": f"{platform.machine()} {platform.system()}, {os.cpu_count()} CPUs, "
                           f"Python {platform.python_version()}, numpy {np.__version__}",
-               "summary": {}, "runs": []}
+               "batches": [], "summary": {}, "runs": []}
     order = len(doc["runs"])
+    doc["batches"].append({"description": args.description, "first_order": order})
     for i in range(args.pairs):
         seed = args.first_seed + i
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
