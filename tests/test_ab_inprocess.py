@@ -1,7 +1,7 @@
 """Smoke test of ``tools/ab_inprocess.py``, the call-by-call comparison that
 speed-up claims rest on: this checkout against itself must read identical,
-to the bit, on every stage, and a change of stream-file notation alone must
-read as one."""
+to the bit, on every stage, a change of stream-file notation alone must
+read as one, and a count below 1 is a usage error."""
 import json
 import pathlib
 import shutil

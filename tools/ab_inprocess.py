@@ -71,10 +71,7 @@ BENCH_CONSTANTS = ("DT", "DURATION", "STREAMS")
 def _count(text):
     """An argparse type: an integer of at least 1, so that every stage has a
     timing to summarise."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
