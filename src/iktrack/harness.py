@@ -48,18 +48,33 @@ TRANSIENT_DISCARD = 2.0
 CHUNK = 25
 
 
+def _frame_targets(model, base_pos, base_rot, s, nu):
+    """Target-frame positions, rotations, linear and angular velocities over T
+    samples of configurations (T, 3), (T, 3, 3), (T, n) moving at (T, 6 + n):
+    FK, the stacked poses and J·ν, in batches of ``CHUNK`` samples."""
+    count = len(s)
+    positions = np.empty((count, model.n_p, 3))
+    rotations = np.empty((count, model.n_o, 3, 3))
+    vel = np.empty((count, model.n_p + model.n_o, 3))
+    for lo in range(0, count, CHUNK):
+        chunk = slice(lo, min(lo + CHUNK, count))
+        fk = model.fk_batch(base_pos[chunk], base_rot[chunk], s[chunk])
+        positions[chunk], rotations[chunk] = model.stacked_poses(fk)
+        vel[chunk] = (model.stacked_jacobians(fk) @ nu[chunk, :, None]).reshape(vel[chunk].shape)
+    return positions, rotations, vel[:, :model.n_p], vel[:, model.n_p:]
+
+
 def _scores(model, base_pos, base_rot, s, nu, target_rot, target_angvel):
     """mnte and rmse_angvel of configurations (B, 3), (B, 3, 3), (B, n) and
     velocities (B, 6 + n) against targets (B, n_o, 3, 3) and (B, n_o, 3),
-    both from one FK pass with the bases projected onto SO(3). No
-    orientation targets score 0."""
-    if model.n_o == 0:
+    both from one ``_frame_targets`` pass with the bases projected onto
+    SO(3). No orientation targets score 0, and no samples score empty."""
+    if model.n_o == 0 or not len(s):
         return np.zeros(len(s)), np.zeros(len(s))
-    fk = model.fk_batch(base_pos, project_stack_to_so3(base_rot), s)
-    traces = np.einsum("bkij,bkij->bk", model.stacked_poses(fk).rotations, target_rot)
+    _, rotations, _, ang = _frame_targets(model, base_pos, project_stack_to_so3(base_rot), s, nu)
+    traces = np.einsum("bkij,bkij->bk", rotations, target_rot)
     mnte_scores = np.mean(np.maximum((3.0 - traces) / 2.0, 0.0), axis=1)
-    vel = (model.stacked_jacobians(fk) @ nu[:, :, None])[:, 3 * model.n_p:, 0]
-    err = target_angvel - vel.reshape(len(s), -1, 3)
+    err = target_angvel - ang
     return mnte_scores, np.sqrt(np.mean(np.sum(err * err, axis=2) / 3.0, axis=1))
 
 
@@ -68,8 +83,9 @@ def _scores(model, base_pos, base_rot, s, nu, target_rot, target_angvel):
 @dataclass(frozen=True)
 class TrajectorySpec:
     """Recipe for a synthetic target stream. Construction rejects a NaN,
-    infinite or negative number and a seed that is not a non-negative
-    integer (``InvalidSetting``), and makes ``freq_band`` a tuple."""
+    infinite or negative number, a ``freq_band`` whose low end is above its
+    high end and a seed that is not a non-negative integer
+    (``InvalidSetting``), and makes ``freq_band`` a tuple."""
 
     kind: str  # static_pose | sinusoidal | random_smooth
     duration: float
@@ -94,6 +110,8 @@ class TrajectorySpec:
             raise InvalidSetting(f"freq_band must hold two frequencies, got {band!r}")
         for f in band:
             check_setting("freq_band", f, zero_ok=True)
+        if band[0] > band[1]:
+            raise InvalidSetting(f"freq_band must run from low to high, got {band!r}")
         object.__setattr__(self, "freq_band", band)
 
 
@@ -163,17 +181,7 @@ def generate_stream(model: KinematicModel, spec: TrajectorySpec):
                                         rot_amp * np.sin(rarg)[:, None])[:, 0]
         base_omega = rot_axis * (rot_amp * 2.0 * np.pi * rot_freq * np.cos(rarg))[:, None]
     nu = np.concatenate([base_vel, base_omega, s_dot], axis=1)
-    positions = np.empty((steps, model.n_p, 3))
-    rotations = np.empty((steps, model.n_o, 3, 3))
-    lin = np.empty((steps, model.n_p, 3))
-    ang = np.empty((steps, model.n_o, 3))
-    for lo in range(0, steps, CHUNK):
-        chunk = slice(lo, min(lo + CHUNK, steps))
-        fk = model.fk_batch(base_pos[chunk], base_rot[chunk], s[chunk])
-        positions[chunk], rotations[chunk] = model.stacked_poses(fk)
-        vel = (model.stacked_jacobians(fk) @ nu[chunk, :, None])[:, :, 0]
-        lin[chunk] = vel[:, :3 * model.n_p].reshape(lin[chunk].shape)
-        ang[chunk] = vel[:, 3 * model.n_p:].reshape(ang[chunk].shape)
+    positions, rotations, lin, ang = _frame_targets(model, base_pos, base_rot, s, nu)
     if spec.noise_std > 0.0:
         # drawn at once in the order of a draw per sample: the position,
         # linear- and angular-velocity noise, then the rotation wobble
@@ -443,18 +451,13 @@ class RunRecord:
 def summarize_run(model, stream: TargetStream, run: TrackResult,
                   transient_discard=TRANSIENT_DISCARD) -> MetricsSummary:
     """Per-step metrics of a run: row i of ``run`` is scored against sample i
-    of the stream, in chunks of ``CHUNK`` steps, both scores at its
-    configuration with the base projected onto SO(3)."""
+    of the stream in one ``_scores`` call, both scores at its configuration
+    with the base projected onto SO(3)."""
     count = len(run.step_time)
     if count:
         stream.check_model(model)
-    mnte_series = np.zeros(count)
-    rmse_series = np.zeros(count)
-    for lo in range(0, count, CHUNK):
-        chunk = slice(lo, min(lo + CHUNK, count))
-        mnte_series[chunk], rmse_series[chunk] = _scores(
-            model, run.base_pos[chunk], run.base_rot[chunk], run.s[chunk], run.nu[chunk],
-            stream.rotations[chunk], stream.ang_vels[chunk])
+    mnte_series, rmse_series = _scores(model, run.base_pos, run.base_rot, run.s, run.nu,
+                                       stream.rotations[:count], stream.ang_vels[:count])
     return MetricsSummary(stream.t[:count], mnte_series, rmse_series, run.step_time,
                           transient_discard=transient_discard)
 

@@ -103,7 +103,8 @@ class TargetStream(Sequence):
 
     Construction copies the arrays and checks them in one pass, the check
     that constructing a ``TargetSample`` makes too (a bad value raises the
-    message of the first bad sample). The stream is a sequence of ``TargetSample``
+    message of the first bad sample; a field that is not numbers of its
+    shape raises one that names the field). The stream is a sequence of ``TargetSample``
     rows: an index gives a row that views the arrays, a slice a stream that
     does. As with numpy views, a write into a row changes the stream, and is
     not checked again.
@@ -112,18 +113,24 @@ class TargetStream(Sequence):
     __slots__ = _FIELDS
 
     def __init__(self, t, positions, rotations, lin_vels, ang_vels):
-        t = np.array(t, dtype=float).reshape(-1)
+        try:
+            t = np.array(t, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise SchemaMismatch("t must be numbers") from None
         count = t.shape[0]
         arrays = [t]
         for name, value, tail in (("positions", positions, (3,)),
                                   ("rotations", rotations, (3, 3)),
                                   ("lin_vels", lin_vels, (3,)),
                                   ("ang_vels", ang_vels, (3,))):
-            a = np.array(value, dtype=float)
-            if (a.shape[0] if a.ndim else 0) != count:
-                raise SchemaMismatch(f"{name} and t differ in length")
-            arrays.append(a.reshape((count, -1) + tail) if count else
-                          a.reshape((0, 0) + tail))
+            try:
+                a = np.array(value, dtype=float)
+                if (a.shape[0] if a.ndim else 0) != count:
+                    raise SchemaMismatch(f"{name} and t differ in length")
+                arrays.append(a.reshape(((count, -1) if count else (0, 0)) + tail))
+            except (TypeError, ValueError):
+                shape = ", ".join(map(str, ("samples", "targets") + tail))
+                raise SchemaMismatch(f"{name} must be numbers of shape ({shape})") from None
         _check_counts(*arrays[1:])
         _check_values(*arrays)
         for name, a in zip(_FIELDS, arrays):

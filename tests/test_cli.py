@@ -355,7 +355,8 @@ def test_gen_unknown_spec_key_is_data_error(model_file, tmp_path, capsys):
 @pytest.mark.parametrize("change, line", [
     ({"speed": 2.0}, "data error: unknown key: spec: speed"),
     ({"amplitude": -1}, "data error: bad spec: amplitude must be"),
-], ids=["unknown-key", "negative-amplitude"])
+    ({"freq_band": [2.0, 1.0]}, "data error: bad spec: freq_band must run from low to high"),
+], ids=["unknown-key", "negative-amplitude", "inverted-freq-band"])
 def test_gen_and_bench_report_a_bad_spec_alike(model_file, tmp_path, capsys, change, line):
     """``bench`` reads each ``specs`` entry, less its ``id``, as ``gen`` reads
     its spec file: the same one line, and exit 2."""
@@ -413,7 +414,9 @@ HUMAN_ENTRY = {"id": "h", "gen_human": {"dofs": 66, "seed": 0}}
      "missing key: models entry 0 gen_human: seed"),
     ([HUMAN_ENTRY], [{k: v for k, v in SPEC_ENTRY.items() if k != "id"}],
      "missing key: specs entry 0: id"),
-], ids=["path-true", "path-zero", "model-no-id", "model-int-id", "no-seed", "spec-no-id"])
+    ([{"id": "h"}], [], "bad model entry: h: needs a path or gen_human"),
+], ids=["path-true", "path-zero", "model-no-id", "model-int-id", "no-seed", "spec-no-id",
+        "model-no-source"])
 def test_bench_entry_is_checked_before_any_file(tmp_path, capsys, monkeypatch, models, specs,
                                                 line):
     """A ``path`` that is not a string is not opened (``open(True)`` would

@@ -150,6 +150,7 @@ class TestGenerateStream:
         ("duration", np.nan), ("duration", np.inf), ("dt", np.nan), ("amplitude", np.nan),
         ("amplitude", -0.1), ("noise_std", np.nan), ("noise_std", -0.01),
         ("freq_band", (0.5, np.nan)), ("freq_band", (-1.0, 1.0)), ("freq_band", (1.0,)),
+        ("freq_band", (2.0, 1.0)),
     ])
     def test_spec_rejects_nan_infinite_and_negative_values(self, field, value):
         """A NaN or infinite duration would fail in the step count, a NaN or
@@ -602,6 +603,22 @@ class TestTargetStream:
         with pytest.raises(SchemaMismatch, match="differ in length"):
             ik.TargetStream(**dict(arrays, t=arrays["t"][:-1]))
 
+    @pytest.mark.parametrize("field, value, stream", [
+        ("positions", np.zeros((1, 2)), False), ("positions", "abc", False),
+        ("rotations", np.eye(2)[None], False),
+        ("positions", [np.zeros((1, 3)), np.zeros((2, 3))], True), ("t", "abc", False),
+    ], ids=["positions-1x2", "positions-string", "rotations-2x2", "ragged-samples", "t-string"])
+    def test_a_field_that_is_not_numbers_of_its_shape_is_named(self, field, value, stream):
+        """A hand-built sample or stream whose field does not convert to
+        numbers of its shape raises ``SchemaMismatch`` naming the field, not
+        numpy's ``ValueError``."""
+        row = {"t": 0.0, "positions": np.zeros((1, 3)), "rotations": np.eye(3)[None],
+               "lin_vels": np.zeros((1, 3)), "ang_vels": np.zeros((1, 3))}
+        if stream:
+            row = {name: [a, a] for name, a in row.items()}
+        with pytest.raises(SchemaMismatch, match=f"^{field} must be numbers"):
+            (ik.TargetStream if stream else TargetSample)(**{**row, field: value})
+
     @pytest.mark.parametrize("entry", [1e120, 1e200, -1e300])
     def test_a_huge_rotation_is_not_a_rotation(self, human66, entry):
         spec = TrajectorySpec(kind="static_pose", duration=0.04, dt=0.01, amplitude=0.1,
@@ -819,7 +836,7 @@ class TestBenchmark:
     def test_targets_the_model_lacks_stop_the_run_at_step_0(self, human66, method):
         """A stream with one orientation target more than the model declares
         stops a run of either method at sample 0, with the error recorded,
-        not raised."""
+        not raised, and the empty run scores to empty series."""
         model = ik.KinematicModel(human66.links, human66.joints, human66.base_link,
                                   position_targets=human66.position_target_frames,
                                   orientation_targets=human66.orientation_target_frames[:-1])
@@ -828,6 +845,8 @@ class TestBenchmark:
         run = run_method(method, model, stream)
         assert (len(run.step_time), run.error) == (
             0, "step 0: sample has 1 position / 23 orientation targets, model declares 1 / 22")
+        summary = summarize_run(model, stream, run)
+        assert summary.mnte_series.shape == summary.rmse_series.shape == (0,)
 
     def test_baseline_abort_keeps_completed_samples(self, human66, monkeypatch):
         """A whole-body run whose solve fails at sample 3 returns the three
