@@ -185,6 +185,9 @@ class TestGenerateStream:
         assert spec.freq_band == (0.5, 1.5)
         assert hash(spec) == hash(TrajectorySpec(kind="sinusoidal", duration=0.3, dt=0.01,
                                                  amplitude=0.2, freq_band=(0.5, 1.5)))
+        # equal ends are one frequency, not an inverted band
+        assert TrajectorySpec(kind="sinusoidal", duration=0.3, dt=0.01, amplitude=0.2,
+                              freq_band=[1.0, 1.0]).freq_band == (1.0, 1.0)
 
 
 def pipeline_model(name, request):
