@@ -21,7 +21,7 @@ from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
 from .so3 import BaumgarteConfig, Rotation, project_stack_to_so3
 from .tracker import (_FIELDS, GainConfig, TargetStream, TrackResult, _check_counts,
-                      _check_values, track)
+                      _check_values, _float_array, _reject_booleans, track)
 
 METHODS = ("dynamical", "whole-body", "pairwise")
 
@@ -220,27 +220,6 @@ def save_stream(path, samples):
         lines.append(line)
     with open(path, "wb") as fh:
         fh.writelines(lines)
-
-
-def _float_array(value):
-    """A JSON array of numbers as a float array: a string, null or all-boolean
-    array is a TypeError, an integer past the float range an OverflowError."""
-    a = np.asarray(value)
-    if a.dtype.kind == "O" and all(type(x) in (int, float) for x in a.flat):
-        a = a.astype(float)  # integers past int64
-    if a.dtype.kind not in "iuf":
-        raise TypeError(f"expected numbers, got {value!r:.40}")
-    return a if a.dtype == np.float64 else a.astype(float)
-
-
-def _reject_booleans(value):
-    """Raise TypeError if a nested JSON array holds ``true`` or ``false``,
-    which numpy would promote to 1 or 0 among numbers."""
-    if type(value) is bool:
-        raise TypeError("expected numbers, got a boolean")
-    if type(value) is list:
-        for item in value:
-            _reject_booleans(item)
 
 
 # orjson 3.8 parses nesting of any depth and recurses until the C stack

@@ -56,9 +56,31 @@ class Joint:
     vel_limit: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", np.asarray(self.axis, dtype=float))
-        object.__setattr__(self, "origin_xyz", np.asarray(self.origin_xyz, dtype=float))
-        object.__setattr__(self, "origin_rpy", np.asarray(self.origin_rpy, dtype=float))
+        """Make the axis and origin float arrays; a field that is not numbers
+        of its shape is a ``ValidationError`` naming the joint and the field,
+        as the model loader words it."""
+        where = f"joint {self.name}"
+        for name, label in (("axis", "axis"), ("origin_xyz", "origin xyz"),
+                            ("origin_rpy", "origin rpy")):
+            object.__setattr__(self, name, _joint_numbers(getattr(self, name), (3,),
+                                                          f"{where} {label}", "3 numbers"))
+        if self.pos_limits is not None:
+            _joint_numbers(self.pos_limits, (2,), f"{where} pos_limits", "2 numbers")
+        if self.vel_limit is not None:
+            _joint_numbers(self.vel_limit, (), f"{where} vel_limit", "a number")
+
+
+def _joint_numbers(value, shape, where, what):
+    """``value`` as a float array of ``shape``; a ValidationError saying the
+    entry at ``where`` should be ``what`` when it is not numbers of that shape
+    (a string or a boolean is not a number)."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged
+        a = None
+    if a is None or a.shape != shape or a.dtype.kind not in "iuf":
+        raise ValidationError("bad type", f"{where}: expected {what}, got {value!r:.40}")
+    return a.astype(float, copy=False)
 
 
 class StackedPose(NamedTuple):

@@ -66,6 +66,28 @@ def _check_start(q: Configuration, name: str):
         raise InvalidSetting(f"{name} holds a non-finite value")
 
 
+def _float_array(value):
+    """Nested sequences of numbers as a new float array: a string, null or
+    boolean array is a TypeError, an integer past the float range an
+    OverflowError."""
+    a = np.array(value)
+    if a.dtype.kind == "O" and all(type(x) in (int, float) for x in a.flat):
+        a = a.astype(float)  # integers past int64
+    if a.dtype.kind not in "iuf":
+        raise TypeError(f"expected numbers, got {value!r:.40}")
+    return a if a.dtype == np.float64 else a.astype(float)
+
+
+def _reject_booleans(value):
+    """Raise TypeError if nested lists or tuples hold a boolean, which numpy
+    would promote to 1 or 0 among numbers."""
+    if type(value) is bool or type(value) is np.bool_:
+        raise TypeError("expected numbers, got a boolean")
+    if type(value) is list or type(value) is tuple:
+        for item in value:
+            _reject_booleans(item)
+
+
 @dataclass(eq=False)
 class TargetSample:
     """Timestamped pose and velocity targets for all declared frames.
@@ -104,8 +126,9 @@ class TargetStream(Sequence):
     Construction copies the arrays and checks them in one pass, the check
     that constructing a ``TargetSample`` makes too (a bad value raises the
     message of the first bad sample; a field that is not numbers of its
-    shape raises one that names the field). The stream is a sequence of ``TargetSample``
-    rows: an index gives a row that views the arrays, a slice a stream that
+    shape, or that holds a string, a boolean or a None, raises one that names
+    the field, as ``load_stream`` refuses those values in a file). The stream
+    is a sequence of ``TargetSample`` rows: an index gives a row that views the arrays, a slice a stream that
     does. As with numpy views, a write into a row changes the stream, and is
     not checked again.
     """
@@ -114,8 +137,9 @@ class TargetStream(Sequence):
 
     def __init__(self, t, positions, rotations, lin_vels, ang_vels):
         try:
-            t = np.array(t, dtype=float).reshape(-1)
-        except (TypeError, ValueError):
+            _reject_booleans(t)
+            t = _float_array(t).reshape(-1)
+        except (TypeError, ValueError, OverflowError):
             raise SchemaMismatch("t must be numbers") from None
         count = t.shape[0]
         arrays = [t]
@@ -124,11 +148,12 @@ class TargetStream(Sequence):
                                   ("lin_vels", lin_vels, (3,)),
                                   ("ang_vels", ang_vels, (3,))):
             try:
-                a = np.array(value, dtype=float)
+                _reject_booleans(value)
+                a = _float_array(value)
                 if (a.shape[0] if a.ndim else 0) != count:
                     raise SchemaMismatch(f"{name} and t differ in length")
                 arrays.append(a.reshape(((count, -1) if count else (0, 0)) + tail))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 shape = ", ".join(map(str, ("samples", "targets") + tail))
                 raise SchemaMismatch(f"{name} must be numbers of shape ({shape})") from None
         _check_counts(*arrays[1:])

@@ -1,11 +1,13 @@
 import importlib.util
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
-_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+_PATH = ROOT / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
@@ -117,3 +119,43 @@ def test_a_checkout_without_git_has_a_null_head(tmp_path):
     """A ``git archive`` checkout has no ``.git``; its head is recorded as
     null."""
     assert bench_pairs._git_head(str(tmp_path)) is None
+
+
+def test_readme_table_holds_the_change_medians_of_end_to_end_metrics():
+    """One row per untraced workload; a metric without a verdict is
+    per-layer and left out."""
+    entry = {"seeds": [1, 2], "parent": {}, "change": {},
+             "solve_s": {"change_median": 0.281271, "verdict": "within bound"},
+             "model.fk_ms_p50": {"change_median": 0.1}}
+    doc = {"summary": {"w": entry, "w traced": entry}}
+    assert bench_pairs.readme_table(doc) == ("| workload | pairs | `solve_s` |\n"
+                                             "| --- | --- | --- |\n"
+                                             "| `w` | 2 | 0.281 |")
+
+
+def newest_bench(directory):
+    """The ``BENCH_<n>.json`` in ``directory`` with the highest n, as a number."""
+    numbered = {int(m.group(1)): path for path in directory.glob("BENCH_*.json")
+                if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name))}
+    return numbered[max(numbered)]
+
+
+def test_newest_bench_file_has_the_highest_number(tmp_path):
+    for name in ("BENCH_8.json", "BENCH_35.json", "BENCH_9.json", "BENCH_new.json"):
+        (tmp_path / name).write_text("{}")
+    assert newest_bench(tmp_path).name == "BENCH_35.json"
+
+
+def test_readme_table_is_the_newest_bench_files():
+    """README's "Performance and accuracy" section names the newest BENCH
+    file and holds the table ``readme_table`` renders from it, so a new
+    BENCH file needs its table pasted into README."""
+    path = newest_bench(ROOT)
+    table = bench_pairs.readme_table(json.loads(path.read_text()))
+    readme = (ROOT / "README.md").read_text()
+    heading = "\n## Performance and accuracy\n"
+    assert heading in readme, "README has no Performance and accuracy section"
+    section = readme.split(heading, 1)[1].split("\n## ", 1)[0]
+    assert f"`{path.name}`" in section and table in section, (
+        f"README's Performance and accuracy section does not name {path.name} and hold "
+        f"its table; paste this:\n\n{table}\n")

@@ -610,11 +610,17 @@ class TestTargetStream:
         ("positions", np.zeros((1, 2)), False), ("positions", "abc", False),
         ("rotations", np.eye(2)[None], False),
         ("positions", [np.zeros((1, 3)), np.zeros((2, 3))], True), ("t", "abc", False),
-    ], ids=["positions-1x2", "positions-string", "rotations-2x2", "ragged-samples", "t-string"])
+        ("t", "0.5", False), ("positions", [["1", "2", "3"]], False),
+        ("lin_vels", [[True, False, 1]], False), ("t", True, False),
+        ("positions", np.ones((1, 3), dtype=bool), False),
+    ], ids=["positions-1x2", "positions-string", "rotations-2x2", "ragged-samples", "t-string",
+            "t-numeric-string", "positions-numeric-strings", "lin-vels-booleans", "t-boolean",
+            "positions-boolean-array"])
     def test_a_field_that_is_not_numbers_of_its_shape_is_named(self, field, value, stream):
         """A hand-built sample or stream whose field does not convert to
-        numbers of its shape raises ``SchemaMismatch`` naming the field, not
-        numpy's ``ValueError``."""
+        numbers of its shape, or holds strings or booleans that numpy would
+        read as numbers, raises ``SchemaMismatch`` naming the field, as
+        ``load_stream`` refuses those values in a file."""
         row = {"t": 0.0, "positions": np.zeros((1, 3)), "rotations": np.eye(3)[None],
                "lin_vels": np.zeros((1, 3)), "ang_vels": np.zeros((1, 3))}
         if stream:

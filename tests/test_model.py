@@ -447,6 +447,23 @@ class TestModelValidation:
         with pytest.raises(ValidationError):
             ik.load_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("axis", [1, 0], "joint j axis: expected 3 numbers, got [1, 0]"),
+        ("origin_xyz", [0, 0], "joint j origin xyz: expected 3 numbers, got [0, 0]"),
+        ("axis", "abc", "joint j axis: expected 3 numbers, got 'abc'"),
+        ("pos_limits", (1,), "joint j pos_limits: expected 2 numbers, got (1,)"),
+        ("vel_limit", "x", "joint j vel_limit: expected a number, got 'x'"),
+    ], ids=["axis-two-entries", "xyz-two-entries", "axis-string", "pos-limits-one-entry",
+            "vel-limit-string"])
+    def test_malformed_joint_field_is_named(self, field, value, message):
+        """A hand-built joint whose field is not numbers of its shape raises
+        the loader's ``bad type`` error naming the joint and the field, not
+        numpy's or Python's."""
+        with pytest.raises(ValidationError) as exc:
+            KinematicModel([Link("a"), Link("b")],
+                           [Joint("j", "a", "b", **{"axis": [0, 0, 1], field: value})], "a")
+        assert str(exc.value) == f"bad type: {message}"
+
     def test_inverted_limits_rejected(self):
         with pytest.raises(ValidationError, match="inverted limits"):
             KinematicModel(links=[Link("b"), Link("x")],

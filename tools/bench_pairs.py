@@ -33,7 +33,8 @@ median is better than the parent's by more than the parent's interquartile
 distance, and it failed no more samples than the parent on that workload;
 otherwise "not met". The workloads, the metrics' directions and the bounds
 are read from the change checkout's ``BENCHMARK.json``. The JSON summary
-holds the same figures.
+holds the same figures. Last, the script prints README's table of the
+file: the change side's median of every end-to-end metric per workload.
 """
 import argparse
 import json
@@ -201,6 +202,22 @@ def report(summary):
                   + (f"  {s['verdict']}" if "verdict" in s else ""))
 
 
+def readme_table(doc):
+    """README's Markdown table of a BENCH file's document: per workload
+    (traced runs apart), its pairs and the change side's median of every
+    end-to-end metric (those with a no-regression verdict), to three
+    significant digits."""
+    rows = {w: e for w, e in doc["summary"].items() if not w.endswith(" traced")}
+    metrics = list(dict.fromkeys(name for entry in rows.values() for name, s in entry.items()
+                                 if isinstance(s, dict) and "verdict" in s))
+    lines = ["| workload | pairs | " + " | ".join(f"`{m}`" for m in metrics) + " |",
+             "| --- " * (len(metrics) + 2) + "|"]
+    for workload, entry in rows.items():
+        lines.append(f"| `{workload}` | {len(entry['seeds'])} | "
+                     + " | ".join(f"{entry[m]['change_median']:.3g}" for m in metrics) + " |")
+    return "\n".join(lines)
+
+
 def main(argv=None):
     args = _parse_args(argv)
     workloads = args.workload or [w["name"] for w in args.declared["workloads"]]
@@ -241,6 +258,7 @@ def main(argv=None):
                 with open(args.out, "w") as fh:
                     json.dump(doc, fh, indent=1)
     report(doc["summary"])
+    print(readme_table(doc))
     return 0
 
 
