@@ -73,12 +73,14 @@ class Joint:
 def _joint_numbers(value, shape, where, what):
     """``value`` as a float array of ``shape``; a ValidationError saying the
     entry at ``where`` should be ``what`` when it is not numbers of that shape
-    (a string or a boolean is not a number)."""
+    (a string or a boolean is not a number, even among numbers)."""
     try:
         a = np.asarray(value)
     except ValueError:  # ragged
         a = None
-    if a is None or a.shape != shape or a.dtype.kind not in "iuf":
+    items = value if isinstance(value, (list, tuple)) else ()
+    if (a is None or a.shape != shape or a.dtype.kind not in "iuf"
+            or any(isinstance(x, (bool, np.bool_)) for x in items)):
         raise ValidationError("bad type", f"{where}: expected {what}, got {value!r:.40}")
     return a.astype(float, copy=False)
 

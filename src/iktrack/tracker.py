@@ -128,9 +128,9 @@ class TargetStream(Sequence):
     message of the first bad sample; a field that is not numbers of its
     shape, or that holds a string, a boolean or a None, raises one that names
     the field, as ``load_stream`` refuses those values in a file). The stream
-    is a sequence of ``TargetSample`` rows: an index gives a row that views the arrays, a slice a stream that
-    does. As with numpy views, a write into a row changes the stream, and is
-    not checked again.
+    is a sequence of ``TargetSample`` rows: an index gives a row that views
+    the arrays, a slice a stream that does. As with numpy views, a write
+    into a row changes the stream, and is not checked again.
     """
 
     __slots__ = _FIELDS

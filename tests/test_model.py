@@ -453,8 +453,9 @@ class TestModelValidation:
         ("axis", "abc", "joint j axis: expected 3 numbers, got 'abc'"),
         ("pos_limits", (1,), "joint j pos_limits: expected 2 numbers, got (1,)"),
         ("vel_limit", "x", "joint j vel_limit: expected a number, got 'x'"),
+        ("axis", [0, 0, True], "joint j axis: expected 3 numbers, got [0, 0, True]"),
     ], ids=["axis-two-entries", "xyz-two-entries", "axis-string", "pos-limits-one-entry",
-            "vel-limit-string"])
+            "vel-limit-string", "axis-boolean"])
     def test_malformed_joint_field_is_named(self, field, value, message):
         """A hand-built joint whose field is not numbers of its shape raises
         the loader's ``bad type`` error naming the joint and the field, not
