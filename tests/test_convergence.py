@@ -18,18 +18,19 @@ from conftest import rodrigues
 DT = 0.01
 
 
-def far_starts(model, count=3, seed=100):
-    """``count`` (target, start) configuration pairs, fixed before any run:
-    both bases turned up to 3 rad about a random axis, target joints
-    N(0, 0.5) and start joints N(0, 1)."""
-    rng = np.random.default_rng(seed)
+def far_starts(model):
+    """Three (target, start) configuration pairs, fixed before any run: both
+    bases turned up to 3 rad about a random axis, the target base at
+    N(0, 0.5) and the start base at the origin, target joints N(0, 0.5) and
+    start joints N(0, 1)."""
+    rng = np.random.default_rng(100)
 
     def turned():
         return ik.Rotation.drifting(rodrigues(rng.normal(size=3), rng.uniform(0.0, 3.0)))
 
     return [(ik.Configuration(rng.normal(0.0, 0.5, 3), turned(), rng.normal(0.0, 0.5, model.n)),
              ik.Configuration(np.zeros(3), turned(), rng.normal(0.0, 1.0, model.n)))
-            for _ in range(count)]
+            for _ in range(3)]
 
 
 def lyapunov(model, target, base_pos, base_rot, s):
