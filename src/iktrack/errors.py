@@ -1,13 +1,15 @@
-"""Exception hierarchy shared across the package, and the range check of
-numeric settings."""
+"""Exception hierarchy shared across the package, and the one rule of what
+counts as a number: in a setting, a model document, a hand-built joint or
+constraint, and a target stream."""
 
 import math
+import sys
 
 import numpy as np
 
 # concrete number types: an isinstance check against numbers.Real costs about
 # 0.5 us, paid on every tracking step by LeastSquaresQP's damping check
-_REAL = (int, float, np.integer, np.floating)
+_FLOAT = (float, np.floating)
 _INTEGRAL = (int, np.integer)
 
 
@@ -82,13 +84,42 @@ class InvalidSetting(IkTrackError, ValueError):
     also a ``ValueError``, the type callers of the settings classes catch."""
 
 
+def _is_number(value):
+    """A float, or an integer (not a boolean) within the float range."""
+    if isinstance(value, _FLOAT):
+        return True
+    return (isinstance(value, _INTEGRAL) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+def _float_array(value):
+    """Nested sequences of numbers as a new float array: a string, null or
+    boolean array is a TypeError, an integer past the float range an
+    OverflowError."""
+    a = np.array(value)
+    if a.dtype.kind == "O" and all(type(x) in (int, float) for x in a.flat):
+        a = a.astype(float)  # integers past int64
+    if a.dtype.kind not in "iuf":
+        raise TypeError(f"expected numbers, got {value!r:.40}")
+    return a if a.dtype == np.float64 else a.astype(float)
+
+
+def _reject_booleans(value):
+    """Raise TypeError if nested lists or tuples hold a boolean, which numpy
+    would promote to 1 or 0 among numbers."""
+    if type(value) is bool or type(value) is np.bool_:
+        raise TypeError("expected numbers, got a boolean")
+    if type(value) is list or type(value) is tuple:
+        for item in value:
+            _reject_booleans(item)
+
+
 def check_setting(name: str, value, zero_ok: bool = False, integer: bool = False):
-    """Raise ``InvalidSetting`` naming ``name`` unless ``value`` is a finite
-    number (an integer with ``integer``) above zero, or at zero with
-    ``zero_ok``. The range test is negated, so NaN fails it; a bool is not a
-    number here."""
-    if (isinstance(value, bool) or not isinstance(value, _INTEGRAL if integer else _REAL)
+    """Raise ``InvalidSetting`` naming ``name`` unless ``value`` is a number
+    (an integer with ``integer``) above zero, or at zero with ``zero_ok``, and
+    below infinity. The range test is negated, so NaN fails it."""
+    if (not _is_number(value) or (integer and not isinstance(value, _INTEGRAL))
             or not ((0.0 <= value if zero_ok else 0.0 < value) and value < math.inf)):
         sign = "non-negative" if zero_ok else "positive"
         noun = "integer" if integer else "finite number"
-        raise InvalidSetting(f"{name} must be a {sign} {noun}, got {value!r}")
+        raise InvalidSetting(f"{name} must be a {sign} {noun}, got {value!r:.40}")

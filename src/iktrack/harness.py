@@ -16,12 +16,12 @@ from ._kernels import axis_factors, rotation_vectors, rotations_about_axes
 from .baselines import (InstantaneousConfig, decompose_pairwise, solve_pairwise,
                         solve_whole_body)
 from .errors import (IkTrackError, InvalidSetting, ParseError, QPInfeasible, SchemaMismatch,
-                     SpecInfeasible, check_setting)
+                     SpecInfeasible, _float_array, _reject_booleans, check_setting)
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
 from .so3 import BaumgarteConfig, Rotation, project_stack_to_so3
 from .tracker import (_FIELDS, GainConfig, TargetStream, TrackResult, _check_counts,
-                      _check_values, _float_array, _reject_booleans, track)
+                      _check_values, track)
 
 METHODS = ("dynamical", "whole-body", "pairwise")
 

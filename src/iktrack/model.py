@@ -13,7 +13,7 @@ world frame.
 from __future__ import annotations
 
 import json
-import sys
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -21,7 +21,8 @@ import numpy as np
 
 from ._kernels import (FkBuffers, axis_factors, depth_layout, fk_levels,
                        pose_residual_kernel, rotations_about_axes, stacked_jacobian_kernel)
-from .errors import InvalidSetting, ParseError, UnknownFrame, ValidationError, check_setting
+from .errors import (InvalidSetting, ParseError, UnknownFrame, ValidationError, _float_array,
+                     _is_number, _reject_booleans, check_setting)
 from .so3 import Rotation
 
 AXIS_TOL = 1e-9
@@ -56,33 +57,36 @@ class Joint:
     vel_limit: float | None = None
 
     def __post_init__(self):
-        """Make the axis and origin float arrays; a field that is not numbers
-        of its shape is a ``ValidationError`` naming the joint and the field,
-        as the model loader words it."""
+        """Make the axis and origin float arrays, ``pos_limits`` a tuple of
+        floats and ``vel_limit`` a float; a field that is not numbers of its
+        shape is a ``ValidationError`` naming the joint and the field. The
+        model loader leaves these checks to this constructor."""
         where = f"joint {self.name}"
         for name, label in (("axis", "axis"), ("origin_xyz", "origin xyz"),
                             ("origin_rpy", "origin rpy")):
-            object.__setattr__(self, name, _joint_numbers(getattr(self, name), (3,),
-                                                          f"{where} {label}", "3 numbers"))
+            object.__setattr__(self, name, _shaped_numbers(getattr(self, name), (3,),
+                                                           f"{where} {label}", "3 numbers"))
         if self.pos_limits is not None:
-            _joint_numbers(self.pos_limits, (2,), f"{where} pos_limits", "2 numbers")
+            limits = _shaped_numbers(self.pos_limits, (2,), f"{where} pos_limits", "2 numbers")
+            object.__setattr__(self, "pos_limits", tuple(limits.tolist()))
         if self.vel_limit is not None:
-            _joint_numbers(self.vel_limit, (), f"{where} vel_limit", "a number")
+            vel = _shaped_numbers(self.vel_limit, (), f"{where} vel_limit", "a number")
+            object.__setattr__(self, "vel_limit", vel.item())
 
 
-def _joint_numbers(value, shape, where, what):
-    """``value`` as a float array of ``shape``; a ValidationError saying the
-    entry at ``where`` should be ``what`` when it is not numbers of that shape
-    (a string or a boolean is not a number, even among numbers)."""
+def _shaped_numbers(value, shape, where, what):
+    """``value`` as a new float array of ``shape`` (of any shape when
+    ``shape`` is None) by the stream files' rule: a string, a boolean or a
+    None is not a number, even among numbers. Otherwise a ValidationError
+    saying the entry at ``where`` should be ``what``."""
     try:
-        a = np.asarray(value)
-    except ValueError:  # ragged
+        _reject_booleans(value)
+        a = _float_array(value)
+    except (TypeError, ValueError, OverflowError):
         a = None
-    items = value if isinstance(value, (list, tuple)) else ()
-    if (a is None or a.shape != shape or a.dtype.kind not in "iuf"
-            or any(isinstance(x, (bool, np.bool_)) for x in items)):
+    if a is None or (shape is not None and a.shape != shape):
         raise ValidationError("bad type", f"{where}: expected {what}, got {value!r:.40}")
-    return a.astype(float, copy=False)
+    return a
 
 
 class StackedPose(NamedTuple):
@@ -93,8 +97,9 @@ class StackedPose(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class ExtraConstraints:
     """User-supplied joint-coupling rows A s <= b_q with velocity bounds b_nu
-    (np.inf marks an unbounded entry). Construction makes each field a float
-    array; a field that cannot be one is a ``ValidationError`` naming it."""
+    (np.inf marks an unbounded entry). Construction makes each field a new
+    float array; a field that is not numbers by the model loader's rule is a
+    ``ValidationError`` naming it."""
 
     a: np.ndarray
     b_q: np.ndarray
@@ -103,8 +108,8 @@ class ExtraConstraints:
     def __post_init__(self):
         for name in ("a", "b_q", "b_nu"):
             try:
-                value = np.asarray(getattr(self, name), dtype=float)
-            except (TypeError, ValueError):
+                value = _shaped_numbers(getattr(self, name), None, name, "numbers")
+            except ValidationError:
                 raise ValidationError("non-numeric constraint", name) from None
             object.__setattr__(self, name, value)
 
@@ -447,15 +452,6 @@ def _reject_unknown(obj, allowed, where):
         raise ValidationError("unknown key", f"{where}: {sorted(extra)[0]}")
 
 
-def _is_number(value):
-    """A JSON number that converts to a float: a float, or an integer (not a
-    boolean) within the float range."""
-    if isinstance(value, float):
-        return True
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 def _typed(value, kind, where, what):
     """``value`` when it is an instance of ``kind``; otherwise a
     ValidationError saying the entry at ``where`` should be ``what``."""
@@ -470,13 +466,6 @@ def _required(obj, key, kind, where, what):
     return _typed(obj[key], kind, f"{where} {key}", what)
 
 
-def _numbers(value, size, where):
-    """A JSON array of ``size`` numbers as a float array."""
-    if not (isinstance(value, list) and len(value) == size and all(map(_is_number, value))):
-        raise ValidationError("bad type", f"{where}: expected {size} numbers, got {value!r:.40}")
-    return np.array(value, dtype=float)
-
-
 def _strings(value, where):
     _typed(value, list, where, "an array of names")
     for v in value:
@@ -487,7 +476,7 @@ def _strings(value, where):
 def _bound(value, where):
     if value is None or value == "unbounded":
         return np.inf
-    if _is_number(value) and not np.isnan(value):
+    if _is_number(value) and not math.isnan(value):
         return float(value)
     raise ValidationError("bad bound", f"{where}: {value!r}")
 
@@ -500,20 +489,15 @@ def _load_joint(entry, index):
     _reject_unknown(entry, _JOINT_KEYS, where)
     origin = _typed(entry.get("origin", {}), dict, f"{where} origin", "an object")
     _reject_unknown(origin, _ORIGIN_KEYS, f"{where} origin")
-    limits = entry.get("pos_limits")
-    vel = entry.get("vel_limit")
-    if vel is not None and not _is_number(vel):
-        raise ValidationError("bad type", f"{where} vel_limit: expected a number, got {vel!r:.40}")
     return Joint(
         name=name,
         parent=_required(entry, "parent", str, where, "a link name"),
         child=_required(entry, "child", str, where, "a link name"),
-        axis=_numbers(_required(entry, "axis", list, where, "3 numbers"), 3, f"{where} axis"),
-        origin_xyz=_numbers(origin.get("xyz", [0.0, 0.0, 0.0]), 3, f"{where} origin xyz"),
-        origin_rpy=_numbers(origin.get("rpy", [0.0, 0.0, 0.0]), 3, f"{where} origin rpy"),
-        pos_limits=(tuple(_numbers(limits, 2, f"{where} pos_limits").tolist())
-                    if limits is not None else None),
-        vel_limit=float(vel) if vel is not None else None,
+        axis=_required(entry, "axis", list, where, "3 numbers"),
+        origin_xyz=origin.get("xyz", [0.0, 0.0, 0.0]),
+        origin_rpy=origin.get("rpy", [0.0, 0.0, 0.0]),
+        pos_limits=entry.get("pos_limits"),
+        vel_limit=entry.get("vel_limit"),
     )
 
 
@@ -524,7 +508,8 @@ def _load_constraints(block, n):
     bounds = {key: [_bound(v, key) for v in _required(block, key, list, "constraints",
                                                      "an array of bounds")]
               for key in ("b_q", "b_nu")}
-    a = np.array([_numbers(row, n, f"constraints A row {i}") for i, row in enumerate(rows)])
+    a = np.array([_shaped_numbers(row, (n,), f"constraints A row {i}", f"{n} numbers")
+                  for i, row in enumerate(rows)])
     return ExtraConstraints(a=a.reshape(len(rows), n), b_q=np.array(bounds["b_q"]),
                             b_nu=np.array(bounds["b_nu"]))
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from ._kernels import determinants, orthonormality_errors
 from .errors import (IkTrackError, InvalidSetting, NonFiniteSolution, QPInfeasible,
-                     SchemaMismatch, StaleSample, check_setting)
+                     SchemaMismatch, StaleSample, _float_array, _reject_booleans,
+                     check_setting)
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
 from .so3 import BaumgarteConfig, Rotation, baumgarte_step
@@ -64,28 +65,6 @@ def _check_start(q: Configuration, name: str):
     caller's argument ``name``, holds a NaN or an infinity."""
     if not np.isfinite(np.concatenate((q.base_pos, q.base_rot.m.ravel(), q.s))).all():
         raise InvalidSetting(f"{name} holds a non-finite value")
-
-
-def _float_array(value):
-    """Nested sequences of numbers as a new float array: a string, null or
-    boolean array is a TypeError, an integer past the float range an
-    OverflowError."""
-    a = np.array(value)
-    if a.dtype.kind == "O" and all(type(x) in (int, float) for x in a.flat):
-        a = a.astype(float)  # integers past int64
-    if a.dtype.kind not in "iuf":
-        raise TypeError(f"expected numbers, got {value!r:.40}")
-    return a if a.dtype == np.float64 else a.astype(float)
-
-
-def _reject_booleans(value):
-    """Raise TypeError if nested lists or tuples hold a boolean, which numpy
-    would promote to 1 or 0 among numbers."""
-    if type(value) is bool or type(value) is np.bool_:
-        raise TypeError("expected numbers, got a boolean")
-    if type(value) is list or type(value) is tuple:
-        for item in value:
-            _reject_booleans(item)
 
 
 @dataclass(eq=False)

@@ -313,15 +313,29 @@ def test_damped_step_matches_normal_equations():
     pytest.param(lambda: InstantaneousConfig(max_iters=0), "max_iters", id="max-iters-zero"),
     pytest.param(lambda: InstantaneousConfig(max_iters=2.5), "max_iters",
                  id="max-iters-fraction"),
+    pytest.param(lambda: ik.ActiveSetSolver(damping=10**400), "damping",
+                 id="solver-damping-past-float-range"),
+    pytest.param(lambda: ik.LeastSquaresQP(np.eye(2), np.ones(2), damping=10**400), "damping",
+                 id="problem-damping-past-float-range"),
+    pytest.param(lambda: InstantaneousConfig(lm_lambda0=10**400), "lm_lambda0",
+                 id="lm-lambda0-past-float-range"),
+    pytest.param(lambda: InstantaneousConfig(max_iters=10**400), "max_iters",
+                 id="max-iters-past-float-range"),
+    pytest.param(lambda: ik.GainConfig(gain=10**400), "gain", id="gain-past-float-range"),
+    pytest.param(lambda: ik.GainConfig(limit_slope=10**400), "limit_slope",
+                 id="limit-slope-past-float-range"),
+    pytest.param(lambda: ik.BaumgarteConfig(rho=10**400), "rho", id="rho-past-float-range"),
 ])
 def test_bad_solver_settings_are_rejected(make, setting):
     """A NaN damping would be skipped as zero, and a NaN or zero initial
     damping or a zero iteration cap would make whole-body return its start
-    unchanged. Each is an ``InvalidSetting`` naming the setting, which is an
-    ``IkTrackError`` and a ``ValueError``."""
+    unchanged. An integer past the float range is not a finite number. Each
+    is an ``InvalidSetting`` naming the setting, which is an ``IkTrackError``
+    and a ``ValueError``, in one short line."""
     with pytest.raises(ValueError, match=f"^{setting} must be") as exc:
         make()
     assert isinstance(exc.value, ik.IkTrackError)
+    assert len(str(exc.value)) < 100
 
 
 @pytest.mark.parametrize("field", ["base_pos", "s"])

@@ -194,7 +194,11 @@ def test_rho_at_the_guard_runs(model_file, spec_file, tmp_path):
     ({"gain": 200.0}, "stability guard: gain * dt must be <= 1, got 200.0 * 0.01"),
     ({"stop_tol": -1}, "stop_tol must be a positive finite number, got -1"),
     ({"damping": -1}, "damping must be a non-negative finite number, got -1"),
-], ids=["rho", "gain", "stop_tol", "damping"])
+    ({"limit_slope": 10**400},
+     f"limit_slope must be a positive finite number, got {'1' + '0' * 39}"),
+    ({"gain": 10**400}, f"gain must be a positive finite number, got {'1' + '0' * 39}"),
+], ids=["rho", "gain", "stop_tol", "damping", "limit-slope-past-float-range",
+        "gain-past-float-range"])
 def test_bench_unstable_rho_is_a_usage_error(model_file, tmp_path, capsys, monkeypatch,
                                              setting, message):
     """A setting out of range, or a gain or rho past its guard, stops a

@@ -451,19 +451,49 @@ class TestModelValidation:
         ("axis", [1, 0], "joint j axis: expected 3 numbers, got [1, 0]"),
         ("origin_xyz", [0, 0], "joint j origin xyz: expected 3 numbers, got [0, 0]"),
         ("axis", "abc", "joint j axis: expected 3 numbers, got 'abc'"),
-        ("pos_limits", (1,), "joint j pos_limits: expected 2 numbers, got (1,)"),
+        ("pos_limits", [1], "joint j pos_limits: expected 2 numbers, got [1]"),
         ("vel_limit", "x", "joint j vel_limit: expected a number, got 'x'"),
         ("axis", [0, 0, True], "joint j axis: expected 3 numbers, got [0, 0, True]"),
+        ("pos_limits", [0, 10**20], None),
+        ("vel_limit", 10**20, None),
+        ("vel_limit", 10**400, f"joint j vel_limit: expected a number, got {'1' + '0' * 39}"),
     ], ids=["axis-two-entries", "xyz-two-entries", "axis-string", "pos-limits-one-entry",
-            "vel-limit-string", "axis-boolean"])
+            "vel-limit-string", "axis-boolean", "pos-limits-past-int64",
+            "vel-limit-past-int64", "vel-limit-past-float-range"])
     def test_malformed_joint_field_is_named(self, field, value, message):
-        """A hand-built joint whose field is not numbers of its shape raises
-        the loader's ``bad type`` error naming the joint and the field, not
-        numpy's or Python's."""
-        with pytest.raises(ValidationError) as exc:
-            KinematicModel([Link("a"), Link("b")],
-                           [Joint("j", "a", "b", **{"axis": [0, 0, 1], field: value})], "a")
-        assert str(exc.value) == f"bad type: {message}"
+        """A joint field gives the same result built by hand and loaded from a
+        one-joint model document. A field that is not numbers of its shape
+        raises the loader's ``bad type`` error naming the joint and the field,
+        not numpy's or Python's; a valid one gives equal joints, with
+        ``pos_limits`` a tuple of floats and ``vel_limit`` a float."""
+        entry = {"name": "j", "parent": "a", "child": "b", "axis": [0, 0, 1]}
+        if field.startswith("origin_"):
+            entry["origin"] = {field[len("origin_"):]: value}
+        else:
+            entry[field] = value
+        doc = {"base_link": "a", "links": [{"name": "a"}, {"name": "b"}], "joints": [entry]}
+        builds = {
+            "by hand": lambda: KinematicModel(
+                [Link("a"), Link("b")],
+                [Joint("j", "a", "b", **{"axis": [0, 0, 1], field: value})], "a"),
+            "loaded": lambda: ik.load_model(json.dumps(doc)),
+        }
+        if message is not None:
+            for way, build in builds.items():
+                with pytest.raises(ValidationError) as exc:
+                    build()
+                assert str(exc.value) == f"bad type: {message}", way
+            return
+        hand, loaded = (build().joints[0] for build in builds.values())
+        for name in ("axis", "origin_xyz", "origin_rpy"):
+            assert np.array_equal(getattr(hand, name), getattr(loaded, name)), name
+        for j in (hand, loaded):
+            assert j.pos_limits is None or (type(j.pos_limits) is tuple
+                                            and all(type(v) is float for v in j.pos_limits))
+            assert j.vel_limit is None or type(j.vel_limit) is float
+        assert (hand.pos_limits, hand.vel_limit) == (loaded.pos_limits, loaded.vel_limit)
+        assert getattr(hand, field) == (tuple(map(float, value)) if field == "pos_limits"
+                                        else float(value))
 
     def test_inverted_limits_rejected(self):
         with pytest.raises(ValidationError, match="inverted limits"):
@@ -493,8 +523,9 @@ class TestModelValidation:
 
     def test_constraints_given_as_lists(self, human48):
         """Built through the Python API from lists, the constraints give the
-        model their arrays give; an entry that is not a number is rejected by
-        field name."""
+        model their arrays give; an entry that is not a number by the model
+        loader's rule (a string, a boolean or a None among numbers) is
+        rejected by field name."""
         ec = human48.extra_constraints
 
         def with_constraints(**fields):
@@ -507,8 +538,12 @@ class TestModelValidation:
         assert np.array_equal(listed.constraint_matrix, human48.constraint_matrix)
         assert np.array_equal(listed.config_bounds, human48.config_bounds)
         assert np.array_equal(listed.vel_bounds, human48.vel_bounds)
-        bad_row = [["x"] + row[1:] for row in ec.a.tolist()]
-        for field, value in (("a", bad_row), ("b_q", np.array(["x"])), ("b_nu", [[1.0], []])):
+        def row_with(entry):
+            return [[entry] + row[1:] for row in ec.a.tolist()]
+
+        for field, value in (("a", row_with("x")), ("b_q", np.array(["x"])), ("b_nu", [[1.0], []]),
+                             ("a", row_with("1")), ("a", row_with(True)), ("b_q", [True]),
+                             ("b_nu", ["2"]), ("b_q", [None])):
             fields = {"a": ec.a, "b_q": ec.b_q, "b_nu": ec.b_nu, field: value}
             with pytest.raises(ValidationError, match=f"non-numeric constraint: {field}$"):
                 with_constraints(**fields)
@@ -533,6 +568,17 @@ class TestModelValidation:
         assert np.array_equal(again.constraint_matrix, human48.constraint_matrix)
         assert np.array_equal(again.config_bounds, human48.config_bounds)
         assert np.array_equal(again.vel_bounds, human48.vel_bounds)
+
+    def test_integer_bound_past_int64_loads_as_a_float(self):
+        """A constraint bound given as an integer past int64 but inside the
+        float range loads as that float, as a joint's ``pos_limits`` does."""
+        with open("fixtures/human48.json") as fh:
+            doc = json.load(fh)
+        doc["constraints"]["b_q"][0] = 10**20
+        doc["constraints"]["b_nu"][0] = -10**20
+        m = ik.load_model(json.dumps(doc))
+        assert m.config_bounds[-1] == 1e20
+        assert m.vel_bounds[-1] == -1e20
 
     def test_unbounded_encoding(self):
         doc = {"base_link": "b", "links": [{"name": "b"}, {"name": "x"}],
