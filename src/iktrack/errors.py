@@ -116,8 +116,8 @@ def _reject_booleans(value):
 
 def check_setting(name: str, value, zero_ok: bool = False, integer: bool = False):
     """Raise ``InvalidSetting`` naming ``name`` unless ``value`` is a number
-    (an integer with ``integer``) above zero, or at zero with ``zero_ok``, and
-    below infinity. The range test is negated, so NaN fails it."""
+    by ``_is_number`` (an integer with ``integer``) above zero, or at zero
+    with ``zero_ok``, and finite. The range test is negated, so NaN fails it."""
     if (not _is_number(value) or (integer and not isinstance(value, _INTEGRAL))
             or not ((0.0 <= value if zero_ok else 0.0 < value) and value < math.inf)):
         sign = "non-negative" if zero_ok else "positive"
