@@ -218,7 +218,7 @@ def stacked_jacobian_kernel(pos, rot, base_pos, pos_idx, ori_idx, pos_cols, pos_
     """Stacked frame Jacobians of a batch of B link poses (``pos`` (B, L, 3),
     ``rot`` (B, L, 3, 3), ``base_pos`` (B, 3)), (B, 3 (n_p + n_o), n + 6):
     linear rows for the ``pos_idx`` frames, then angular rows for the
-    ``ori_idx`` frames. Columns are ordered (base_lin, base_ang, s_dot).
+    ``ori_idx`` frames. Columns are ordered (base linear, base angular, joints).
     ``pos_cols`` are the joints that move some ``pos_idx`` frame, and
     ``pos_support[i, c]`` says joint ``pos_cols[c]`` moves position frame i;
     ``ori_support[i, j]`` says joint j moves orientation frame i.

@@ -121,10 +121,10 @@ def solve_whole_body(model: KinematicModel, sample: TargetSample, q_init: Config
                      cfg: InstantaneousConfig) -> IkResult:
     """Damped Gauss-Newton on the full stacked residual, joint bounds enforced
     by projection at every iterate. Accepted iterates never increase the
-    pose error. A non-finite ``q_init`` is an ``InvalidSetting``.
+    pose error. A ``q_init`` that is unfit or not finite is an ``InvalidSetting``.
     """
     sample.check_model(model)
-    _check_start(q_init, "q_init")
+    _check_start(model, q_init, "q_init")
 
     def evaluate(q):
         fk = model.fk_arrays(q)
@@ -223,10 +223,10 @@ def solve_pairwise(model: KinematicModel, sample: TargetSample, q_init: Configur
                    cfg: InstantaneousConfig, subsystems=None):
     """Base pose assigned from its targets verbatim; every subsystem solved
     independently on its relative rotation. The merged result is identical for
-    any subsystem ordering. A non-finite ``q_init`` is an ``InvalidSetting``.
+    any subsystem ordering. An unfit or non-finite ``q_init`` is an ``InvalidSetting``.
     """
     sample.check_model(model)
-    _check_start(q_init, "q_init")
+    _check_start(model, q_init, "q_init")
     if subsystems is None:
         subsystems = decompose_pairwise(model)
     base_pos = sample.positions[model.position_target_frames.index(model.base_link)]
@@ -242,6 +242,5 @@ def solve_pairwise(model: KinematicModel, sample: TargetSample, q_init: Configur
         s[np.array(sub.joint_indices)] = s_sub
         reports.append(report)
     s = _project_constraints(model, s)
-    q = Configuration(np.asarray(base_pos, dtype=float).copy(),
-                      Rotation.drifting(np.asarray(base_rot, dtype=float).copy()), s)
+    q = Configuration(base_pos.copy(), Rotation.drifting(base_rot.copy()), s)
     return q, reports

@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package, and the one rule of what
 counts as a number: in a setting, a model document, a hand-built joint or
-constraint, and a target stream."""
+constraint, a target stream, and a configuration, velocity, rotation or QP."""
 
 import math
 import sys
@@ -11,6 +11,7 @@ import numpy as np
 # 0.5 us, paid on every tracking step by LeastSquaresQP's damping check
 _FLOAT = (float, np.floating)
 _INTEGRAL = (int, np.integer)
+_NDARRAY, _FLOAT64 = np.ndarray, np.dtype(np.float64)  # looked up once, checked every step
 
 
 class IkTrackError(Exception):
@@ -112,6 +113,24 @@ def _reject_booleans(value):
     if type(value) is list or type(value) is tuple:
         for item in value:
             _reject_booleans(item)
+
+
+def _shaped_numbers(value, shape, error, where, what="numbers"):
+    """``value`` as a float array of ``shape`` (any shape when None), where a
+    string, a boolean or a None is not a number, even among numbers; else
+    ``error(f"{where}: expected {what}, got {value!r:.40}")``. A float64 array
+    is returned as it is, like ``np.asarray``: a caller that must own it copies."""
+    if type(value) is _NDARRAY and value.dtype == _FLOAT64 and (
+            shape is None or value.shape == shape):
+        return value
+    try:
+        _reject_booleans(value)
+        a = _float_array(value)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None or (shape is not None and a.shape != shape):
+        raise error(f"{where}: expected {what}, got {value!r:.40}")
+    return a
 
 
 def check_setting(name: str, value, zero_ok: bool = False, integer: bool = False):

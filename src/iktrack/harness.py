@@ -164,7 +164,7 @@ def generate_stream(model: KinematicModel, spec: TrajectorySpec):
     t = np.arange(steps) * spec.dt
     if spec.kind == "static_pose":
         s = np.tile(mid + amp[:, 0] * np.sin(phase[:, 0]), (steps, 1))
-        s_dot = np.zeros((steps, model.n))
+        joint_vel = np.zeros((steps, model.n))
         base_pos = np.zeros((steps, 3))
         base_vel = np.zeros((steps, 3))
         base_rot = np.tile(np.eye(3), (steps, 1, 1))
@@ -172,7 +172,7 @@ def generate_stream(model: KinematicModel, spec: TrajectorySpec):
     else:
         arg = 2.0 * np.pi * freq * t[:, None, None] + phase
         s = mid + np.sum(amp * np.sin(arg), axis=2)
-        s_dot = np.sum(amp * 2.0 * np.pi * freq * np.cos(arg), axis=2)
+        joint_vel = np.sum(amp * 2.0 * np.pi * freq * np.cos(arg), axis=2)
         barg = 2.0 * np.pi * base_freq * t[:, None] + base_phase
         base_pos = base_amp * np.sin(barg)
         base_vel = base_amp * 2.0 * np.pi * base_freq * np.cos(barg)
@@ -180,7 +180,7 @@ def generate_stream(model: KinematicModel, spec: TrajectorySpec):
         base_rot = rotations_about_axes(axis_factors(rot_axis[None]),
                                         rot_amp * np.sin(rarg)[:, None])[:, 0]
         base_omega = rot_axis * (rot_amp * 2.0 * np.pi * rot_freq * np.cos(rarg))[:, None]
-    nu = np.concatenate([base_vel, base_omega, s_dot], axis=1)
+    nu = np.concatenate([base_vel, base_omega, joint_vel], axis=1)
     positions, rotations, lin, ang = _frame_targets(model, base_pos, base_rot, s, nu)
     if spec.noise_std > 0.0:
         # drawn at once in the order of a draw per sample: the position,
@@ -192,8 +192,8 @@ def generate_stream(model: KinematicModel, spec: TrajectorySpec):
         lin = lin + dv.reshape(lin.shape)
         ang = ang + dw.reshape(ang.shape)
         rotations = rotation_vectors(wobble.reshape(-1, 3)).reshape(rotations.shape) @ rotations
-    truth = [(Configuration(base_pos[k], Rotation.drifting(base_rot[k]), s[k]),
-              Velocity(base_vel[k], base_omega[k], s_dot[k])) for k in range(steps)]
+    truth = [(Configuration(base_pos[k], Rotation.drifting(base_rot[k]), s[k]), Velocity(nu[k]))
+             for k in range(steps)]
     return truth, TargetStream(t, positions, rotations, lin, ang)
 
 

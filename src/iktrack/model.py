@@ -3,9 +3,9 @@ Jacobians, JSON model-file (de)serialization, and procedural generation of
 human-like chains.
 
 Joint ordering is the declaration order of the ``joints`` list and fixes the
-indexing of the joint vector ``s`` everywhere. Velocities are stacked as
-(base_lin, base_ang, s_dot) with the base angular velocity expressed in the
-inertial frame.
+indexing of the joint vector ``s`` everywhere. A velocity is one stacked
+vector: base linear, base angular, then joint velocities, with the base
+angular velocity expressed in the inertial frame.
 
 Frames: every row of a pose residual and of a stacked Jacobian is in the
 world frame.
@@ -15,17 +15,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from ._kernels import (FkBuffers, axis_factors, depth_layout, fk_levels,
                        pose_residual_kernel, rotations_about_axes, stacked_jacobian_kernel)
-from .errors import (InvalidSetting, ParseError, UnknownFrame, ValidationError, _float_array,
-                     _is_number, _reject_booleans, check_setting)
+from .errors import (InvalidSetting, ParseError, UnknownFrame, ValidationError, _is_number,
+                     _shaped_numbers, check_setting)
 from .so3 import Rotation
 
 AXIS_TOL = 1e-9
+_BAD_TYPE = partial(ValidationError, "bad type")  # an entry not of its type or shape
 # the yaw, pitch and roll axes z, y, x, in the order their rotations compose
 _YPR_FACTORS = axis_factors(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
 
@@ -64,29 +66,15 @@ class Joint:
         where = f"joint {self.name}"
         for name, label in (("axis", "axis"), ("origin_xyz", "origin xyz"),
                             ("origin_rpy", "origin rpy")):
-            object.__setattr__(self, name, _shaped_numbers(getattr(self, name), (3,),
-                                                           f"{where} {label}", "3 numbers"))
+            object.__setattr__(self, name, _shaped_numbers(
+                getattr(self, name), (3,), _BAD_TYPE, f"{where} {label}", "3 numbers").copy())
         if self.pos_limits is not None:
-            limits = _shaped_numbers(self.pos_limits, (2,), f"{where} pos_limits", "2 numbers")
+            limits = _shaped_numbers(self.pos_limits, (2,), _BAD_TYPE, f"{where} pos_limits",
+                                     "2 numbers")
             object.__setattr__(self, "pos_limits", tuple(limits.tolist()))
         if self.vel_limit is not None:
-            vel = _shaped_numbers(self.vel_limit, (), f"{where} vel_limit", "a number")
+            vel = _shaped_numbers(self.vel_limit, (), _BAD_TYPE, f"{where} vel_limit", "a number")
             object.__setattr__(self, "vel_limit", vel.item())
-
-
-def _shaped_numbers(value, shape, where, what):
-    """``value`` as a new float array of ``shape`` (of any shape when
-    ``shape`` is None) by the stream files' rule: a string, a boolean or a
-    None is not a number, even among numbers. Otherwise a ValidationError
-    saying the entry at ``where`` should be ``what``."""
-    try:
-        _reject_booleans(value)
-        a = _float_array(value)
-    except (TypeError, ValueError, OverflowError):
-        a = None
-    if a is None or (shape is not None and a.shape != shape):
-        raise ValidationError("bad type", f"{where}: expected {what}, got {value!r:.40}")
-    return a
 
 
 class StackedPose(NamedTuple):
@@ -107,11 +95,10 @@ class ExtraConstraints:
 
     def __post_init__(self):
         for name in ("a", "b_q", "b_nu"):
-            try:
-                value = _shaped_numbers(getattr(self, name), None, name, "numbers")
-            except ValidationError:
-                raise ValidationError("non-numeric constraint", name) from None
-            object.__setattr__(self, name, value)
+            value = _shaped_numbers(getattr(self, name), None,
+                                    lambda _: ValidationError("non-numeric constraint", name),
+                                    name)
+            object.__setattr__(self, name, value.copy())
 
 
 class KinematicModel:
@@ -239,8 +226,9 @@ class KinematicModel:
         self._assemble_constraints()
 
     def _assemble_constraints(self):
-        """A s <= b_q and A s_dot <= b_nu: an upper then a lower row for each
-        joint with a position or velocity limit, then the extra rows (checked first)."""
+        """A s <= b_q and A v <= b_nu over joint velocities v: an upper then a
+        lower row for each joint with a position or velocity limit, then the
+        extra rows (checked first)."""
         ec = self.extra_constraints
         if ec is not None:
             if ec.a.ndim != 2 or ec.a.shape[1] != self.n:
@@ -393,47 +381,42 @@ class KinematicModel:
 
 @dataclass(eq=False)
 class Configuration:
-    """Base position, base rotation, and joint angles."""
+    """Base position (3 numbers), base rotation, and joint angles, taken by
+    the one number rule; a field that breaks it is an ``InvalidSetting``."""
 
     base_pos: np.ndarray
     base_rot: Rotation
     s: np.ndarray
 
     def __post_init__(self):
-        self.base_pos = np.asarray(self.base_pos, dtype=float)
-        self.s = np.asarray(self.s, dtype=float)
+        self.base_pos = _shaped_numbers(self.base_pos, (3,), InvalidSetting, "base_pos",
+                                        "3 numbers")
+        self.s = _shaped_numbers(self.s, None, InvalidSetting, "s")
         if not isinstance(self.base_rot, Rotation):
             self.base_rot = Rotation(self.base_rot)
 
     @classmethod
     def zeros(cls, model: KinematicModel, base_pos=None) -> "Configuration":
-        pos = np.zeros(3) if base_pos is None else np.asarray(base_pos, dtype=float)
-        return cls(pos, Rotation.identity(), np.zeros(model.n))
+        return cls(np.zeros(3) if base_pos is None else base_pos, Rotation.identity(),
+                   np.zeros(model.n))
 
 
 @dataclass(eq=False)
 class Velocity:
-    """Base linear/angular velocity plus joint velocities."""
+    """The stacked velocity ``nu`` (6 + n,): base linear, base angular, then
+    joints, taken by the one number rule, else an ``InvalidSetting``."""
 
-    base_lin: np.ndarray
-    base_ang: np.ndarray
-    s_dot: np.ndarray
+    nu: np.ndarray
 
     def __post_init__(self):
-        self.base_lin = np.asarray(self.base_lin, dtype=float)
-        self.base_ang = np.asarray(self.base_ang, dtype=float)
-        self.s_dot = np.asarray(self.s_dot, dtype=float)
+        self.nu = _shaped_numbers(self.nu, None, InvalidSetting, "nu")
 
     def stacked(self) -> np.ndarray:
-        return np.concatenate([self.base_lin, self.base_ang, self.s_dot])
-
-    @classmethod
-    def from_stacked(cls, nu) -> "Velocity":
-        return cls(nu[0:3], nu[3:6], nu[6:])
+        return self.nu.copy()
 
     @classmethod
     def zeros(cls, model: KinematicModel) -> "Velocity":
-        return cls(np.zeros(3), np.zeros(3), np.zeros(model.n))
+        return cls(np.zeros(model.n + 6))
 
 
 # -- model file I/O ----------------------------------------------------------
@@ -456,7 +439,7 @@ def _typed(value, kind, where, what):
     """``value`` when it is an instance of ``kind``; otherwise a
     ValidationError saying the entry at ``where`` should be ``what``."""
     if not isinstance(value, kind):
-        raise ValidationError("bad type", f"{where}: expected {what}, got {value!r:.40}")
+        raise _BAD_TYPE(f"{where}: expected {what}, got {value!r:.40}")
     return value
 
 
@@ -478,7 +461,7 @@ def _bound(value, where):
         return np.inf
     if _is_number(value) and not math.isnan(value):
         return float(value)
-    raise ValidationError("bad bound", f"{where}: {value!r}")
+    raise ValidationError("bad bound", f"{where}: {value!r:.40}")
 
 
 def _load_joint(entry, index):
@@ -508,7 +491,7 @@ def _load_constraints(block, n):
     bounds = {key: [_bound(v, key) for v in _required(block, key, list, "constraints",
                                                      "an array of bounds")]
               for key in ("b_q", "b_nu")}
-    a = np.array([_shaped_numbers(row, (n,), f"constraints A row {i}", f"{n} numbers")
+    a = np.array([_shaped_numbers(row, (n,), _BAD_TYPE, f"constraints A row {i}", f"{n} numbers")
                   for i, row in enumerate(rows)])
     return ExtraConstraints(a=a.reshape(len(rows), n), b_q=np.array(bounds["b_q"]),
                             b_nu=np.array(bounds["b_nu"]))

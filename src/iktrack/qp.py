@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import RankDeficient, check_setting
+from .errors import InvalidSetting, RankDeficient, _shaped_numbers, check_setting
 
 
 class QPStatus(Enum):
@@ -28,7 +28,8 @@ class QPStatus(Enum):
 @dataclass(eq=False)
 class LeastSquaresQP:
     """Problem data; ``damping`` makes the Hessian positive definite when the
-    fit term alone is rank-deficient."""
+    fit term alone is rank-deficient. Arrays are taken by the one number
+    rule; one that breaks it, or shapes that differ, are an ``InvalidSetting``."""
 
     J: np.ndarray
     target: np.ndarray
@@ -37,18 +38,19 @@ class LeastSquaresQP:
     damping: float = 0.0
 
     def __post_init__(self):
-        self.J = np.asarray(self.J, dtype=float)
-        self.target = np.asarray(self.target, dtype=float)
+        self.J = _shaped_numbers(self.J, None, InvalidSetting, "J")
+        self.target = _shaped_numbers(self.target, None, InvalidSetting, "target")
         if self.J.ndim != 2 or self.target.shape != (self.J.shape[0],):
-            raise ValueError("J must be 2-D with target matching its row count")
+            raise InvalidSetting("J must be 2-D with target matching its row count")
         if self.G is None:
             self.G = np.zeros((0, self.J.shape[1]))
             self.g = np.zeros(0)
         else:
-            self.G = np.asarray(self.G, dtype=float).reshape(-1, self.J.shape[1])
-            self.g = np.asarray(self.g, dtype=float).reshape(-1)
+            self.G = _shaped_numbers(self.G, None, InvalidSetting, "G").reshape(
+                -1, self.J.shape[1])
+            self.g = _shaped_numbers(self.g, None, InvalidSetting, "g").reshape(-1)
             if self.g.shape[0] != self.G.shape[0]:
-                raise ValueError("G and g row counts differ")
+                raise InvalidSetting("G and g row counts differ")
         check_setting("damping", self.damping, zero_ok=True)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._kernels import (axis_factors, baumgarte_step_kernel, determinants,
                        orthonormality_errors, rotation_residuals, rotations_about_axes)
-from .errors import DegenerateMatrix, InvalidSetting, NotARotation, check_setting
+from .errors import DegenerateMatrix, InvalidSetting, NotARotation, _shaped_numbers, check_setting
 
 ORTHONORMALITY_TOL = 1e-9
 
@@ -34,18 +34,17 @@ def _require_rotations(m):
 class Rotation:
     """A validated 3x3 rotation matrix.
 
-    The regular constructor only accepts matrices with orthonormality error
-    below ``ORTHONORMALITY_TOL`` and positive determinant. ``drifting`` skips
-    the check; it exists for the integrator's intermediate states, which are
-    deliberately allowed to wander slightly off SO(3).
+    The regular constructor only accepts a 3x3 matrix of numbers (the one
+    number rule) with orthonormality error below ``ORTHONORMALITY_TOL`` and
+    positive determinant. ``drifting`` skips the check; it exists for the
+    integrator's intermediate states, allowed to wander slightly off SO(3).
     """
 
     __slots__ = ("m",)
 
     def __init__(self, m):
-        m = np.ascontiguousarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise NotARotation(f"expected 3x3 matrix, got shape {m.shape}")
+        m = np.ascontiguousarray(_shaped_numbers(m, (3, 3), NotARotation, "rotation",
+                                                 "a 3x3 matrix"))
         _require_rotations(m[None])
         self.m = m
 

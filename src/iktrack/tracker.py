@@ -17,7 +17,7 @@ import numpy as np
 from ._kernels import determinants, orthonormality_errors
 from .errors import (IkTrackError, InvalidSetting, NonFiniteSolution, QPInfeasible,
                      SchemaMismatch, StaleSample, _float_array, _reject_booleans,
-                     check_setting)
+                     _shaped_numbers, check_setting)
 from .model import Configuration, KinematicModel, Velocity
 from .qp import ActiveSetSolver, LeastSquaresQP, QPStatus
 from .so3 import BaumgarteConfig, Rotation, baumgarte_step
@@ -60,9 +60,14 @@ def _check_values(t, positions, rotations, lin_vels, ang_vels):
     raise SchemaMismatch(f"rotation target {int(np.argmin(is_rotation[k]))} is not a rotation")
 
 
-def _check_start(q: Configuration, name: str):
-    """Raise ``InvalidSetting`` when the start configuration ``q``, the
-    caller's argument ``name``, holds a NaN or an infinity."""
+def _check_start(model: KinematicModel, q: Configuration, name: str):
+    """Raise ``InvalidSetting`` naming ``name``, the caller's argument, unless
+    the start ``q`` is a ``Configuration`` that fits ``model`` and is finite."""
+    if not isinstance(q, Configuration):
+        raise InvalidSetting(f"{name} must be a Configuration, got {q!r:.40}")
+    if q.base_rot.m.shape != (3, 3) or q.s.shape != (model.n,):
+        raise InvalidSetting(f"{name} must have a 3x3 base rotation and {model.n} joint angles, "
+                             f"got shapes {q.base_rot.m.shape} and {q.s.shape}")
     if not np.isfinite(np.concatenate((q.base_pos, q.base_rot.m.ravel(), q.s))).all():
         raise InvalidSetting(f"{name} holds a non-finite value")
 
@@ -115,11 +120,7 @@ class TargetStream(Sequence):
     __slots__ = _FIELDS
 
     def __init__(self, t, positions, rotations, lin_vels, ang_vels):
-        try:
-            _reject_booleans(t)
-            t = _float_array(t).reshape(-1)
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaMismatch("t must be numbers") from None
+        t = _shaped_numbers(t, None, lambda _: SchemaMismatch("t must be numbers"), "t").flatten()
         count = t.shape[0]
         arrays = [t]
         for name, value, tail in (("positions", positions, (3,)),
@@ -223,6 +224,7 @@ class SolverState:
 
     @classmethod
     def initial(cls, model: KinematicModel, q0: Configuration) -> "SolverState":
+        _check_start(model, q0, "q0")
         return cls(q=q0, nu=Velocity.zeros(model))
 
 
@@ -314,7 +316,7 @@ def step(state: SolverState, sample: TargetSample, model: KinematicModel,
     new_q = Configuration(base_pos=base_pos, base_rot=Rotation.drifting(base_rot), s=s)
     report = StepReport(residual_r=residual, qp_status=solution.status,
                         step_wall_time=time.perf_counter() - t_start)
-    new_state = SolverState(q=new_q, nu=Velocity.from_stacked(nu),
+    new_state = SolverState(q=new_q, nu=Velocity(nu),
                             last_active_set=solution.active_set, t=sample.t)
     return new_state, report
 
@@ -342,9 +344,9 @@ class TrackResult:
         velocity, seconds), row i of the record. The first ``IkTrackError``
         stops the run, keeping the rows before it, with ``error`` set to
         ``step <i>: <message>``; an ``InvalidSetting`` is the caller's
-        error, not a sample's, and is raised, as is a non-finite ``q0``."""
+        error, not a sample's, and is raised, as is a bad ``q0``."""
         if q0 is not None:
-            _check_start(q0, "q0")
+            _check_start(model, q0, "q0")
         count, n = len(samples), model.n
         base_pos, base_rot, s = np.empty((count, 3)), np.empty((count, 3, 3)), np.empty((count, n))
         nu, step_time = np.empty((count, 6 + n)), np.empty(count)

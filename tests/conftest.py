@@ -106,7 +106,7 @@ def run_configurations(run):
 
 def run_velocities(run):
     """The velocities of a ``TrackResult``, one per row."""
-    return [ik.Velocity.from_stacked(nu) for nu in run.nu]
+    return [ik.Velocity(nu) for nu in run.nu]
 
 
 def rodrigues(axis, angle):
@@ -149,6 +149,36 @@ def static_sample(model, q, t=0.0):
     return ik.TargetSample(t=t, positions=positions, rotations=rotations,
                            lin_vels=np.zeros((model.n_p, 3)),
                            ang_vels=np.zeros((model.n_o, 3)))
+
+
+# the defects a start configuration can have, each with the end of the
+# InvalidSetting message that names it
+BAD_STARTS = {
+    "base_pos-nan": "holds a non-finite value",
+    "base_rot-nan": "holds a non-finite value",
+    "s-nan": "holds a non-finite value",
+    "s-one-short": "must have a 3x3 base rotation and {n} joint angles, got shapes (3, 3) "
+                   "and ({m},)",
+    "base-2x2": "must have a 3x3 base rotation and {n} joint angles, got shapes (2, 2) "
+                "and ({n},)",
+    "not-a-configuration": "must be a Configuration, got array([0., 0.",
+}
+
+
+def bad_start(model, defect):
+    """A start configuration for ``model`` with one of the ``BAD_STARTS``
+    defects, and the message, after the argument's name, that refuses it."""
+    base_pos, base_rot, s = np.zeros(3), np.eye(3), np.zeros(model.n)
+    if defect == "not-a-configuration":
+        q = np.zeros(model.n + 7)
+    elif defect == "s-one-short":
+        q = ik.Configuration(base_pos, ik.Rotation.drifting(base_rot), s[1:])
+    elif defect == "base-2x2":
+        q = ik.Configuration(base_pos, ik.Rotation.drifting(np.eye(2)), s)
+    else:
+        {"base_pos-nan": base_pos, "base_rot-nan": base_rot, "s-nan": s}[defect].flat[0] = np.nan
+        q = ik.Configuration(base_pos, ik.Rotation.drifting(base_rot), s)
+    return q, BAD_STARTS[defect].format(n=model.n, m=model.n - 1)
 
 
 def with_extra_rows(model, a, b_q):

@@ -10,8 +10,9 @@ from iktrack.errors import DecompositionError
 from iktrack.harness import METHODS, run_method
 from iktrack.qp import _damped, _normal_equations, _solve_normal
 
-from conftest import (hinge_model, inconsistent_model, residual_at, rodrigues,
-                      run_configurations, single_joint_model, static_sample, with_extra_rows)
+from conftest import (BAD_STARTS, bad_start, hinge_model, inconsistent_model, residual_at,
+                      rodrigues, run_configurations, single_joint_model, static_sample,
+                      with_extra_rows)
 
 
 def bisection_oracle(f, lo, hi, tol=1e-12):
@@ -338,18 +339,20 @@ def test_bad_solver_settings_are_rejected(make, setting):
     assert len(str(exc.value)) < 100
 
 
-@pytest.mark.parametrize("field", ["base_pos", "s"])
+@pytest.mark.parametrize("defect", list(BAD_STARTS))
 @pytest.mark.parametrize("solve", [solve_whole_body, solve_pairwise],
                          ids=["whole-body", "pairwise"])
-def test_non_finite_start_is_a_setting_error(human66, solve, field, monkeypatch):
-    """A start configuration holding a NaN is the caller's error, raised
-    before the first FK, not a NaN result or a count of converged solves."""
-    q = Configuration.zeros(human66)
-    sample = static_sample(human66, q)
-    getattr(q, field)[0] = np.nan
+def test_non_finite_start_is_a_setting_error(human66, solve, defect, monkeypatch):
+    """A start configuration holding a NaN, or one that does not fit the
+    model (a joint short, a 2x2 base, not a configuration at all), is the
+    caller's error, raised before the first FK, not a NaN result, a count of
+    converged solves or a raw ``IndexError``."""
+    sample = static_sample(human66, Configuration.zeros(human66))
+    q, message = bad_start(human66, defect)
     monkeypatch.setattr(ik.KinematicModel, "fk_arrays", lambda *args: pytest.fail("FK ran"))
-    with pytest.raises(ik.InvalidSetting, match="^q_init holds a non-finite value$"):
+    with pytest.raises(ik.InvalidSetting) as exc:
         solve(human66, sample, q, InstantaneousConfig())
+    assert str(exc.value).startswith(f"q_init {message}")
 
 
 def test_whole_body_without_orientation_targets():

@@ -69,7 +69,7 @@ class TestMetrics:
         rng = np.random.default_rng(3)
         q = Configuration(rng.normal(size=3), Rotation.about_axis([1, 1, 1], 0.3),
                           rng.normal(scale=0.3, size=human66.n))
-        nu = Velocity.from_stacked(rng.normal(size=human66.n + 6))
+        nu = Velocity(rng.normal(size=human66.n + 6))
         positions, rotations = target_poses(human66, q)
         vel = human66.stacked_jacobian(q) @ nu.stacked()
         sample = TargetSample(t=0.0, positions=positions, rotations=rotations,
@@ -366,6 +366,24 @@ def test_vel_bound_default_bounds_the_whole_body_velocity(human48, human66):
     G, g = human48.limit_rows(0.05)
     assert (slow.nu @ G.T <= g + 1e-9).all()
     assert not (default.nu @ G.T <= g + 1e-9).all()
+
+
+@pytest.mark.parametrize("method", ["whole-body", "pairwise"])
+def test_inconsistent_velocity_rows_are_reported(method):
+    """A two-link arm whose extra rows ask the first joint's velocity to be
+    at most -1 and at least 1, with its angle unbounded: the baseline solves
+    sample 0, its velocity stage finds no velocity, and the run records the
+    reason and no row."""
+    rows = ik.ExtraConstraints(a=[[1, 0], [-1, 0]], b_q=[np.inf, np.inf], b_nu=[-1, -1])
+    m = ik.KinematicModel(
+        links=[ik.Link("base"), ik.Link("upper"), ik.Link("tip")],
+        joints=[ik.Joint("shoulder", "base", "upper", axis=[0, 0, 1], origin_xyz=[0.1, 0, 0]),
+                ik.Joint("elbow", "upper", "tip", axis=[0, 1, 0], origin_xyz=[0.5, 0, 0])],
+        base_link="base", position_targets=["base"], orientation_targets=["base", "tip"],
+        extra_constraints=rows)
+    run = run_method(method, m, [static_sample(m, Configuration.zeros(m))])
+    assert run.error == "step 0: the velocity constraints are inconsistent"
+    assert len(run.step_time) == 0
 
 
 def per_element_lines(samples, dumps):

@@ -580,6 +580,18 @@ class TestModelValidation:
         assert m.config_bounds[-1] == 1e20
         assert m.vel_bounds[-1] == -1e20
 
+    def test_bound_past_the_float_range_is_cut_to_one_short_line(self):
+        """A constraint bound given as an integer past the float range is a
+        ``bad bound`` naming its field, with the value cut to 40 characters
+        as every other rule cuts it."""
+        with open("fixtures/human48.json") as fh:
+            doc = json.load(fh)
+        doc["constraints"]["b_q"][0] = 10**400
+        with pytest.raises(ValidationError) as exc:
+            ik.load_model(json.dumps(doc))
+        assert str(exc.value) == f"bad bound: b_q: {'1' + '0' * 39}"
+        assert len(str(exc.value)) < 100
+
     def test_unbounded_encoding(self):
         doc = {"base_link": "b", "links": [{"name": "b"}, {"name": "x"}],
                "joints": [{"name": "j", "parent": "b", "child": "x", "axis": [0, 0, 1],
@@ -663,8 +675,59 @@ class TestValueTypes:
     def test_velocity_stack_roundtrip(self, human66):
         rng = np.random.default_rng(6)
         nu = rng.normal(size=human66.n + 6)
-        v = Velocity.from_stacked(nu)
+        v = Velocity(nu)
         assert np.array_equal(v.stacked(), nu)
+        assert v.nu is nu and v.stacked() is not nu
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Configuration(["1", "2", "3"], np.eye(3), [True, "0.5"]), ik.InvalidSetting,
+         "base_pos: expected 3 numbers, got ['1', '2', '3']"),
+        (lambda: Configuration(np.zeros(3), np.eye(3), [True, 0.5]), ik.InvalidSetting,
+         "s: expected numbers, got [True, 0.5]"),
+        (lambda: Configuration([0, 0, None], np.eye(3), [0.5]), ik.InvalidSetting,
+         "base_pos: expected 3 numbers, got [0, 0, None]"),
+        (lambda: Configuration(np.zeros(2), np.eye(3), [0.5]), ik.InvalidSetting,
+         "base_pos: expected 3 numbers, got array([0., 0.])"),
+        (lambda: Velocity(["1", 0.5]), ik.InvalidSetting,
+         "nu: expected numbers, got ['1', 0.5]"),
+        (lambda: Velocity([True, 0.5]), ik.InvalidSetting,
+         "nu: expected numbers, got [True, 0.5]"),
+        (lambda: Velocity(None), ik.InvalidSetting, "nu: expected numbers, got None"),
+        (lambda: Rotation([["1", 0, 0], [0, 1, 0], [0, 0, 1]]), ik.NotARotation,
+         "rotation: expected a 3x3 matrix, got [['1', 0, 0], [0, 1, 0], [0, 0, 1]]"),
+        (lambda: Rotation([[True, 0, 0], [0, 1, 0], [0, 0, 1]]), ik.NotARotation,
+         "rotation: expected a 3x3 matrix, got [[True, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+        (lambda: Rotation([[None, 0, 0], [0, 1, 0], [0, 0, 1]]), ik.NotARotation,
+         "rotation: expected a 3x3 matrix, got [[None, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+        (lambda: Rotation(np.eye(2)), ik.NotARotation,
+         "rotation: expected a 3x3 matrix, got array([[1., 0.],\n       [0., 1.]])"),
+        (lambda: ik.LeastSquaresQP([["1", 0.0]], [0.0]), ik.InvalidSetting,
+         "J: expected numbers, got [['1', 0.0]]"),
+        (lambda: ik.LeastSquaresQP(np.eye(2), [True, 0.0]), ik.InvalidSetting,
+         "target: expected numbers, got [True, 0.0]"),
+        (lambda: ik.LeastSquaresQP(np.eye(2), np.zeros(2), [[None, 0.0]], [0.0]),
+         ik.InvalidSetting, "G: expected numbers, got [[None, 0.0]]"),
+        (lambda: ik.LeastSquaresQP(np.eye(2), np.zeros(2), np.eye(2), ["1", "2"]),
+         ik.InvalidSetting, "g: expected numbers, got ['1', '2']"),
+        (lambda: ik.LeastSquaresQP(np.ones(2), np.zeros(2)), ik.InvalidSetting,
+         "J must be 2-D with target matching its row count"),
+        (lambda: ik.LeastSquaresQP(np.eye(2), np.zeros(3)), ik.InvalidSetting,
+         "J must be 2-D with target matching its row count"),
+        (lambda: ik.LeastSquaresQP(np.eye(2), np.zeros(2), np.eye(2), np.zeros(3)),
+         ik.InvalidSetting, "G and g row counts differ"),
+    ], ids=["configuration-strings-booleans", "configuration-s-boolean",
+            "configuration-base-pos-none", "configuration-base-pos-two", "velocity-string",
+            "velocity-boolean", "velocity-none", "rotation-string", "rotation-boolean",
+            "rotation-none", "rotation-2x2", "qp-j-string", "qp-target-boolean", "qp-g-none",
+            "qp-g-strings", "qp-j-1d", "qp-target-length", "qp-rows-differ"])
+    def test_value_types_take_numbers_by_the_one_rule(self, build, error, message):
+        """A configuration, a velocity, a rotation and a QP refuse a string, a
+        boolean or a None among their numbers, as a stream does, and numbers
+        of the wrong shape, each with a typed error naming the field and the
+        value cut to 40 characters; numpy alone would read them as numbers."""
+        with pytest.raises(error) as exc:
+            build()
+        assert str(exc.value) == message
 
     def test_configuration_validates_rotation(self):
         with pytest.raises(ik.NotARotation):

@@ -13,9 +13,9 @@ from iktrack.errors import (InvalidSetting, NonFiniteSolution, QPInfeasible, Sch
 from iktrack.tracker import (build_limit_constraints, corrected_velocity,
                              initial_configuration, step, track)
 
-from conftest import (base_only_model, hinge_model, relative_angle, residual_at, rodrigues,
-                      run_configurations, single_joint_model, static_sample, target_poses,
-                      unchecked_gains)
+from conftest import (BAD_STARTS, bad_start, base_only_model, hinge_model, relative_angle,
+                      residual_at, rodrigues, run_configurations, single_joint_model,
+                      static_sample, target_poses, unchecked_gains)
 
 DT = 0.01
 
@@ -367,17 +367,25 @@ class TestTrack:
         with pytest.raises(InvalidSetting):
             ik.TrackResult.of_run(human66, samples, bad_setting)
 
-    @pytest.mark.parametrize("part", ["base_pos", "base_rot", "s"])
-    def test_non_finite_start_configuration_is_a_setting_error(self, part, human66):
-        """A caller's ``q0`` that is not finite is the caller's error, raised
-        before the first step, not a step's non-finite velocity."""
-        parts = {"base_pos": np.zeros(3), "base_rot": np.eye(3), "s": np.zeros(human66.n)}
-        parts[part].flat[0] = np.nan
-        q0 = Configuration(parts["base_pos"], Rotation.drifting(parts["base_rot"]), parts["s"])
+    @pytest.mark.parametrize("defect", list(BAD_STARTS))
+    def test_non_finite_start_configuration_is_a_setting_error(self, defect, human66):
+        """A caller's ``q0`` that is not finite, or that does not fit the
+        model, is the caller's error, raised before the first step, not a
+        step's non-finite velocity or a raw ``IndexError`` from FK."""
+        q0, message = bad_start(human66, defect)
         gains, baumgarte, _ = default_setup(human66)
         samples = [static_sample(human66, Configuration.zeros(human66))]
-        with pytest.raises(InvalidSetting, match="q0 holds a non-finite value"):
+        with pytest.raises(InvalidSetting) as exc:
             track(human66, samples, gains, baumgarte, q0=q0)
+        assert str(exc.value).startswith(f"q0 {message}")
+
+    def test_initial_state_checks_its_start(self, human66, human48):
+        """``SolverState.initial``, where ``step`` starts, refuses a start
+        whose joints are another model's."""
+        with pytest.raises(InvalidSetting) as exc:
+            SolverState.initial(human66, Configuration.zeros(human48))
+        assert str(exc.value) == ("q0 must have a 3x3 base rotation and 66 joint angles, "
+                                  "got shapes (3, 3) and (48,)")
 
     def test_constant_stream_fixed_point(self, human66):
         spec = ik.TrajectorySpec(kind="static_pose", duration=0.1, dt=DT,
