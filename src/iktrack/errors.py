@@ -11,7 +11,8 @@ import numpy as np
 # 0.5 us, paid on every tracking step by LeastSquaresQP's damping check
 _FLOAT = (float, np.floating)
 _INTEGRAL = (int, np.integer)
-_NDARRAY, _FLOAT64 = np.ndarray, np.dtype(np.float64)  # looked up once, checked every step
+# numpy's one native float64 descriptor: any other takes the checked path, which copies
+_NDARRAY, _FLOAT64 = np.ndarray, np.dtype(np.float64)
 
 
 class IkTrackError(Exception):
@@ -116,11 +117,10 @@ def _reject_booleans(value):
 
 
 def _shaped_numbers(value, shape, error, where, what="numbers"):
-    """``value`` as a float array of ``shape`` (any shape when None), where a
-    string, a boolean or a None is not a number, even among numbers; else
-    ``error(f"{where}: expected {what}, got {value!r:.40}")``. A float64 array
-    is returned as it is, like ``np.asarray``: a caller that must own it copies."""
-    if type(value) is _NDARRAY and value.dtype == _FLOAT64 and (
+    """``value`` as a float array of ``shape`` (any shape when None), where no
+    string, boolean or None is a number; else ``error(f"{where}: expected
+    {what}, got {value!r:.40}")``. A float64 array is returned uncopied."""
+    if type(value) is _NDARRAY and value.dtype is _FLOAT64 and (
             shape is None or value.shape == shape):
         return value
     try:
