@@ -151,8 +151,8 @@ def static_sample(model, q, t=0.0):
                            ang_vels=np.zeros((model.n_o, 3)))
 
 
-# the defects a start configuration can have, each with the end of the
-# InvalidSetting message that names it
+# the defects a start configuration can have, each with the InvalidSetting
+# message that refuses it, after the argument's name
 BAD_STARTS = {
     "base_pos-nan": "holds a non-finite value",
     "base_rot-nan": "holds a non-finite value",
@@ -161,13 +161,13 @@ BAD_STARTS = {
                    "and ({m},)",
     "base-2x2": "must have a 3x3 base rotation and {n} joint angles, got shapes (2, 2) "
                 "and ({n},)",
-    "not-a-configuration": "must be a Configuration, got array([0., 0.",
+    "not-a-configuration": "must be a Configuration, got {q!r:.40}",
 }
 
 
 def bad_start(model, defect):
     """A start configuration for ``model`` with one of the ``BAD_STARTS``
-    defects, and the message, after the argument's name, that refuses it."""
+    defects, and the whole message, after the argument's name, that refuses it."""
     base_pos, base_rot, s = np.zeros(3), np.eye(3), np.zeros(model.n)
     if defect == "not-a-configuration":
         q = np.zeros(model.n + 7)
@@ -178,7 +178,7 @@ def bad_start(model, defect):
     else:
         {"base_pos-nan": base_pos, "base_rot-nan": base_rot, "s-nan": s}[defect].flat[0] = np.nan
         q = ik.Configuration(base_pos, ik.Rotation.drifting(base_rot), s)
-    return q, BAD_STARTS[defect].format(n=model.n, m=model.n - 1)
+    return q, BAD_STARTS[defect].format(n=model.n, m=model.n - 1, q=q)
 
 
 def with_extra_rows(model, a, b_q):
